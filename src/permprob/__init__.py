@@ -4,8 +4,9 @@ For three families of n x n matrices whose entries are either pinned to 1 or
 drawn at random, the package counts how many of the n! permanent-expansion
 terms contain each possible number of random entries, evaluates the
 product-form approximation Q(r) that treats terms as independent, and checks
-it against the exact probability P(r) obtained by enumerating every
-assignment of the random entries with a fast permanent kernel.
+it against the exact probability P(r), counted exactly by recurrences and
+a row-by-row transfer and checked against enumeration of every assignment
+of the random entries.
 """
 
 from .guards import GuardError

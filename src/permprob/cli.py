@@ -9,6 +9,7 @@ command-line flags override.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -112,7 +113,13 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str], *, default_n: i
         raise UsageError(f"grid must be >= 2, got {grid}")
     force = bool(getattr(args, "force", False)) or _parse_bool(file_cfg.get("force", ""))
     oeis = bool(getattr(args, "oeis", False)) or _parse_bool(file_cfg.get("oeis", ""))
-    timeout_raw = file_cfg.get("oeis_timeout")
+    timeout = None
+    if file_cfg.get("oeis_timeout"):
+        timeout = pick("oeis_timeout", "oeis_timeout", None, float)
+        if not 0.0 < timeout < math.inf:
+            raise UsageError(
+                f"oeis_timeout must be a positive number of seconds, got {timeout}"
+            )
     return RunConfig(
         families=families,
         n=n,
@@ -122,7 +129,7 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str], *, default_n: i
         force=force,
         oeis_enabled=oeis,
         oeis_base_url=file_cfg.get("oeis_url"),
-        oeis_timeout=float(timeout_raw) if timeout_raw else None,
+        oeis_timeout=timeout,
     )
 
 
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(handler=_cmd_compare)
 
     p_exact = sub.add_parser(
-        "exact", help="enumerate assignments and emit exact hit counts"
+        "exact", help="count assignments and emit exact hit counts"
     )
     add_common(p_exact, formats=("csv", "json"))
     p_exact.set_defaults(handler=_cmd_exact)

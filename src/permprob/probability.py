@@ -1,22 +1,26 @@
-"""Product-form approximate probability and exhaustive exact probability.
+"""Product-form approximate probability and exact probability.
 
 ``q_eval`` multiplies, over every permanent-expansion term, the probability
 that the term vanishes, treating terms as independent: one factor
 (1 - r**m) per term with m variable entries.  ``exact_counts`` drops the
-independence assumption entirely: it enumerates all 2**K assignments of the
-K variable entries, counts how many with i ones land the permanent on the
+independence assumption entirely: it counts, by number of ones, the
+assignments of the K variable entries that land the permanent on the
 family's target value, and ``p_eval`` turns those counts into the exact
 probability sum_i N_i * r**i * (1-r)**(K-i).
+
+``exact_counts`` has four methods.  The production engines never visit the
+2**K assignments: ``recurrence`` (families B and C) counts digraphs through
+closed recurrences, and ``transfer`` (every family) runs a dynamic program
+row by row.  The oracles ``direct`` and ``vectorized`` enumerate all 2**K
+assignments and serve only to check the engines.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .guards import check_guard
 from .matrices import Family, build_family_matrix, permanent_ryser, variable_positions
@@ -24,9 +28,6 @@ from .termdist import TermDistribution, e_table
 
 EXACT_MAX_VARIABLES = 26
 EXPAND_MAX_N = 12
-
-# Below this K the per-matrix route is cheap enough to be the default.
-_DIRECT_MAX_VARIABLES = 14
 
 
 @dataclass(frozen=True)
@@ -116,48 +117,157 @@ class ExactCounts:
             raise ValueError("counts must have length variable_count + 1")
 
 
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    bounds = []
-    start = 0
-    for p in range(parts):
-        stop = start + step + (1 if p < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+def _binomial_row(m: int) -> list[int]:
+    """Coefficients of (1 + x)**m, constant term first."""
+    return [math.comb(m, i) for i in range(m + 1)]
 
 
-def _count_assignment_range(
-    family: Family, n: int, start: int, stop: int
-) -> list[int]:
-    """Count target hits by popcount over assignment indices in [start, stop)."""
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_add(acc: list[int], p: list[int], scale: int) -> None:
+    """acc += scale * p, in place, growing acc as needed."""
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, c in enumerate(p):
+        acc[i] += scale * c
+
+
+def _counts_c_recurrence(n: int) -> list[int]:
+    """Labelled acyclic digraphs on n vertices, counted by number of arcs.
+
+    A family-C matrix is I plus the adjacency matrix of a digraph, and its
+    permanent is 1 exactly when the digraph is acyclic.  Robinson's
+    recurrence splits off the k sources of the DAG:
+    A_m(x) = sum_k (-1)**(k+1) C(m, k) (1+x)**(k(m-k)) A_{m-k}(x).
+    """
+    dags = [[1]]
+    for m in range(1, n + 1):
+        total = [0]
+        for k in range(1, m + 1):
+            term = _poly_mul(_binomial_row(k * (m - k)), dags[m - k])
+            _poly_add(total, term, (-1) ** (k + 1) * math.comb(m, k))
+        dags.append(total)
+    return dags[n]
+
+
+def _counts_b_recurrence(n: int) -> list[int]:
+    """Family-B assignments with permanent 0, counted by number of ones.
+
+    Off the diagonal the matrix is the adjacency matrix of a digraph; the
+    permanent is 0 exactly when the loop at vertex 0 is absent and vertex 0
+    lies on no directed cycle.  Split on the set S of the other vertices
+    that reach vertex 0, with s = |S| and the t = n-1-s others outside:
+    arcs from vertex 0 into S and from outside into S or vertex 0 are
+    absent; the t arcs from vertex 0 outward, the st arcs from S outward and
+    the t(t-1) arcs outside are free; and R_s counts the s*s arcs inside S
+    and from S to vertex 0 under which every vertex of S reaches vertex 0.
+    R_s is all of them minus those under which only j < s vertices do.
+    """
+    reach = []
+    for s in range(n):
+        poly = _binomial_row(s * s)
+        for j in range(s):
+            free = (s - j) * (s - j - 1) + j * (s - j)
+            _poly_add(poly, _poly_mul(reach[j], _binomial_row(free)), -math.comb(s, j))
+        reach.append(poly)
+    total = [0]
+    for s in range(n):
+        t = n - 1 - s
+        free = t + s * t + t * (t - 1)
+        _poly_add(total, _poly_mul(reach[s], _binomial_row(free)), math.comb(n - 1, s))
+    return total
+
+
+_RECURRENCES = {Family.B: _counts_b_recurrence, Family.C: _counts_c_recurrence}
+
+
+def _counts_transfer(family: Family, n: int) -> list[int]:
+    """Row-by-row transfer over column subsets, for any family.
+
+    After i rows the state records, for every i-element set T of columns,
+    min(perm, target + 1) of the submatrix on those rows and columns; the
+    final state holds the whole matrix's capped permanent.  A state is one
+    int: bit T of layer L (bit L * 2**n + T) is set when that capped value
+    exceeds L; the target is 0 or 1, so there are one or two layers.  Adding
+    a row with a one in column c lifts every set T without c to T | {c},
+    which is one mask and one shift of the state.
+
+    Each state carries the polynomial, in the number of ones, of the
+    assignments that reach it, packed into one int with ``width`` = K + 1
+    bits per coefficient: no coefficient exceeds 2**K, so none carries into
+    the next.
+    """
+    k_total = family.variable_count(n)
+    target = family.target_permanent
+    width = k_total + 1
+    size = 1 << n
+    layers = target + 1
+    keep = []
+    for c in range(n):
+        without_c = sum(1 << t for t in range(size) if not t >> c & 1)
+        keep.append(sum(without_c << (layer * size) for layer in range(layers)))
+    if layers == 1:
+        add = operator.or_
+    else:
+        low = (1 << size) - 1
+
+        def add(a: int, b: int) -> int:
+            """Capped sum of two states: both >= 1 makes >= 2."""
+            return a | b | ((a & b & low) << size)
+
+    states = {1: 1}  # the empty column set is matched once; polynomial 1
+    for i in range(n):
+        free = [j for j in range(n) if family.is_variable(i, j)]
+        pinned = [j for j in range(n) if not family.is_variable(i, j)]
+        monomial = [1 << (width * p.bit_count()) for p in range(1 << len(free))]
+        nxt: dict[int, int] = {}
+        for state, poly in states.items():
+            lifted = [(state & keep[c]) << (1 << c) for c in range(n)]
+            base = 0
+            for c in pinned:
+                base = add(base, lifted[c])
+            # after[p]: the state once a row with ones at the pinned columns
+            # and at the free columns picked by the bits of p is added
+            after = [base]
+            for p in range(1, 1 << len(free)):
+                column = free[(p & -p).bit_length() - 1]
+                after.append(add(after[p & (p - 1)], lifted[column]))
+            weights: dict[int, int] = {}
+            for p, new in enumerate(after):
+                weights[new] = weights.get(new, 0) + monomial[p]
+            for new, weight in weights.items():
+                nxt[new] = nxt.get(new, 0) + poly * weight
+        states = nxt
+    full = size - 1
+    total = sum(
+        poly
+        for state, poly in states.items()
+        if sum(state >> (full + layer * size) & 1 for layer in range(layers)) == target
+    )
+    mask = (1 << width) - 1
+    return [total >> (width * i) & mask for i in range(k_total + 1)]
+
+
+def _exact_counts_direct(family: Family, n: int) -> list[int]:
+    """Oracle: build every assignment's matrix and call the permanent kernel."""
     k_total = family.variable_count(n)
     target = family.target_permanent
     counts = [0] * (k_total + 1)
-    for x in range(start, stop):
+    for x in range(1 << k_total):
         bits = [(x >> k) & 1 for k in range(k_total)]
         if permanent_ryser(build_family_matrix(family, n, bits)) == target:
             counts[x.bit_count()] += 1
     return counts
 
 
-def _exact_counts_direct(family: Family, n: int, workers: int) -> list[int]:
-    total = 1 << family.variable_count(n)
-    ranges = _split_ranges(total, workers)
-    if len(ranges) == 1:
-        return _count_assignment_range(family, n, 0, total)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        chunks = list(
-            pool.map(lambda b: _count_assignment_range(family, n, *b), ranges)
-        )
-    merged = chunks[0]
-    for chunk in chunks[1:]:
-        merged = [a + b for a, b in zip(merged, chunk)]
-    return merged
-
-
-def _permanent_table(family: Family, n: int) -> np.ndarray:
+def _permanent_table(family: Family, n: int):
     """Permanent of the assignment-x matrix for every x in [0, 2**K), vectorized.
 
     A permutation term survives assignment x exactly when x contains the
@@ -166,6 +276,8 @@ def _permanent_table(family: Family, n: int) -> np.ndarray:
     with one hit per term mask and running a subset-sum transform over the
     bit lattice yields all 2**K permanents at once.
     """
+    import numpy as np
+
     positions = variable_positions(family, n)
     k_total = len(positions)
     index = {pos: k for k, pos in enumerate(positions)}
@@ -190,47 +302,71 @@ def _permanent_table(family: Family, n: int) -> np.ndarray:
     return table
 
 
-def _popcounts(k_total: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(k_total):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
-
-
 def _exact_counts_vectorized(family: Family, n: int) -> list[int]:
+    """Oracle: all 2**K permanents through the subset-sum transform (numpy)."""
+    import numpy as np
+
     k_total = family.variable_count(n)
-    table = _permanent_table(family, n)
-    hits = table == family.target_permanent
-    counts = np.bincount(_popcounts(k_total)[hits], minlength=k_total + 1)
+    hits = _permanent_table(family, n) == family.target_permanent
+    popcounts = np.zeros(1, dtype=np.uint8)
+    for _ in range(k_total):
+        popcounts = np.concatenate([popcounts, popcounts + 1])
+    counts = np.bincount(popcounts[hits], minlength=k_total + 1)
     return [int(c) for c in counts]
+
+
+EXACT_METHODS = ("recurrence", "transfer", "direct", "vectorized")
+
+
+def exact_methods(family: Family) -> tuple[str, ...]:
+    """The methods of ``exact_counts`` that support ``family``."""
+    return tuple(m for m in EXACT_METHODS if m != "recurrence" or family in _RECURRENCES)
 
 
 def exact_counts(
     family: Family,
     n: int,
     method: str = "auto",
-    workers: int = 1,
     force: bool = False,
 ) -> ExactCounts:
-    """Enumerate all assignments of the variable entries and count target hits.
+    """Count, by number of ones, the assignments that hit the target permanent.
 
-    ``method="direct"`` builds every matrix and calls the permanent kernel on
-    it; ``method="vectorized"`` computes all permanents at once through the
-    subset-sum transform.  Both return identical counts; ``auto`` picks by
-    size.  Results are deterministic for any method and worker count.
+    Two production engines:
+
+    * ``"recurrence"`` (families B and C): closed recurrences over the
+      digraph the off-diagonal entries describe, polynomial in n;
+    * ``"transfer"`` (every family): a row-by-row dynamic program over the
+      capped permanents of column subsets.
+
+    Two oracles that enumerate all 2**K assignments, kept to check the
+    engines: ``"direct"`` builds every matrix and calls the permanent
+    kernel; ``"vectorized"`` computes all permanents at once through the
+    subset-sum transform (needs numpy).
+
+    ``"auto"`` picks ``recurrence`` for B and C and ``transfer`` for A.
+    Every method returns identical counts.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     k_total = family.variable_count(n)
     check_guard(k_total, EXACT_MAX_VARIABLES, "variable-entry count", force)
     if method == "auto":
-        method = "direct" if k_total <= _DIRECT_MAX_VARIABLES else "vectorized"
-    if method == "direct":
-        counts = _exact_counts_direct(family, n, workers)
-    elif method == "vectorized":
-        counts = _exact_counts_vectorized(family, n)
+        method = "recurrence" if family in _RECURRENCES else "transfer"
+    if method not in EXACT_METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; expected auto or one of {EXACT_METHODS}"
+        )
+    if method not in exact_methods(family):
+        raise ValueError(f"method {method!r} covers families B and C only")
+    if method == "recurrence":
+        counts = _RECURRENCES[family](n)
+    elif method == "transfer":
+        counts = _counts_transfer(family, n)
+    elif method == "direct":
+        counts = _exact_counts_direct(family, n)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        counts = _exact_counts_vectorized(family, n)
+    counts += [0] * (k_total + 1 - len(counts))
     return ExactCounts(family, n, k_total, tuple(counts))
 
 
@@ -257,14 +393,13 @@ def compare_grid(
     n: int,
     grid_points: int = 101,
     method: str = "auto",
-    workers: int = 1,
     force: bool = False,
 ) -> list[tuple[float, float, float, float]]:
     """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1]."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     model = approx_model(family, n)
-    counts = exact_counts(family, n, method=method, workers=workers, force=force)
+    counts = exact_counts(family, n, method=method, force=force)
     rows = []
     for i in range(grid_points):
         r = i / (grid_points - 1)

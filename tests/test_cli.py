@@ -252,3 +252,15 @@ class TestUsage:
     def test_bad_config_family(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").write_text("family=Z\n")
         assert run(capsys, "dist")[0] == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_config_oeis_timeout(self, capsys, isolated_cwd, value):
+        (isolated_cwd / "permprob.conf").write_text(f"oeis_timeout={value}\n")
+        code, out, err = run(capsys, "dist", "--family", "C", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "oeis_timeout" in err
+
+    def test_config_oeis_timeout_accepted(self, capsys, isolated_cwd):
+        (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
+        assert run(capsys, "dist", "--family", "C", "--n", "2")[0] == 0

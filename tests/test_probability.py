@@ -17,6 +17,7 @@ from permprob import (
     q_eval,
     q_expand,
 )
+from permprob.probability import exact_methods
 
 # Frozen exact assignment counts for n=3, one list per family.
 EXACT_N3 = {
@@ -140,6 +141,37 @@ class TestExactCounts:
             vectorized = exact_counts(family, n, method="vectorized")
             assert direct == vectorized
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_engines_match_vectorized_oracle(self, family, n):
+        oracle = exact_counts(family, n, method="vectorized")
+        engines = [m for m in exact_methods(family) if m in ("recurrence", "transfer")]
+        for method in engines:
+            assert exact_counts(family, n, method=method) == oracle
+        assert exact_counts(family, n) == oracle
+
+    def test_c_recurrence_totals_are_labelled_dags(self):
+        # OEIS A003024: labelled acyclic digraphs on n vertices
+        a003024 = [1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]
+        for n, total in enumerate(a003024, start=1):
+            got = exact_counts(Family.C, n, method="recurrence", force=True)
+            assert sum(got.counts) == total
+
+    @pytest.mark.parametrize(
+        "family, total", [(Family.B, 79_331_328), (Family.C, 3_781_503)]
+    )
+    def test_transfer_matches_recurrence_at_n6(self, family, total):
+        transfer = exact_counts(family, 6, method="transfer", force=True)
+        assert transfer == exact_counts(family, 6, method="recurrence", force=True)
+        assert sum(transfer.counts) == total
+
+    def test_a6_zero_permanent_total(self):
+        got = exact_counts(Family.A, 6, force=True)
+        assert sum(got.counts) == 13_906_734_081
+        assert got.counts[:7] == tuple(math.comb(36, i) for i in range(6)) + (
+            math.comb(36, 6) - 720,
+        )
+
     def test_c2_counts(self):
         assert exact_counts(Family.C, 2).counts == (1, 2, 0)
 
@@ -156,21 +188,26 @@ class TestExactCounts:
         assert all(c <= math.comb(K, i) for i, c in enumerate(got.counts))
         assert got.counts[0] == 1
 
-    def test_deterministic_across_runs_and_workers(self):
-        a = exact_counts(Family.B, 3, method="direct", workers=1)
-        b = exact_counts(Family.B, 3, method="direct", workers=2)
-        c = exact_counts(Family.B, 3, method="direct", workers=5)
-        d = exact_counts(Family.B, 3, method="vectorized")
-        assert a == b == c == d
-        assert exact_counts(Family.B, 3) == a
+    def test_all_methods_return_equal_counts(self):
+        for family in Family:
+            results = [exact_counts(family, 3, method=m) for m in exact_methods(family)]
+            assert len(results) == (3 if family is Family.A else 4)
+            assert all(r == results[0] for r in results)
+            assert exact_counts(family, 3) == results[0]
 
     def test_guard(self):
         with pytest.raises(GuardError):
             exact_counts(Family.C, 6)  # K = 30
+        with pytest.raises(GuardError):
+            exact_counts(Family.A, 6, method="transfer")  # K = 36
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method"):
             exact_counts(Family.C, 2, method="telepathy")
+
+    def test_recurrence_does_not_cover_family_a(self):
+        with pytest.raises(ValueError, match="families B and C"):
+            exact_counts(Family.A, 2, method="recurrence")
 
 
 class TestPEval:
