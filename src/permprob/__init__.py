@@ -24,6 +24,7 @@ from .matrices import (
 from .probability import (
     EXACT_MAX_VARIABLES,
     EXPAND_MAX_N,
+    MAX_GRID,
     ApproxModel,
     ExactCounts,
     approx_model,
@@ -74,6 +75,7 @@ __all__ = [
     "GuardError",
     "LookupResult",
     "MAX_DIMENSION",
+    "MAX_GRID",
     "NAIVE_MAX_N",
     "OEISFormatError",
     "RYSER_MAX_N",

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 usage error, 3 guard
 violation.  Defaults work without any configuration; a ``permprob.conf``
 key=value file (or the path in ``PERMPROB_CONFIG``) supplies defaults that
 command-line flags override.
+
+Each handler imports the rendering, plotting, validation and sequence
+modules it needs itself, so a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -13,25 +16,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from .guards import GuardError, check_guard
 from .matrices import Family
-from .output import (
-    compare_json,
-    dist_json,
-    exact_json,
-    make_compare_doc,
-    make_dist_doc,
-    make_exact_doc,
-)
 from .probability import bernstein_string, compare_grid, exact_counts
-from .sequences import OEISFormatError, builtin_checks, oeis_lookup
-from .svgplot import Series, line_chart
 from .termdist import v_closed_form
-from .validation import run_offline_checks, verify_artifact
 
-DIST_MAX_N = 30
 DEFAULT_GRID = 101
 
 _FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
@@ -148,6 +138,8 @@ def _require_one_family(cfg: RunConfig, command: str) -> Family:
 
 
 def _cmd_dist(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+    from .output import DIST_MAX_N, dist_json, make_dist_doc
+
     cfg = _resolve(args, file_cfg, default_n=6, formats=("csv", "json"))
     family = _require_one_family(cfg, "dist")
     check_guard(cfg.n, DIST_MAX_N, "table dimension", cfg.force)
@@ -159,6 +151,8 @@ def _cmd_dist(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+    from .output import exact_json, make_exact_doc
+
     cfg = _resolve(args, file_cfg, default_n=3, formats=("csv", "json"))
     family = _require_one_family(cfg, "exact")
     counts = exact_counts(family, cfg.n, force=cfg.force)
@@ -179,6 +173,8 @@ def _cmd_compare(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
         for fam in families
     }
     if cfg.output_format == "svg":
+        from .svgplot import Series, line_chart
+
         series = []
         for fam in families:
             rows = grids[fam]
@@ -204,14 +200,20 @@ def _cmd_compare(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
         )
         _emit(text, cfg.output_path)
     elif cfg.output_format == "json":
+        from .output import compare_json
+
         _emit(compare_json(cfg.n, cfg.grid_points, families, grids), cfg.output_path)
     else:
+        from .output import make_compare_doc
+
         doc = make_compare_doc(cfg.n, cfg.grid_points, families, grids)
         _emit(doc.render(), cfg.output_path)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+    from .validation import run_offline_checks, verify_artifact
+
     cfg = _resolve(args, file_cfg, default_n=8, formats=("csv",))
     results = run_offline_checks(bruteforce_n=cfg.n, force=cfg.force)
     for path in args.paths:
@@ -228,6 +230,10 @@ def _cmd_validate(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
 
 
 def _print_oeis_report(cfg: RunConfig) -> None:
+    from datetime import datetime, timezone
+
+    from .sequences import builtin_checks
+
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for check in builtin_checks():
         prefix = check.expected[:8]
@@ -239,6 +245,8 @@ def _print_oeis_report(cfg: RunConfig) -> None:
 
 
 def _lookup_line(prefix, cfg: RunConfig, expected_id: str | None) -> str:
+    from .sequences import OEISFormatError, oeis_lookup
+
     try:
         result = oeis_lookup(
             prefix, base_url=cfg.oeis_base_url, timeout=cfg.oeis_timeout
@@ -257,6 +265,8 @@ def _lookup_line(prefix, cfg: RunConfig, expected_id: str | None) -> str:
 
 
 def _cmd_seq(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+    from .sequences import builtin_checks
+
     cfg = _resolve(args, file_cfg, default_n=8, formats=("csv",))
     checks = builtin_checks()
     failed = 0

@@ -15,6 +15,10 @@ from .matrices import Family
 from .probability import ExactCounts, bernstein_string
 from .termdist import e_table
 
+# Largest dimension of an emitted term-count table (``dist``, and ``validate``
+# re-running a dist artifact) unless forced.
+DIST_MAX_N = 30
+
 
 def format_float(x: float) -> str:
     return f"{x:.12g}"

@@ -27,6 +27,7 @@ from .matrices import Family, build_family_matrix, permanent_ryser, variable_pos
 from .termdist import TermDistribution, e_table
 
 EXACT_MAX_VARIABLES = 26
+MAX_GRID = 10_001
 EXPAND_MAX_N = 12
 
 
@@ -48,7 +49,10 @@ def q_eval(model: ApproxModel, r: float) -> float:
 
     Evaluated in log space because the term counts can exceed the float
     integer range; log(1 - r**m) is computed as log(-expm1(m*log r)) so it
-    stays accurate near r = 1.
+    stays accurate near r = 1.  Once 1 - r**m rounds to 1 that log is 0.0,
+    and -r**m, its value to double precision, is used instead; a factor
+    that is 0.0 even then is skipped.  A log product past the float range
+    means the product underflows, so the result is 0.0.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
@@ -61,8 +65,15 @@ def q_eval(model: ApproxModel, r: float) -> float:
     log_q = 0.0
     for m in range(1, model.n + 1):
         e = counts[m]
-        if e:
-            log_q += float(e) * math.log(-math.expm1(m * log_r))
+        if not e:
+            continue
+        term = math.log(-math.expm1(m * log_r)) or -math.exp(m * log_r)
+        if term == 0.0:
+            continue
+        try:
+            log_q += e * term
+        except OverflowError:  # e exceeds the float range and term < 0
+            return 0.0
     return math.exp(log_q)
 
 
@@ -398,8 +409,9 @@ def compare_grid(
     """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1]."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    model = approx_model(family, n)
+    check_guard(grid_points, MAX_GRID, "grid point count", force)
     counts = exact_counts(family, n, method=method, force=force)
+    model = approx_model(family, n)
     rows = []
     for i in range(grid_points):
         r = i / (grid_points - 1)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
-import requests
-
 DEFAULT_OEIS_URL = "https://oeis.org"
 DEFAULT_OEIS_TIMEOUT = 10.0
 OEIS_URL_ENV = "PERMPROB_OEIS_URL"
@@ -148,9 +146,31 @@ class LookupResult:
 
 
 def _http_fetch(url: str, timeout: float) -> str:
-    response = requests.get(url, timeout=timeout)
-    response.raise_for_status()
-    return response.text
+    """GET ``url`` and return its decoded body; every failure is an ``OSError``.
+
+    Only http and https URLs are fetched, so a configured ``file://`` base
+    cannot read local files.  The HTTP stack is imported here, not at module
+    level, because only the optional remote lookup needs it.
+    """
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    scheme = urllib.parse.urlsplit(url).scheme
+    if scheme not in ("http", "https"):
+        raise OSError(f"refusing to fetch {url!r}: only http and https URLs are allowed")
+    try:
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            charset = response.headers.get_content_charset() or "utf-8"
+            body = response.read()
+    except (http.client.HTTPException, ValueError) as exc:
+        # URLError, HTTPError and timeouts already are OSErrors.
+        raise OSError(f"fetching {url!r} failed: {exc}") from exc
+    try:
+        return body.decode(charset, errors="replace")
+    except LookupError:  # a charset name Python does not know
+        return body.decode("utf-8", errors="replace")
 
 
 def _parse_search_text(text: str) -> tuple[str, ...]:
@@ -180,9 +200,11 @@ def oeis_lookup(
 ) -> LookupResult:
     """Search the OEIS for sequences starting with ``prefix``.
 
-    Read-only; network trouble yields ``status="skipped"`` rather than an
-    exception so offline runs keep working.  A 200 response that is not in
-    the endpoint's text format raises :class:`OEISFormatError`.
+    Read-only; any ``OSError`` from ``fetch`` (network trouble, an HTTP
+    error status, a base URL that is not http or https) yields
+    ``status="skipped"`` rather than an exception so offline runs keep
+    working.  A 200 response that is not in the endpoint's text format
+    raises :class:`OEISFormatError`.
     """
     prefix = list(prefix)
     if len(prefix) < 4:
@@ -197,6 +219,6 @@ def oeis_lookup(
     fetch = fetch or _http_fetch
     try:
         body = fetch(url, timeout)
-    except requests.RequestException as exc:
-        return LookupResult(status="skipped", ids=(), note=f"network unreachable: {exc}")
+    except OSError as exc:
+        return LookupResult(status="skipped", ids=(), note=f"fetch failed: {exc}")
     return LookupResult(status="ok", ids=_parse_search_text(body))

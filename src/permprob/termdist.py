@@ -172,7 +172,8 @@ def v_closed_form(n: int, m: int) -> int:
     num = math.factorial(n - 1) * derangement(m + 1)
     den = math.factorial(n - m) * math.factorial(m)
     q, rem = divmod(num, den)
-    assert rem == 0, (n, m)
+    if rem:
+        raise ArithmeticError(f"V_{n}({m}): {num} is not divisible by {den}")
     return q
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .guards import GuardError, check_guard
 from .matrices import BinaryMatrix, Family, permanent_ryser
-from .output import CsvDoc, make_dist_doc, make_exact_doc
+from .output import DIST_MAX_N, CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import (
     approx_model,
     compare_grid,
@@ -214,7 +215,13 @@ def run_offline_checks(
 
 
 def verify_artifact(path: str, force: bool = False) -> CheckResult:
-    """Re-generate a previously emitted CSV artifact and compare byte-for-byte."""
+    """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
+
+    The artifact's metadata sizes the re-run, so the command-line guards
+    apply to it: ``DIST_MAX_N`` for dist tables, ``MAX_GRID`` and the
+    exact-count guard for compare grids.  ``force=True`` lifts them; a guard
+    hit is a failed check naming the guard.
+    """
     name = f"artifact:{path}"
     try:
         with open(path, encoding="utf-8") as fh:
@@ -226,13 +233,13 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
         meta = doc.metadata()
         kind = meta.get("kind")
         if kind == "dist":
-            expected = make_dist_doc(Family(meta["family"]), int(meta["n"])).render()
+            n = int(meta["n"])
+            check_guard(n, DIST_MAX_N, "table dimension", force)
+            expected = make_dist_doc(Family(meta["family"]), n).render()
         elif kind == "exact":
             counts = exact_counts(Family(meta["family"]), int(meta["n"]), force=force)
             expected = make_exact_doc(counts).render()
         elif kind == "compare":
-            from .output import make_compare_doc
-
             families = [Family(v) for v in meta["families"].split(",")]
             n = int(meta["n"])
             grid = int(meta["grid"])
@@ -243,6 +250,8 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
             expected = make_compare_doc(n, grid, families, grids).render()
         else:
             return CheckResult(name, False, "no recognizable artifact metadata")
+    except GuardError as exc:
+        return CheckResult(name, False, f"guard violation: {exc}")
     except (KeyError, ValueError) as exc:
         return CheckResult(name, False, f"malformed artifact: {exc}")
     if text == expected:

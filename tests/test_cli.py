@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import permprob
+from permprob import MAX_GRID
 from permprob.cli import main
 from permprob.output import CsvDoc
 
@@ -164,6 +170,15 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "1")
         assert code == 2
 
+    def test_grid_guard(self, capsys):
+        code, _, err = run(capsys, "compare", "--n", "2", "--grid", str(MAX_GRID + 1))
+        assert code == 3
+        assert "grid point count" in err
+        code, out, _ = run(capsys, "compare", "--n", "2", "--family", "C",
+                           "--grid", str(MAX_GRID + 1), "--force")
+        assert code == 0
+        assert len(CsvDoc.parse(out).rows) == MAX_GRID + 1
+
 
 class TestValidate:
     def test_default_run_passes(self, capsys):
@@ -191,6 +206,13 @@ class TestValidate:
         assert run(capsys, "exact", "--family", "B", "--n", "3",
                    "--out", str(path))[0] == 0
         assert run(capsys, "validate", "--n", "2", str(path))[0] == 0
+
+    def test_artifact_beyond_guard_is_a_failed_check(self, capsys, isolated_cwd):
+        path = isolated_cwd / "big.csv"
+        path.write_text("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n")
+        code, out, _ = run(capsys, "validate", "--n", "2", str(path))
+        assert code == 1
+        assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
 
     def test_oeis_network_down_still_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
@@ -264,3 +286,31 @@ class TestUsage:
     def test_config_oeis_timeout_accepted(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
         assert run(capsys, "dist", "--family", "C", "--n", "2")[0] == 0
+
+
+class TestImportDiet:
+    def test_commands_load_only_what_they_run(self):
+        # A fresh interpreter, so modules the test session already holds do not count.
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(list(argv)) == 0
+
+            run("exact", "--family", "C", "--n", "3")
+            print(sorted(m for m in ("permprob.validation", "permprob.svgplot")
+                         if m in sys.modules))
+            run("compare", "--n", "3")
+            run("dist", "--family", "C", "--n", "5")
+            print(sorted(m for m in ("requests", "urllib.request", "http.client",
+                                     "ssl", "numpy") if m in sys.modules))
+        """)
+        src = os.path.dirname(os.path.dirname(permprob.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PERMPROB_CONFIG", None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]

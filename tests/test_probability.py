@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from permprob import (
+    MAX_GRID,
     Family,
     GuardError,
     approx_model,
@@ -78,6 +79,23 @@ class TestQEval:
         model = approx_model(family, 5)
         for i in range(101):
             assert 0.0 <= q_eval(model, i / 100) <= 1.0
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_term_counts_past_float_range(self, family):
+        # 200! is about 8e374, past the float range
+        model = approx_model(family, 200)
+        assert q_eval(model, 0.5) == 0.0
+        assert q_eval(model, 1e-300) == 1.0
+        for i in range(101):
+            q = q_eval(model, i / 100)
+            assert 0.0 <= q <= 1.0
+
+    def test_factor_below_rounding_of_one_still_counts(self):
+        # 1 - 0.008**8 rounds to 1.0, yet 8! such factors move Q by ~7e-13
+        model = approx_model(Family.A, 8)
+        expected = math.exp(-math.factorial(8) * 0.008**8)
+        assert q_eval(model, 0.008) == pytest.approx(expected, rel=0, abs=1e-15)
+        assert q_eval(model, 0.008) < 1.0
 
 
 class TestQExpand:
@@ -264,6 +282,11 @@ class TestCompareGrid:
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
             compare_grid(Family.C, 2, grid_points=1)
+
+    def test_grid_guard(self):
+        with pytest.raises(GuardError, match="grid point count"):
+            compare_grid(Family.C, 2, grid_points=MAX_GRID + 1)
+        assert len(compare_grid(Family.C, 2, grid_points=MAX_GRID + 1, force=True)) == MAX_GRID + 1
 
 
 class TestBernsteinString:

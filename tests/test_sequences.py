@@ -1,5 +1,9 @@
+import http.server
+import threading
+import urllib.error
+import urllib.request
+
 import pytest
-import requests
 
 from permprob import (
     OEISFormatError,
@@ -7,7 +11,7 @@ from permprob import (
     load_reference_terms,
     oeis_lookup,
 )
-from permprob.sequences import REFS
+from permprob.sequences import REFS, _http_fetch
 
 SAMPLE_RESPONSE = """\
 # Greetings from The On-Line Encyclopedia of Integer Sequences!
@@ -108,7 +112,7 @@ class TestLookup:
 
     def test_network_failure_degrades_to_skipped(self):
         def failing_fetch(url, timeout):
-            raise requests.ConnectionError("boom")
+            raise urllib.error.URLError("boom")
 
         result = oeis_lookup([1, 2, 4, 8], fetch=failing_fetch)
         assert result.status == "skipped"
@@ -135,3 +139,80 @@ class TestLookup:
         oeis_lookup([1, 2, 4, 8], fetch=fake_fetch)
         assert captured["url"].startswith("http://oeis.invalid/search")
         assert captured["timeout"] == 3.5
+
+
+class _OEISStub(http.server.BaseHTTPRequestHandler):
+    """Answers /ok/search with a text body and /status/<code>/search with that code."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        parts = self.path.split("/")
+        if parts[1] == "ok":
+            body = SAMPLE_RESPONSE.encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; charset=utf-8")
+        elif parts[1] == "latin1":
+            body = "%N A000166 r\u00e9sum\u00e9\n".encode("iso-8859-1")
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; charset=iso-8859-1")
+        else:
+            body = b"error"
+            self.send_response(int(parts[2]))
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def oeis_stub():
+    """A loopback HTTP server on a free port; yields (base URL, request paths)."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _OEISStub)
+    server.paths = []
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server.paths
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class TestStdlibClient:
+    def test_ok_body_returns_ids(self, oeis_stub):
+        base, paths = oeis_stub
+        result = oeis_lookup([0, 1, 2, 9, 44, 265], base_url=f"{base}/ok", timeout=5)
+        assert result.status == "ok"
+        assert result.ids == ("A000166", "A000255")
+        assert paths == ["/ok/search?q=0,1,2,9,44,265&fmt=text"]
+
+    @pytest.mark.parametrize("code", [404, 500])
+    def test_http_error_status_is_skipped(self, oeis_stub, code):
+        base, paths = oeis_stub
+        result = oeis_lookup([1, 2, 4, 8], base_url=f"{base}/status/{code}", timeout=5)
+        assert result.status == "skipped"
+        assert result.ids == ()
+        assert str(code) in result.note
+        assert len(paths) == 1
+
+    def test_body_decoded_with_response_charset(self, oeis_stub):
+        base, _ = oeis_stub
+        assert _http_fetch(f"{base}/latin1/x", 5) == "%N A000166 r\u00e9sum\u00e9\n"
+
+    @pytest.mark.parametrize(
+        "base_url", ["file:///etc", "ftp://127.0.0.1", "oeis.org", "localhost:8080"]
+    )
+    def test_other_schemes_skipped_without_opening(self, base_url, monkeypatch):
+        def no_open(*args, **kwargs):
+            raise AssertionError("urlopen must not be reached")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_open)
+        result = oeis_lookup([1, 2, 4, 8], base_url=base_url, timeout=5)
+        assert result.status == "skipped"
+        assert "only http and https" in result.note

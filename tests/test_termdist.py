@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permprob import termdist
 from permprob import (
     CycleType,
     Family,
@@ -182,6 +183,12 @@ class TestVClosedForm:
             v_closed_form(3, 4)
         with pytest.raises(ValueError):
             v_closed_form(0, 0)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # the check is a raise, not an assert, so it also holds under python -O
+        monkeypatch.setattr(termdist, "derangement", lambda k: derangement(k) + 1)
+        with pytest.raises(ArithmeticError):
+            v_closed_form(3, 3)
 
 
 class TestVViaW:

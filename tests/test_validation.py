@@ -55,6 +55,28 @@ class TestArtifactVerification:
         result = verify_artifact(str(tmp_path / "nope.csv"))
         assert not result.passed
 
+    @pytest.mark.parametrize(
+        "header, guard",
+        [
+            ("# permprob dist family=C n=400\nn,m,count\n", "table dimension 400"),
+            ("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n",
+             "grid point count 5000000"),
+            ("# permprob exact family=A n=9\ni,count\n", "variable-entry count 81"),
+        ],
+    )
+    def test_metadata_beyond_guards_fails_fast(self, tmp_path, header, guard):
+        path = tmp_path / "big.csv"
+        path.write_text(header)
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail.startswith("guard violation: " + guard)
+
+    def test_force_lifts_dist_guard(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text(make_dist_doc(Family.C, 31).render())
+        assert "table dimension" in verify_artifact(str(path)).detail
+        assert verify_artifact(str(path), force=True).passed
+
     def test_file_without_metadata(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("a,b\n1,2\n")
