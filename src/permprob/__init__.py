@@ -53,6 +53,7 @@ from .termdist import (
     derangement,
     e_table,
     e_table_bruteforce,
+    e_tables_bruteforce,
     partitions,
     v_closed_form,
     v_via_w,
@@ -91,6 +92,7 @@ __all__ = [
     "derangement",
     "e_table",
     "e_table_bruteforce",
+    "e_tables_bruteforce",
     "evaluate_polynomial",
     "exact_counts",
     "load_reference_terms",

@@ -9,7 +9,9 @@ cross-check one another:
 * a closed form built on derangement numbers,
 * a table driven purely by recurrences,
 * a sum over the cycle types of the symmetric group,
-* brute-force enumeration of all n! permutations.
+* brute-force enumeration of all n! permutations, one walk per n shared by
+  the three families (a permutation's fixed points and whether it fixes 0
+  decide its variable-entry count in every family).
 
 All arithmetic is exact (Python integers); nothing here touches floats.
 """
@@ -227,31 +229,43 @@ def e_table(family: Family, n: int) -> TermDistribution:
     return TermDistribution(family, n, tuple(counts))
 
 
-def e_table_bruteforce(family: Family, n: int, force: bool = False) -> TermDistribution:
-    """Term-count distribution by walking all n! permutations.
+def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistribution]:
+    """Term-count distributions of every family from one walk of all n! permutations.
 
     Position (sigma(j), j) lies on the diagonal exactly when sigma fixes j,
-    so a term's variable-entry count follows from the fixed-point count: all
-    n positions for family A, n minus the fixed points for family C, and for
-    family B one more than that when sigma fixes 0 (the variable diagonal
-    entry counts as variable).
+    so a term's variable-entry count follows from its fixed-point count fp
+    and from whether sigma fixes 0: all n positions for family A, n - fp for
+    family C, and for family B one more than that when sigma fixes 0 (the
+    variable diagonal entry counts as variable).  The walk keeps the joint
+    histogram of those two quantities and derives all three rows from it.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration", force)
-    counts = [0] * (n + 1)
+    # joint[fp][fixes_0] counts the permutations with fp fixed points.
+    joint = [[0, 0] for _ in range(n + 1)]
     base = tuple(range(n))
     eq = operator.eq
-    if family is Family.A:
-        for _ in itertools.permutations(base):
-            counts[n] += 1
-    elif family is Family.C:
-        for sigma in itertools.permutations(base):
-            counts[n - sum(map(eq, sigma, base))] += 1
-    else:
-        for sigma in itertools.permutations(base):
-            m = n - sum(map(eq, sigma, base))
-            if sigma[0] == 0:
-                m += 1
-            counts[m] += 1
-    return TermDistribution(family, n, tuple(counts))
+    for sigma in itertools.permutations(base):
+        joint[sum(map(eq, sigma, base))][sigma[0] == 0] += 1
+    b = [0] * (n + 1)
+    c = [0] * (n + 1)
+    for fp, (moving_0, fixing_0) in enumerate(joint):
+        c[n - fp] = moving_0 + fixing_0
+        b[n - fp] += moving_0
+        if fp:  # a permutation that fixes 0 has at least one fixed point
+            b[n - fp + 1] += fixing_0
+    return {
+        Family.A: TermDistribution(Family.A, n, (0,) * n + (sum(c),)),
+        Family.B: TermDistribution(Family.B, n, tuple(b)),
+        Family.C: TermDistribution(Family.C, n, tuple(c)),
+    }
+
+
+def e_table_bruteforce(family: Family, n: int, force: bool = False) -> TermDistribution:
+    """Term-count distribution of one family by walking all n! permutations.
+
+    The walk is :func:`e_tables_bruteforce`; callers that need more than one
+    family at the same n should call that once instead.
+    """
+    return e_tables_bruteforce(n, force)[family]

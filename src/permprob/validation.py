@@ -25,7 +25,7 @@ from .probability import (
 from .sequences import builtin_checks
 from .termdist import (
     e_table,
-    e_table_bruteforce,
+    e_tables_bruteforce,
     v_closed_form,
     v_via_w,
     w_closed_form,
@@ -134,12 +134,17 @@ def run_offline_checks(
         f"first mismatch at {bad[:1]}" if bad else f"n<={table_n}",
     )
 
-    # enumeration of the symmetric group
-    bad = []
-    for family in Family:
-        for n in range(1, bruteforce_n + 1):
-            if e_table(family, n) != e_table_bruteforce(family, n, force=force):
-                bad.append((family.value, n))
+    # enumeration of the symmetric group: one walk per n serves every family,
+    # largest n first so that the guard fires before any walk
+    walks = {
+        n: e_tables_bruteforce(n, force=force) for n in range(bruteforce_n, 0, -1)
+    }
+    bad = [
+        (family.value, n)
+        for family in Family
+        for n in range(1, bruteforce_n + 1)
+        if e_table(family, n) != walks[n][family]
+    ]
     add(
         "e-table-vs-bruteforce",
         not bad,
@@ -234,6 +239,8 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
         kind = meta.get("kind")
         if kind == "dist":
             n = int(meta["n"])
+            if n < 1:
+                raise ValueError(f"dimension must be >= 1, got {n}")
             check_guard(n, DIST_MAX_N, "table dimension", force)
             expected = make_dist_doc(Family(meta["family"]), n).render()
         elif kind == "exact":

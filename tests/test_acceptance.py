@@ -14,7 +14,7 @@ from permprob import (
     builtin_checks,
     compare_grid,
     e_table,
-    e_table_bruteforce,
+    e_tables_bruteforce,
     exact_counts,
     permanent_ryser,
     v_closed_form,
@@ -71,8 +71,9 @@ def test_criterion_2_four_route_agreement():
     ok = True
     table = w_recurrence_table(10)
     for n in range(1, 11):
-        brute_w = e_table_bruteforce(Family.C, n).counts
-        brute_v = e_table_bruteforce(Family.B, n).counts
+        walked = e_tables_bruteforce(n)
+        brute_w = walked[Family.C].counts
+        brute_v = walked[Family.B].counts
         for m in range(n + 1):
             w = w_closed_form(n, m)
             ok = ok and w == table[n][m] == w_via_cycles(n, m) == brute_w[m]

@@ -214,6 +214,15 @@ class TestValidate:
         assert code == 1
         assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_dist_artifact_dimension_below_one_fails(self, capsys, isolated_cwd, n):
+        path = isolated_cwd / "dist.csv"
+        path.write_text(f"# permprob dist family=C n={n}\nn,m,count\n")
+        code, out, _ = run(capsys, "validate", "--n", "2", str(path))
+        assert code == 1
+        assert (f"FAIL  artifact:{path}  "
+                f"(malformed artifact: dimension must be >= 1, got {n})") in out
+
     def test_oeis_network_down_still_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
         monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")

@@ -1,11 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import termdist
+from permprob import termdist, validation
 from permprob import (
     CycleType,
     Family,
@@ -15,6 +17,7 @@ from permprob import (
     derangement,
     e_table,
     e_table_bruteforce,
+    e_tables_bruteforce,
     partitions,
     v_closed_form,
     v_via_w,
@@ -252,6 +255,60 @@ class TestBruteforce:
     def test_guard(self):
         with pytest.raises(GuardError):
             e_table_bruteforce(Family.C, 11)
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_family_matches_closed_forms(self, n):
+        walked = e_tables_bruteforce(n)
+        assert set(walked) == set(Family)
+        for family in Family:
+            assert walked[family] == e_table(family, n)
+
+    def test_guard(self):
+        with pytest.raises(GuardError, match="factorial-time enumeration 11"):
+            e_tables_bruteforce(11)
+
+    def test_force_lifts_guard(self, monkeypatch):
+        monkeypatch.setattr(termdist, "BRUTEFORCE_MAX_N", 3)
+        with pytest.raises(GuardError):
+            e_tables_bruteforce(4)
+        with pytest.raises(GuardError):
+            e_table_bruteforce(Family.B, 4)
+        walked = e_tables_bruteforce(4, force=True)
+        assert walked[Family.B].counts == (0, 1, 3, 9, 11)
+        assert e_table_bruteforce(Family.C, 4, force=True).counts == (1, 0, 6, 8, 9)
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            e_tables_bruteforce(0)
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """Sizes of the symmetric groups that termdist enumerates."""
+        sizes = []
+
+        def counting_permutations(iterable, r=None):
+            pool = tuple(iterable)
+            sizes.append(len(pool))
+            return itertools.permutations(pool, r)
+
+        # Only termdist's reference to itertools is swapped, so the n=3
+        # enumeration oracles in probability and matrices are not counted.
+        monkeypatch.setattr(
+            termdist, "itertools", SimpleNamespace(permutations=counting_permutations)
+        )
+        return sizes
+
+    def test_offline_checks_walk_each_symmetric_group_once(self, walked):
+        results = validation.run_offline_checks(bruteforce_n=6, table_n=4)
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+        assert sorted(walked) == [1, 2, 3, 4, 5, 6]
+
+    def test_offline_checks_guard_fires_before_any_walk(self, walked):
+        with pytest.raises(GuardError, match="factorial-time enumeration 11"):
+            validation.run_offline_checks(bruteforce_n=11, table_n=2)
+        assert walked == []
 
 
 @given(st.sampled_from(list(Family)), st.integers(1, 8))

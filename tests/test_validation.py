@@ -1,8 +1,9 @@
 import pytest
 
-from permprob import Family
+from permprob import Family, validation
 from permprob.output import CsvDoc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
+from permprob.termdist import TermDistribution, e_table
 from permprob.validation import run_offline_checks, verify_artifact
 
 
@@ -29,6 +30,19 @@ class TestOfflineChecks:
             "probability-endpoints-n3",
             "sequence-references",
         } <= names
+
+    def test_bruteforce_mismatch_reported_in_family_then_n_order(self, monkeypatch):
+        def corrupted(family, n):
+            dist = e_table(family, n)
+            if (family, n) in ((Family.B, 4), (Family.A, 6)):
+                return TermDistribution(family, n, (1,) + dist.counts[1:])
+            return dist
+
+        monkeypatch.setattr(validation, "e_table", corrupted)
+        results = {r.name: r for r in run_offline_checks(bruteforce_n=6, table_n=4)}
+        check = results["e-table-vs-bruteforce"]
+        assert not check.passed
+        assert check.detail == "first mismatch at [('A', 6)]"
 
 
 class TestArtifactVerification:
@@ -70,6 +84,14 @@ class TestArtifactVerification:
         result = verify_artifact(str(path))
         assert not result.passed
         assert result.detail.startswith("guard violation: " + guard)
+
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_dist_dimension_below_one_is_malformed(self, tmp_path, n):
+        path = tmp_path / "dist.csv"
+        path.write_text(f"# permprob dist family=C n={n}\nn,m,count\n")
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail == f"malformed artifact: dimension must be >= 1, got {n}"
 
     def test_force_lifts_dist_guard(self, tmp_path):
         path = tmp_path / "dist.csv"
