@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 guard
 violation.  Defaults work without any configuration; a ``permprob.conf``
 key=value file (or the path in ``PERMPROB_CONFIG``) supplies defaults that
-command-line flags override.
+command-line flags override.  Each subcommand parses only the flags it reads
+and resolves only the matching config keys, so a shared config file may hold
+keys that some subcommands ignore.
 
 Each handler imports the rendering, plotting, validation and sequence
 modules it needs itself, so a command loads only what it runs.
@@ -15,7 +17,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .guards import GuardError, check_guard
 from .matrices import Family
@@ -33,10 +36,14 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Effective options after merging defaults, config file, and flags."""
+    """Effective options after merging defaults, config file, and flags.
 
-    families: list[Family]
-    n: int
+    Only the options a subcommand reads are resolved; the rest keep these
+    defaults.
+    """
+
+    families: list[Family] = field(default_factory=list)
+    n: int | None = None
     grid_points: int = DEFAULT_GRID
     output_format: str = "csv"
     output_path: str | None = None
@@ -68,59 +75,65 @@ def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict[str, str], *, default_n: int,
-             formats: tuple[str, ...]) -> RunConfig:
-    def pick(attr: str, key: str, default, cast):
+def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
+             spec: _Subcommand) -> RunConfig:
+    """Merge flags over config keys, for the options ``spec`` reads only.
+
+    ``oeis_url`` and ``oeis_timeout`` go with ``oeis``.
+    """
+    def pick(attr: str, default, cast):
         value = getattr(args, attr, None)
-        if value is None and key in file_cfg:
+        if value is None and attr in file_cfg:
             try:
-                value = cast(file_cfg[key])
+                value = cast(file_cfg[attr])
             except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {exc}") from exc
+                raise UsageError(f"bad config value for {attr}: {exc}") from exc
         return default if value is None else value
 
-    raw_families = getattr(args, "family", None)
-    if not raw_families and "family" in file_cfg:
-        raw_families = [file_cfg["family"]]
-    families = []
-    if raw_families:
-        for name in raw_families:
+    def flag(attr: str) -> bool:
+        return bool(getattr(args, attr, False)) or _parse_bool(file_cfg.get(attr, ""))
+
+    options = spec.options
+    cfg = RunConfig()
+    if "family" in options:
+        raw_families = args.family
+        if not raw_families and "family" in file_cfg:
+            raw_families = [file_cfg["family"]]
+        for name in raw_families or ():
             try:
-                families.append(Family(name))
+                cfg.families.append(Family(name))
             except ValueError:
                 raise UsageError(f"unknown family {name!r}; expected A, B, or C")
-
-    fmt = pick("format", "format", formats[0], str)
-    if fmt not in formats:
-        raise UsageError(
-            f"format {fmt!r} is not supported here (choose from {', '.join(formats)})"
-        )
-    n = pick("n", "n", default_n, int)
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
-    grid = pick("grid", "grid", DEFAULT_GRID, int)
-    if grid < 2:
-        raise UsageError(f"grid must be >= 2, got {grid}")
-    force = bool(getattr(args, "force", False)) or _parse_bool(file_cfg.get("force", ""))
-    oeis = bool(getattr(args, "oeis", False)) or _parse_bool(file_cfg.get("oeis", ""))
-    timeout = None
-    if file_cfg.get("oeis_timeout"):
-        timeout = pick("oeis_timeout", "oeis_timeout", None, float)
-        if not 0.0 < timeout < math.inf:
+    if "format" in options:
+        cfg.output_format = pick("format", spec.formats[0], str)
+        if cfg.output_format not in spec.formats:
             raise UsageError(
-                f"oeis_timeout must be a positive number of seconds, got {timeout}"
+                f"format {cfg.output_format!r} is not supported here "
+                f"(choose from {', '.join(spec.formats)})"
             )
-    return RunConfig(
-        families=families,
-        n=n,
-        grid_points=grid,
-        output_format=fmt,
-        output_path=pick("out", "out", None, str),
-        force=force,
-        oeis_enabled=oeis,
-        oeis_base_url=file_cfg.get("oeis_url"),
-        oeis_timeout=timeout,
-    )
+    if "n" in options:
+        cfg.n = pick("n", spec.default_n, int)
+        if cfg.n < 1:
+            raise UsageError(f"n must be >= 1, got {cfg.n}")
+    if "grid" in options:
+        cfg.grid_points = pick("grid", DEFAULT_GRID, int)
+        if cfg.grid_points < 2:
+            raise UsageError(f"grid must be >= 2, got {cfg.grid_points}")
+    if "out" in options:
+        cfg.output_path = pick("out", None, str)
+    if "force" in options:
+        cfg.force = flag("force")
+    if "oeis" in options:
+        cfg.oeis_enabled = flag("oeis")
+        cfg.oeis_base_url = file_cfg.get("oeis_url")
+        if file_cfg.get("oeis_timeout"):
+            cfg.oeis_timeout = pick("oeis_timeout", None, float)
+            if not 0.0 < cfg.oeis_timeout < math.inf:
+                raise UsageError(
+                    "oeis_timeout must be a positive number of seconds, "
+                    f"got {cfg.oeis_timeout}"
+                )
+    return cfg
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -137,10 +150,9 @@ def _require_one_family(cfg: RunConfig, command: str) -> Family:
     return cfg.families[0]
 
 
-def _cmd_dist(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+def _cmd_dist(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .output import DIST_MAX_N, dist_json, make_dist_doc
 
-    cfg = _resolve(args, file_cfg, default_n=6, formats=("csv", "json"))
     family = _require_one_family(cfg, "dist")
     check_guard(cfg.n, DIST_MAX_N, "table dimension", cfg.force)
     if cfg.output_format == "json":
@@ -150,10 +162,9 @@ def _cmd_dist(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_exact(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+def _cmd_exact(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .output import exact_json, make_exact_doc
 
-    cfg = _resolve(args, file_cfg, default_n=3, formats=("csv", "json"))
     family = _require_one_family(cfg, "exact")
     counts = exact_counts(family, cfg.n, force=cfg.force)
     if cfg.output_format == "json":
@@ -165,8 +176,7 @@ def _cmd_exact(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
-    cfg = _resolve(args, file_cfg, default_n=3, formats=("csv", "json", "svg"))
+def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
     families = cfg.families or [Family.A, Family.B, Family.C]
     grids = {
         fam: compare_grid(fam, cfg.n, grid_points=cfg.grid_points, force=cfg.force)
@@ -211,10 +221,9 @@ def _cmd_compare(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .validation import run_offline_checks, verify_artifact
 
-    cfg = _resolve(args, file_cfg, default_n=8, formats=("csv",))
     results = run_offline_checks(bruteforce_n=cfg.n, force=cfg.force)
     for path in args.paths:
         results.append(verify_artifact(path, force=cfg.force))
@@ -264,10 +273,9 @@ def _lookup_line(prefix, cfg: RunConfig, expected_id: str | None) -> str:
     return f"not among {len(result.ids)} candidates"
 
 
-def _cmd_seq(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
+def _cmd_seq(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .sequences import builtin_checks
 
-    cfg = _resolve(args, file_cfg, default_n=8, formats=("csv",))
     checks = builtin_checks()
     failed = 0
     for check in checks:
@@ -286,6 +294,51 @@ def _cmd_seq(args: argparse.Namespace, file_cfg: dict[str, str]) -> int:
     return 1 if failed else 0
 
 
+@dataclass(frozen=True)
+class _Subcommand:
+    """A subcommand's handler and the options it reads.
+
+    ``options`` names both the flags the subcommand parses and the
+    ``permprob.conf`` keys it resolves; it parses and resolves no others.
+    """
+
+    handler: Callable[[RunConfig, argparse.Namespace], int]
+    help: str
+    options: tuple[str, ...]
+    formats: tuple[str, ...] = ("csv",)
+    default_n: int | None = None
+
+
+_ARTIFACT_OPTIONS = ("family", "n", "format", "out", "force")
+
+_SUBCOMMANDS = {
+    "dist": _Subcommand(_cmd_dist, "emit the term-count triangle for a family",
+                        _ARTIFACT_OPTIONS, ("csv", "json"), default_n=6),
+    "compare": _Subcommand(_cmd_compare,
+                           "tabulate approximate vs exact probability on a grid",
+                           _ARTIFACT_OPTIONS + ("grid",), ("csv", "json", "svg"),
+                           default_n=3),
+    "exact": _Subcommand(_cmd_exact, "count assignments and emit exact hit counts",
+                         _ARTIFACT_OPTIONS, ("csv", "json"), default_n=3),
+    "validate": _Subcommand(_cmd_validate, "run all offline cross-checks",
+                            ("n", "force", "oeis"), default_n=8),
+    "seq": _Subcommand(_cmd_seq, "check generated slices against known sequences",
+                       ("oeis",)),
+}
+
+_FLAGS = {
+    "family": dict(action="append", choices=["A", "B", "C"],
+                   help="matrix family (repeatable where a subset makes sense)"),
+    "n": dict(type=int, help="matrix dimension"),
+    "grid": dict(type=int, help="number of grid points on [0, 1]"),
+    "format": dict(help="output format"),
+    "out": dict(help="output path (default: stdout)"),
+    "force": dict(action="store_true",
+                  help="accept long runtimes past the size guards"),
+    "oeis": dict(action="store_true", help="also run remote sequence lookups"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permprob",
@@ -295,45 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, formats: tuple[str, ...]) -> None:
-        p.add_argument("--family", action="append", choices=["A", "B", "C"],
-                       help="matrix family (repeatable where a subset makes sense)")
-        p.add_argument("--n", type=int, help="matrix dimension")
-        p.add_argument("--grid", type=int, help="number of grid points on [0, 1]")
-        p.add_argument("--format", choices=formats, help="output format")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--force", action="store_true",
-                       help="accept long runtimes past the size guards")
-        p.add_argument("--oeis", action="store_true",
-                       help="also run remote sequence lookups")
-
-    p_dist = sub.add_parser("dist", help="emit the term-count triangle for a family")
-    add_common(p_dist, formats=("csv", "json"))
-    p_dist.set_defaults(handler=_cmd_dist)
-
-    p_compare = sub.add_parser(
-        "compare", help="tabulate approximate vs exact probability on a grid"
-    )
-    add_common(p_compare, formats=("csv", "json", "svg"))
-    p_compare.set_defaults(handler=_cmd_compare)
-
-    p_exact = sub.add_parser(
-        "exact", help="count assignments and emit exact hit counts"
-    )
-    add_common(p_exact, formats=("csv", "json"))
-    p_exact.set_defaults(handler=_cmd_exact)
-
-    p_validate = sub.add_parser("validate", help="run all offline cross-checks")
-    add_common(p_validate, formats=("csv",))
-    p_validate.add_argument("paths", nargs="*",
-                            help="previously emitted CSV artifacts to re-verify")
-    p_validate.set_defaults(handler=_cmd_validate)
-
-    p_seq = sub.add_parser("seq", help="check generated slices against known sequences")
-    add_common(p_seq, formats=("csv",))
-    p_seq.set_defaults(handler=_cmd_seq)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for option in spec.options:
+            kwargs = dict(_FLAGS[option])
+            if option == "format":
+                kwargs["choices"] = spec.formats
+            p.add_argument(f"--{option}", **kwargs)
+        if name == "validate":
+            p.add_argument("paths", nargs="*",
+                           help="previously emitted CSV artifacts to re-verify")
     return parser
 
 
@@ -343,9 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    spec = _SUBCOMMANDS[args.command]
     file_cfg = load_config_file()
     try:
-        return args.handler(args, file_cfg)
+        return spec.handler(_resolve(args, file_cfg, spec), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,22 +8,22 @@ assignments of the K variable entries that land the permanent on the
 family's target value, and ``p_eval`` turns those counts into the exact
 probability sum_i N_i * r**i * (1-r)**(K-i).
 
-``exact_counts`` has four methods.  The production engines never visit the
+``exact_counts`` has three methods.  The production engines never visit the
 2**K assignments: ``recurrence`` (families B and C) counts digraphs through
 closed recurrences, and ``transfer`` (every family) runs a dynamic program
-row by row.  The oracles ``direct`` and ``vectorized`` enumerate all 2**K
-assignments and serve only to check the engines.
+row by row.  The oracle ``direct`` enumerates all 2**K assignments and
+serves only to check the engines; the test suite keeps a second,
+subset-sum oracle of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from .guards import check_guard
-from .matrices import Family, build_family_matrix, permanent_ryser, variable_positions
+from .matrices import Family, build_family_matrix, permanent_ryser
 from .termdist import TermDistribution, e_table
 
 EXACT_MAX_VARIABLES = 26
@@ -278,55 +278,7 @@ def _exact_counts_direct(family: Family, n: int) -> list[int]:
     return counts
 
 
-def _permanent_table(family: Family, n: int):
-    """Permanent of the assignment-x matrix for every x in [0, 2**K), vectorized.
-
-    A permutation term survives assignment x exactly when x contains the
-    term's variable-position mask, so the permanent of every matrix in the
-    family is the number of term masks contained in x.  Seeding a histogram
-    with one hit per term mask and running a subset-sum transform over the
-    bit lattice yields all 2**K permanents at once.
-    """
-    import numpy as np
-
-    positions = variable_positions(family, n)
-    k_total = len(positions)
-    index = {pos: k for k, pos in enumerate(positions)}
-    n_fact = math.factorial(n)
-    if n_fact < 2**15:
-        dtype = np.int16
-    elif n_fact < 2**31:
-        dtype = np.int32
-    else:
-        dtype = np.int64
-    table = np.zeros(1 << k_total, dtype=dtype)
-    for sigma in itertools.permutations(range(n)):
-        mask = 0
-        for j, i in enumerate(sigma):
-            k = index.get((i, j))
-            if k is not None:
-                mask |= 1 << k
-        table[mask] += 1
-    for b in range(k_total):
-        view = table.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-    return table
-
-
-def _exact_counts_vectorized(family: Family, n: int) -> list[int]:
-    """Oracle: all 2**K permanents through the subset-sum transform (numpy)."""
-    import numpy as np
-
-    k_total = family.variable_count(n)
-    hits = _permanent_table(family, n) == family.target_permanent
-    popcounts = np.zeros(1, dtype=np.uint8)
-    for _ in range(k_total):
-        popcounts = np.concatenate([popcounts, popcounts + 1])
-    counts = np.bincount(popcounts[hits], minlength=k_total + 1)
-    return [int(c) for c in counts]
-
-
-EXACT_METHODS = ("recurrence", "transfer", "direct", "vectorized")
+EXACT_METHODS = ("recurrence", "transfer", "direct")
 
 
 def exact_methods(family: Family) -> tuple[str, ...]:
@@ -349,10 +301,8 @@ def exact_counts(
     * ``"transfer"`` (every family): a row-by-row dynamic program over the
       capped permanents of column subsets.
 
-    Two oracles that enumerate all 2**K assignments, kept to check the
-    engines: ``"direct"`` builds every matrix and calls the permanent
-    kernel; ``"vectorized"`` computes all permanents at once through the
-    subset-sum transform (needs numpy).
+    One oracle, kept to check the engines: ``"direct"`` enumerates all 2**K
+    assignments, builds every matrix and calls the permanent kernel.
 
     ``"auto"`` picks ``recurrence`` for B and C and ``transfer`` for A.
     Every method returns identical counts.
@@ -373,10 +323,8 @@ def exact_counts(
         counts = _RECURRENCES[family](n)
     elif method == "transfer":
         counts = _counts_transfer(family, n)
-    elif method == "direct":
-        counts = _exact_counts_direct(family, n)
     else:
-        counts = _exact_counts_vectorized(family, n)
+        counts = _exact_counts_direct(family, n)
     counts += [0] * (k_total + 1 - len(counts))
     return ExactCounts(family, n, k_total, tuple(counts))
 

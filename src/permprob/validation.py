@@ -174,7 +174,7 @@ def run_offline_checks(
     ]
     add("v-diagonal-vs-permanent", not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={table_n}")
 
-    # exact counts at n=3: both engines and both enumeration oracles
+    # exact counts at n=3: both engines and the enumeration oracle
     bad_entries = []
     for family, expected in REFERENCE_EXACT_COUNTS_N3.items():
         for method in exact_methods(family):
@@ -231,7 +231,7 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return CheckResult(name, False, f"cannot read: {exc}")
     try:
         doc = CsvDoc.parse(text)

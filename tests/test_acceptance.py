@@ -25,29 +25,7 @@ from permprob import (
 )
 from permprob.probability import exact_methods
 
-TABLE_W = {
-    1: (1, 0),
-    2: (1, 0, 1),
-    3: (1, 0, 3, 2),
-    4: (1, 0, 6, 8, 9),
-    5: (1, 0, 10, 20, 45, 44),
-    6: (1, 0, 15, 40, 135, 264, 265),
-}
-TABLE_V = {
-    1: (0, 1),
-    2: (0, 1, 1),
-    3: (0, 1, 2, 3),
-    4: (0, 1, 3, 9, 11),
-    5: (0, 1, 4, 18, 44, 53),
-    6: (0, 1, 5, 30, 110, 265, 309),
-    7: (0, 1, 6, 45, 220, 795, 1854, 2119),
-    8: (0, 1, 7, 63, 385, 1855, 6489, 14833, 16687),
-}
-EXACT_N3 = {
-    Family.A: (1, 9, 36, 78, 90, 45, 6, 0, 0, 0),
-    Family.B: (1, 6, 13, 10, 2, 0, 0, 0),
-    Family.C: (1, 6, 12, 6, 0, 0, 0),
-}
+from oracles import EXACT_N3, TABLE_V, TABLE_W, subset_sum_counts
 
 
 def report(number, name, ok, detail=""):
@@ -91,6 +69,7 @@ def test_criterion_3_exact_enumeration_coefficients():
     for family, expected in EXACT_N3.items():
         for method in exact_methods(family):
             ok = ok and exact_counts(family, 3, method=method).counts == expected
+        ok = ok and subset_sum_counts(family, 3) == expected
     elapsed = time.perf_counter() - start
     report(3, "exact coefficient lists at n=3", ok and elapsed < 1.0,
            f"{elapsed:.3f}s")

@@ -8,7 +8,7 @@ import pytest
 
 import permprob
 from permprob import MAX_GRID
-from permprob.cli import main
+from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
 
 
@@ -223,6 +223,14 @@ class TestValidate:
         assert (f"FAIL  artifact:{path}  "
                 f"(malformed artifact: dimension must be >= 1, got {n})") in out
 
+    def test_undecodable_artifact_is_a_failed_check(self, capsys, isolated_cwd):
+        path = isolated_cwd / "bad.csv"
+        path.write_bytes(b"\xff\xfe# permprob dist family=C n=2\n")
+        code, out, err = run(capsys, "validate", "--n", "2", str(path))
+        assert code == 1
+        assert f"FAIL  artifact:{path}  (cannot read: " in out
+        assert "Traceback" not in err
+
     def test_oeis_network_down_still_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
         monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")
@@ -268,6 +276,21 @@ class TestConfigFile:
         assert code == 0
         assert CsvDoc.parse(out).metadata()["family"] == "B"
 
+    @pytest.mark.parametrize("argv", [("validate", "--n", "2"), ("seq",)])
+    def test_format_key_ignored_where_not_read(self, capsys, isolated_cwd, argv):
+        # a shared config may name a format that only dist/exact/compare read
+        (isolated_cwd / "permprob.conf").write_text("format=json\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "checks passed" in out
+
+    def test_grid_key_ignored_where_not_read(self, capsys, isolated_cwd):
+        (isolated_cwd / "permprob.conf").write_text("grid=1\n")
+        code, out, _ = run(capsys, "dist", "--family", "C", "--n", "2")
+        assert code == 0
+        assert CsvDoc.parse(out).rows[-1] == ["2", "2", "1"]
+        assert run(capsys, "compare", "--n", "2")[0] == 2
+
     def test_defaults_need_no_config(self, capsys):
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "3")
         assert code == 0
@@ -287,14 +310,56 @@ class TestUsage:
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
     def test_bad_config_oeis_timeout(self, capsys, isolated_cwd, value):
         (isolated_cwd / "permprob.conf").write_text(f"oeis_timeout={value}\n")
-        code, out, err = run(capsys, "dist", "--family", "C", "--n", "2")
+        code, out, err = run(capsys, "seq")
         assert code == 2
         assert out == ""
         assert "oeis_timeout" in err
 
     def test_config_oeis_timeout_accepted(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
-        assert run(capsys, "dist", "--family", "C", "--n", "2")[0] == 0
+        assert run(capsys, "seq")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--n", "5"),
+        ("seq", "--force"),
+        ("validate", "--grid", "3"),
+        ("validate", "--out", "x"),
+        ("validate", "--family", "C"),
+        ("exact", "--family", "C", "--grid", "5"),
+        ("dist", "--family", "C", "--oeis"),
+        ("compare", "--oeis"),
+    ])
+    def test_flag_a_subcommand_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_flag_count(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.choices and a.dest == "command")
+        flags = {
+            name: sorted(opt for action in sub._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, sub in subparsers.choices.items()
+        }
+        assert flags == {
+            "dist": ["--family", "--force", "--format", "--n", "--out"],
+            "compare": ["--family", "--force", "--format", "--grid", "--n", "--out"],
+            "exact": ["--family", "--force", "--format", "--n", "--out"],
+            "validate": ["--force", "--n", "--oeis"],
+            "seq": ["--oeis"],
+        }
+        assert sum(map(len, flags.values())) == 20
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports permprob from this tree."""
+    src = os.path.dirname(os.path.dirname(permprob.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PERMPROB_CONFIG", None)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestImportDiet:
@@ -315,11 +380,37 @@ class TestImportDiet:
             run("dist", "--family", "C", "--n", "5")
             print(sorted(m for m in ("requests", "urllib.request", "http.client",
                                      "ssl", "numpy") if m in sys.modules))
+            run("validate", "--n", "3")
+            print(sorted(m for m in ("numpy",) if m in sys.modules))
         """)
-        src = os.path.dirname(os.path.dirname(permprob.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PERMPROB_CONFIG", None)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+    def test_every_command_runs_without_numpy(self, tmp_path):
+        # None in sys.modules makes any import of numpy raise ImportError
+        script = textwrap.dedent(f"""
+            import contextlib, io, os, sys
+            sys.modules["numpy"] = None
+            import permprob.cli as cli
+
+            os.chdir({str(tmp_path)!r})
+            for argv in (
+                ["dist", "--family", "C", "--n", "5"],
+                ["exact", "--family", "A", "--n", "3"],
+                ["compare", "--n", "3", "--format", "csv"],
+                ["compare", "--n", "3", "--format", "json"],
+                ["compare", "--n", "3", "--format", "svg"],
+                ["validate", "--n", "3"],
+                ["seq"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                print(argv[0], code)
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "dist 0", "exact 0", "compare 0", "compare 0", "compare 0",
+            "validate 0", "seq 0",
+        ]

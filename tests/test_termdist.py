@@ -26,25 +26,7 @@ from permprob import (
     w_via_cycles,
 )
 
-# Reference triangles, frozen independently of the library's own copies.
-TABLE_W = {
-    1: (1, 0),
-    2: (1, 0, 1),
-    3: (1, 0, 3, 2),
-    4: (1, 0, 6, 8, 9),
-    5: (1, 0, 10, 20, 45, 44),
-    6: (1, 0, 15, 40, 135, 264, 265),
-}
-TABLE_V = {
-    1: (0, 1),
-    2: (0, 1, 1),
-    3: (0, 1, 2, 3),
-    4: (0, 1, 3, 9, 11),
-    5: (0, 1, 4, 18, 44, 53),
-    6: (0, 1, 5, 30, 110, 265, 309),
-    7: (0, 1, 6, 45, 220, 795, 1854, 2119),
-    8: (0, 1, 7, 63, 385, 1855, 6489, 14833, 16687),
-}
+from oracles import TABLE_V, TABLE_W
 
 
 def w_formula(n, m):

@@ -69,6 +69,15 @@ class TestArtifactVerification:
         result = verify_artifact(str(tmp_path / "nope.csv"))
         assert not result.passed
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe# permprob dist family=C n=2\n")
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.name == f"artifact:{path}"
+        assert result.detail.startswith("cannot read: ")
+        assert "can't decode" in result.detail
+
     @pytest.mark.parametrize(
         "header, guard",
         [
