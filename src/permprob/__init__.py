@@ -7,106 +7,53 @@ product-form approximation Q(r) that treats terms as independent, and checks
 it against the exact probability P(r), counted exactly by recurrences and
 a row-by-row transfer and checked against enumeration of every assignment
 of the random entries.
+
+Every public name is imported from its submodule on first access (PEP 562),
+so ``import permprob`` loads no submodule and a command loads only the
+modules it runs.
 """
 
-from .guards import GuardError
-from .matrices import (
-    MAX_DIMENSION,
-    NAIVE_MAX_N,
-    RYSER_MAX_N,
-    BinaryMatrix,
-    Family,
-    build_family_matrix,
-    permanent_naive,
-    permanent_ryser,
-    variable_positions,
-)
-from .probability import (
-    EXACT_MAX_VARIABLES,
-    EXPAND_MAX_N,
-    MAX_GRID,
-    ApproxModel,
-    ExactCounts,
-    approx_model,
-    bernstein_string,
-    compare_grid,
-    evaluate_polynomial,
-    exact_counts,
-    p_eval,
-    q_eval,
-    q_expand,
-)
-from .sequences import (
-    LookupResult,
-    OEISFormatError,
-    SequenceCheck,
-    SequenceRef,
-    builtin_checks,
-    load_reference_terms,
-    oeis_lookup,
-)
-from .termdist import (
-    BRUTEFORCE_MAX_N,
-    CycleType,
-    TermDistribution,
-    cycle_types,
-    derangement,
-    e_table,
-    e_table_bruteforce,
-    e_tables_bruteforce,
-    partitions,
-    v_closed_form,
-    v_via_w,
-    w_closed_form,
-    w_recurrence_table,
-    w_via_cycles,
-)
+import importlib
+
+# The submodule that defines each public name.
+_SOURCES = {
+    "guards": ("GuardError",),
+    "matrices": (
+        "MAX_DIMENSION", "NAIVE_MAX_N", "RYSER_MAX_N", "BinaryMatrix", "Family",
+        "build_family_matrix", "permanent_naive", "permanent_ryser",
+        "variable_positions",
+    ),
+    "probability": (
+        "EXACT_MAX_VARIABLES", "EXPAND_MAX_N", "MAX_GRID", "ApproxModel",
+        "ExactCounts", "approx_model", "bernstein_string", "compare_grid",
+        "evaluate_polynomial", "exact_counts", "p_eval", "q_eval", "q_expand",
+    ),
+    "sequences": (
+        "LookupResult", "OEISFormatError", "SequenceCheck", "SequenceRef",
+        "builtin_checks", "load_reference_terms", "oeis_lookup",
+    ),
+    "termdist": (
+        "BRUTEFORCE_MAX_N", "CycleType", "TermDistribution", "cycle_types",
+        "derangement", "e_table", "e_table_bruteforce", "e_tables_bruteforce",
+        "partitions", "v_closed_form", "v_via_w", "w_closed_form",
+        "w_recurrence_table", "w_via_cycles",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxModel",
-    "BinaryMatrix",
-    "BRUTEFORCE_MAX_N",
-    "CycleType",
-    "EXACT_MAX_VARIABLES",
-    "EXPAND_MAX_N",
-    "ExactCounts",
-    "Family",
-    "GuardError",
-    "LookupResult",
-    "MAX_DIMENSION",
-    "MAX_GRID",
-    "NAIVE_MAX_N",
-    "OEISFormatError",
-    "RYSER_MAX_N",
-    "SequenceCheck",
-    "SequenceRef",
-    "TermDistribution",
-    "approx_model",
-    "bernstein_string",
-    "build_family_matrix",
-    "builtin_checks",
-    "compare_grid",
-    "cycle_types",
-    "derangement",
-    "e_table",
-    "e_table_bruteforce",
-    "e_tables_bruteforce",
-    "evaluate_polynomial",
-    "exact_counts",
-    "load_reference_terms",
-    "oeis_lookup",
-    "p_eval",
-    "partitions",
-    "permanent_naive",
-    "permanent_ryser",
-    "q_eval",
-    "q_expand",
-    "v_closed_form",
-    "v_via_w",
-    "variable_positions",
-    "w_closed_form",
-    "w_recurrence_table",
-    "w_via_cycles",
-]
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

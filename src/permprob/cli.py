@@ -7,8 +7,10 @@ command-line flags override.  Each subcommand parses only the flags it reads
 and resolves only the matching config keys, so a shared config file may hold
 keys that some subcommands ignore.
 
-Each handler imports the rendering, plotting, validation and sequence
-modules it needs itself, so a command loads only what it runs.
+At top level this module imports only ``guards`` and ``matrices``.  Each
+handler imports the probability, term-table, rendering, plotting,
+validation and sequence modules it needs itself, so a command loads only
+what it runs.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .guards import GuardError, check_guard
+from .guards import GuardError, Record, check_guard
 from .matrices import Family
-from .probability import bernstein_string, compare_grid, exact_counts
-from .termdist import v_closed_form
 
 DEFAULT_GRID = 101
 
@@ -34,33 +33,46 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record, mutable=True):
     """Effective options after merging defaults, config file, and flags.
 
     Only the options a subcommand reads are resolved; the rest keep these
     defaults.
     """
 
-    families: list[Family] = field(default_factory=list)
-    n: int | None = None
-    grid_points: int = DEFAULT_GRID
-    output_format: str = "csv"
-    output_path: str | None = None
-    force: bool = False
-    oeis_enabled: bool = False
-    oeis_base_url: str | None = None
-    oeis_timeout: float | None = None
+    __slots__ = ("families", "n", "grid_points", "output_format", "output_path",
+                 "force", "oeis_enabled", "oeis_base_url", "oeis_timeout")
+
+    def __init__(self, families: list[Family] | None = None, n: int | None = None,
+                 grid_points: int = DEFAULT_GRID, output_format: str = "csv",
+                 output_path: str | None = None, force: bool = False,
+                 oeis_enabled: bool = False, oeis_base_url: str | None = None,
+                 oeis_timeout: float | None = None) -> None:
+        self.families = [] if families is None else families
+        self.n = n
+        self.grid_points = grid_points
+        self.output_format = output_format
+        self.output_path = output_path
+        self.force = force
+        self.oeis_enabled = oeis_enabled
+        self.oeis_base_url = oeis_base_url
+        self.oeis_timeout = oeis_timeout
 
 
 def load_config_file(path: str | None = None) -> dict[str, str]:
-    """Read key=value lines; a missing file is an empty configuration."""
+    """Read key=value lines; a missing file is an empty configuration.
+
+    A path that cannot be read, or a file that is not UTF-8 text, is a
+    :class:`UsageError`.
+    """
     path = path or os.environ.get("PERMPROB_CONFIG", "permprob.conf")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError:
+    except FileNotFoundError:
         return {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     config = {}
     for line in text.splitlines():
         line = line.strip()
@@ -164,6 +176,7 @@ def _cmd_dist(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_exact(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .output import exact_json, make_exact_doc
+    from .probability import bernstein_string, exact_counts
 
     family = _require_one_family(cfg, "exact")
     counts = exact_counts(family, cfg.n, force=cfg.force)
@@ -177,6 +190,8 @@ def _cmd_exact(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .probability import compare_grid
+
     families = cfg.families or [Family.A, Family.B, Family.C]
     grids = {
         fam: compare_grid(fam, cfg.n, grid_points=cfg.grid_points, force=cfg.force)
@@ -242,6 +257,7 @@ def _print_oeis_report(cfg: RunConfig) -> None:
     from datetime import datetime, timezone
 
     from .sequences import builtin_checks
+    from .termdist import v_closed_form
 
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for check in builtin_checks():
@@ -294,19 +310,24 @@ def _cmd_seq(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-@dataclass(frozen=True)
-class _Subcommand:
+class _Subcommand(Record):
     """A subcommand's handler and the options it reads.
 
     ``options`` names both the flags the subcommand parses and the
     ``permprob.conf`` keys it resolves; it parses and resolves no others.
     """
 
-    handler: Callable[[RunConfig, argparse.Namespace], int]
-    help: str
-    options: tuple[str, ...]
-    formats: tuple[str, ...] = ("csv",)
-    default_n: int | None = None
+    __slots__ = ("handler", "help", "options", "formats", "default_n")
+
+    def __init__(self, handler: Callable[[RunConfig, argparse.Namespace], int],
+                 help: str, options: tuple[str, ...],
+                 formats: tuple[str, ...] = ("csv",),
+                 default_n: int | None = None) -> None:
+        self.handler = handler
+        self.help = help
+        self.options = options
+        self.formats = formats
+        self.default_n = default_n
 
 
 _ARTIFACT_OPTIONS = ("family", "n", "format", "out", "force")
@@ -368,9 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     spec = _SUBCOMMANDS[args.command]
-    file_cfg = load_config_file()
     try:
-        return spec.handler(_resolve(args, file_cfg, spec), args)
+        return spec.handler(_resolve(args, load_config_file(), spec), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,8 @@
-"""Size guards shared by the expensive kernels."""
+"""Size guards shared by the expensive kernels, and the base of the value records.
+
+This is the package's leaf module: it imports nothing, so every other
+module can use it without loading more.
+"""
 
 
 class GuardError(ValueError):
@@ -15,3 +19,50 @@ def check_guard(value: int, limit: int, what: str, force: bool = False) -> None:
             f"{what} {value} exceeds the default guard of {limit}; "
             "pass force=True (or --force on the command line) to accept the runtime"
         )
+
+
+class Record:
+    """Base of the package's value records: field-wise ``==``, hash and repr.
+
+    A subclass names its fields in ``__slots__`` and sets each one in its
+    ``__init__``.  A record is frozen: a field is set once, and assigning
+    to it again, or deleting it, raises ``AttributeError``.  A subclass
+    declared with ``mutable=True`` allows both and is unhashable.  Fields
+    named in ``_hidden`` are left out of the repr.  Unlike a generated
+    record class, it needs no import, so a command that defines a dozen
+    record classes pays only for the class statements.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, mutable: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if mutable:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to {name!r} of frozen {type(self).__name__}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of frozen {type(self).__name__}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"

@@ -17,12 +17,11 @@ inclusion-exclusion scheme over column subsets with Gray-code updates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .guards import check_guard
+from .guards import Record, check_guard
 
 NAIVE_MAX_N = 10
 RYSER_MAX_N = 30
@@ -78,17 +77,17 @@ def variable_positions(family: Family, n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(Record):
     """Square 0/1 matrix with each row packed into an integer bitmask.
 
     Bit j of ``rows[i]`` is the entry at row i, column j.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        self.n = n
+        self.rows = rows
         if not 1 <= self.n <= MAX_DIMENSION:
             raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.n}")
         if len(self.rows) != self.n:

@@ -8,9 +8,7 @@ a file is self-describing and can be re-verified later.  Floats are fixed at
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
+from .guards import Record
 from .matrices import Family
 from .probability import ExactCounts, bernstein_string
 from .termdist import e_table
@@ -24,13 +22,17 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
-class CsvDoc:
+class CsvDoc(Record, mutable=True):
     """A CSV artifact that re-renders byte-identically after parsing."""
 
-    comments: list[str] = field(default_factory=list)
-    header: list[str] = field(default_factory=list)
-    rows: list[list[str]] = field(default_factory=list)
+    __slots__ = ("comments", "header", "rows")
+
+    def __init__(self, comments: list[str] | None = None,
+                 header: list[str] | None = None,
+                 rows: list[list[str]] | None = None) -> None:
+        self.comments = [] if comments is None else comments
+        self.header = [] if header is None else header
+        self.rows = [] if rows is None else rows
 
     def render(self) -> str:
         lines = list(self.comments)
@@ -118,6 +120,12 @@ def make_compare_doc(
     )
 
 
+def _json_text(doc: dict) -> str:
+    import json  # only JSON output pays for this import
+
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _round12(x: float) -> float:
     return float(format_float(x))
 
@@ -128,7 +136,7 @@ def dist_json(family: Family, n: int) -> str:
         for m, count in enumerate(e_table(family, dim).counts):
             rows.append({"n": dim, "m": m, "count": count})
     doc = {"kind": "dist", "family": family.value, "n": n, "rows": rows}
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)
 
 
 def exact_json(counts: ExactCounts) -> str:
@@ -141,7 +149,7 @@ def exact_json(counts: ExactCounts) -> str:
         "counts": list(counts.counts),
         "polynomial": bernstein_string(counts),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)
 
 
 def compare_json(
@@ -165,4 +173,4 @@ def compare_json(
         "families": [f.value for f in families],
         "rows": rows,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from .guards import check_guard
+from .guards import Record, check_guard
 from .matrices import Family, build_family_matrix, permanent_ryser
 from .termdist import TermDistribution, e_table
 
@@ -31,13 +30,15 @@ MAX_GRID = 10_001
 EXPAND_MAX_N = 12
 
 
-@dataclass(frozen=True)
-class ApproxModel:
+class ApproxModel(Record):
     """Term distribution packaged for evaluating the independence product."""
 
-    family: Family
-    n: int
-    dist: TermDistribution
+    __slots__ = ("family", "n", "dist")
+
+    def __init__(self, family: Family, n: int, dist: TermDistribution) -> None:
+        self.family = family
+        self.n = n
+        self.dist = dist
 
 
 def approx_model(family: Family, n: int) -> ApproxModel:
@@ -110,20 +111,21 @@ def evaluate_polynomial(coeffs, x):
     return acc
 
 
-@dataclass(frozen=True)
-class ExactCounts:
+class ExactCounts(Record):
     """Assignment counts behind the exact probability.
 
     ``counts[i]`` is the number of assignments with i ones among the
     ``variable_count`` variable entries whose matrix hits the target permanent.
     """
 
-    family: Family
-    n: int
-    variable_count: int
-    counts: tuple[int, ...]
+    __slots__ = ("family", "n", "variable_count", "counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: Family, n: int, variable_count: int,
+                 counts: tuple[int, ...]) -> None:
+        self.family = family
+        self.n = n
+        self.variable_count = variable_count
+        self.counts = counts
         if len(self.counts) != self.variable_count + 1:
             raise ValueError("counts must have length variable_count + 1")
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
+
+from .guards import Record
 
 DEFAULT_OEIS_URL = "https://oeis.org"
 DEFAULT_OEIS_TIMEOUT = 10.0
@@ -26,35 +27,46 @@ class OEISFormatError(ValueError):
     """The lookup endpoint returned a body that is not in its text format."""
 
 
-@dataclass(frozen=True)
-class SequenceRef:
+class SequenceRef(Record):
     """One table slice and the sequence identifier it is checked against."""
 
-    oeis_id: str
-    description: str
-    slice_name: str
-    generator: Callable[[int], int] = field(repr=False)
+    __slots__ = ("oeis_id", "description", "slice_name", "generator")
+    _hidden = ("generator",)
+
+    def __init__(self, oeis_id: str, description: str, slice_name: str,
+                 generator: Callable[[int], int]) -> None:
+        self.oeis_id = oeis_id
+        self.description = description
+        self.slice_name = slice_name
+        self.generator = generator
 
 
-@dataclass(frozen=True)
-class ReferenceEntry:
-    oeis_id: str
-    slice_name: str
-    first_n: int
-    self_ref_from: int | None
-    terms: tuple[int, ...]
+class ReferenceEntry(Record):
+    __slots__ = ("oeis_id", "slice_name", "first_n", "self_ref_from", "terms")
+
+    def __init__(self, oeis_id: str, slice_name: str, first_n: int,
+                 self_ref_from: int | None, terms: tuple[int, ...]) -> None:
+        self.oeis_id = oeis_id
+        self.slice_name = slice_name
+        self.first_n = first_n
+        self.self_ref_from = self_ref_from
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
+class SequenceCheck(Record):
     """Outcome of comparing a generated slice against its vendored terms."""
 
-    ref: SequenceRef
-    first_n: int
-    expected: tuple[int, ...]
-    generated: tuple[int, ...]
-    passed: bool
-    self_ref_from: int | None
+    __slots__ = ("ref", "first_n", "expected", "generated", "passed", "self_ref_from")
+
+    def __init__(self, ref: SequenceRef, first_n: int, expected: tuple[int, ...],
+                 generated: tuple[int, ...], passed: bool,
+                 self_ref_from: int | None) -> None:
+        self.ref = ref
+        self.first_n = first_n
+        self.expected = expected
+        self.generated = generated
+        self.passed = passed
+        self.self_ref_from = self_ref_from
 
     @property
     def window(self) -> str:
@@ -136,13 +148,15 @@ def builtin_checks() -> list[SequenceCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class LookupResult:
+class LookupResult(Record):
     """Outcome of one remote lookup; ``skipped`` status is not a failure."""
 
-    status: str  # "ok" or "skipped"
-    ids: tuple[str, ...]
-    note: str = ""
+    __slots__ = ("status", "ids", "note")
+
+    def __init__(self, status: str, ids: tuple[str, ...], note: str = "") -> None:
+        self.status = status  # "ok" or "skipped"
+        self.ids = ids
+        self.note = note
 
 
 def _http_fetch(url: str, timeout: float) -> str:

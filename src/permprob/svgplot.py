@@ -8,7 +8,7 @@ here is a probability against a probability parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .guards import Record
 
 WIDTH = 640
 HEIGHT = 440
@@ -18,12 +18,15 @@ MARGIN_TOP = 46
 MARGIN_BOTTOM = 54
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    points: tuple[tuple[float, float], ...]
-    color: str
-    dashed: bool = False
+class Series(Record):
+    __slots__ = ("label", "points", "color", "dashed")
+
+    def __init__(self, label: str, points: tuple[tuple[float, float], ...], color: str,
+                 dashed: bool = False) -> None:
+        self.label = label
+        self.points = points
+        self.color = color
+        self.dashed = dashed
 
 
 def _fmt(value: float) -> str:

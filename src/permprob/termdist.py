@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator
 
-from .guards import check_guard
+from .guards import Record, check_guard
 from .matrices import Family
 
 BRUTEFORCE_MAX_N = 10
@@ -104,13 +103,13 @@ def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Record):
     """Cycle-length multiset of a permutation, stored as a descending tuple."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        self.parts = parts
         if not self.parts:
             raise ValueError("a cycle type needs at least one part")
         if any(p < 1 for p in self.parts):
@@ -192,15 +191,15 @@ def v_via_w(n: int, m: int) -> int:
     return _w_or_zero(n, m) - _w_or_zero(n - 1, m) + _w_or_zero(n - 1, m - 1)
 
 
-@dataclass(frozen=True)
-class TermDistribution:
+class TermDistribution(Record):
     """Counts of permanent-expansion terms indexed by number of variable entries."""
 
-    family: Family
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("family", "n", "counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: Family, n: int, counts: tuple[int, ...]) -> None:
+        self.family = family
+        self.n = n
+        self.counts = counts
         if len(self.counts) != self.n + 1:
             raise ValueError(
                 f"counts must have length n + 1 = {self.n + 1}, got {len(self.counts)}"

@@ -9,9 +9,8 @@ regression in any single route surfaces as a named failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .guards import GuardError, check_guard
+from .guards import GuardError, Record, check_guard
 from .matrices import BinaryMatrix, Family, permanent_ryser
 from .output import DIST_MAX_N, CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import (
@@ -60,11 +59,13 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record, mutable=True):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def _ones_minus_identity(n: int) -> BinaryMatrix:

@@ -295,6 +295,26 @@ class TestConfigFile:
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "3")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [("seq",), ("exact", "--family", "C", "--n", "2")])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_undecodable_config_is_usage_error(self, capsys, isolated_cwd, monkeypatch,
+                                              argv, via_env):
+        shown = str(isolated_cwd / "alt.conf") if via_env else "permprob.conf"
+        (isolated_cwd / shown).write_bytes(b"\xff\xfefamily=C\n")
+        if via_env:
+            monkeypatch.setenv("PERMPROB_CONFIG", shown)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read config {shown}: ")
+        assert "Traceback" not in err
+
+    def test_config_path_that_is_a_directory(self, capsys, isolated_cwd):
+        (isolated_cwd / "permprob.conf").mkdir()
+        code, out, err = run(capsys, "dist", "--family", "C", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config permprob.conf: ")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -373,19 +393,39 @@ class TestImportDiet:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(list(argv)) == 0
 
+            def loaded(*names):
+                print(sorted(m for m in names if m in sys.modules))
+
             run("exact", "--family", "C", "--n", "3")
-            print(sorted(m for m in ("permprob.validation", "permprob.svgplot")
-                         if m in sys.modules))
+            loaded("permprob.validation", "permprob.svgplot")
             run("compare", "--n", "3")
             run("dist", "--family", "C", "--n", "5")
-            print(sorted(m for m in ("requests", "urllib.request", "http.client",
-                                     "ssl", "numpy") if m in sys.modules))
+            loaded("requests", "urllib.request", "http.client", "ssl", "numpy",
+                   "dataclasses", "inspect", "json", "permprob.sequences",
+                   "permprob.validation")
+            run("compare", "--n", "3", "--format", "svg")
+            run("exact", "--family", "C", "--n", "3", "--format", "json")
+            run("seq")
             run("validate", "--n", "3")
-            print(sorted(m for m in ("numpy",) if m in sys.modules))
+            loaded("numpy", "dataclasses")
         """)
         proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+    def test_seq_loads_no_probability_module(self):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["seq"]) == 0
+            print(sorted(m for m in ("permprob.probability", "permprob.output",
+                                     "permprob.validation") if m in sys.modules))
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
     def test_every_command_runs_without_numpy(self, tmp_path):
         # None in sys.modules makes any import of numpy raise ImportError

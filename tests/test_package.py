@@ -1,0 +1,145 @@
+import importlib
+import textwrap
+
+import pytest
+
+import permprob
+from permprob import (
+    ApproxModel,
+    BinaryMatrix,
+    CycleType,
+    ExactCounts,
+    Family,
+    LookupResult,
+    SequenceCheck,
+    SequenceRef,
+    TermDistribution,
+    approx_model,
+    builtin_checks,
+    e_table,
+    load_reference_terms,
+)
+from permprob.cli import _SUBCOMMANDS, RunConfig
+from permprob.output import CsvDoc
+from permprob.svgplot import Series
+from permprob.validation import CheckResult
+
+from test_cli import run_fresh
+
+
+class TestLazyRoot:
+    @pytest.mark.parametrize("name", permprob.__all__)
+    def test_name_is_its_submodules_object(self, name):
+        module = importlib.import_module(f"permprob.{permprob._SUBMODULE[name]}")
+        value = getattr(permprob, name)
+        assert value is vars(module)[name]
+        if callable(value):
+            assert value.__module__ == module.__name__
+
+    def test_dir_lists_every_public_name(self):
+        assert set(permprob.__all__) <= set(dir(permprob))
+        assert "__version__" in dir(permprob)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+            permprob.frobnicate
+        with pytest.raises(ImportError):
+            from permprob import frobnicate  # noqa: F401
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = run_fresh(textwrap.dedent("""
+            import sys
+            import permprob
+            print(sorted(m for m in sys.modules if m.startswith("permprob.")))
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_star_import_binds_every_public_name(self):
+        proc = run_fresh(textwrap.dedent("""
+            from permprob import *
+            import permprob
+            missing = [n for n in permprob.__all__ if n not in globals()]
+            wrong = [n for n in permprob.__all__
+                     if n in globals() and globals()[n] is not getattr(permprob, n)]
+            print(len(permprob.__all__), missing, wrong)
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{len(permprob.__all__)} [] []"]
+
+
+def _frozen_records():
+    check = builtin_checks()[0]
+    return [
+        BinaryMatrix.identity(2),
+        approx_model(Family.C, 3),
+        ExactCounts(Family.C, 2, 2, (1, 2, 0)),
+        CycleType((2, 1)),
+        e_table(Family.B, 3),
+        Series("Q (A)", ((0.0, 1.0),), "#000000"),
+        check.ref,
+        next(iter(load_reference_terms().values())),
+        check,
+        LookupResult("ok", ("A000166",)),
+        _SUBCOMMANDS["seq"],
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", _frozen_records(),
+                             ids=lambda r: type(r).__name__)
+    def test_frozen(self, record):
+        field = record.__slots__[0]
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) is before
+        assert hash(record) == hash(record)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        a = BinaryMatrix.identity(3)
+        b = BinaryMatrix(3, (1, 2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, BinaryMatrix.ones(3)}) == 2
+        assert a != BinaryMatrix.ones(3)
+        assert TermDistribution(Family.B, 2, (1, 0, 1)) != TermDistribution(
+            Family.C, 2, (1, 0, 1))
+        assert e_table(Family.C, 4) == e_table(Family.C, 4)
+        assert ApproxModel(Family.A, 1, e_table(Family.A, 1)) == approx_model(Family.A, 1)
+        assert a != (3, (1, 2, 4))
+
+    def test_mutable_records(self):
+        first, second = RunConfig(), RunConfig()
+        first.families.append(Family.A)
+        assert second.families == []
+        assert CsvDoc().rows is not CsvDoc().rows
+        doc = CsvDoc(header=["n"])
+        doc.rows.append(["1"])
+        doc.comments = ["# permprob"]
+        assert doc == CsvDoc(["# permprob"], ["n"], [["1"]])
+        result = CheckResult("x", True)
+        result.detail = "changed"
+        assert result == CheckResult("x", True, "changed")
+        for record in (first, doc, result):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_repr_names_fields(self):
+        assert repr(BinaryMatrix.identity(2)) == "BinaryMatrix(n=2, rows=(1, 2))"
+        assert repr(CycleType((2, 1))) == "CycleType(parts=(2, 1))"
+        assert repr(LookupResult("ok", ())) == "LookupResult(status='ok', ids=(), note='')"
+        assert repr(CheckResult("x", False)) == "CheckResult(name='x', passed=False, detail='')"
+        assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
+        assert repr(RunConfig()).startswith("RunConfig(families=[], n=None, grid_points=101,")
+
+    def test_sequence_ref_repr_leaves_out_generator(self):
+        ref = SequenceRef("A000166", "derangement numbers", "W_n(n)", lambda n: n)
+        assert repr(ref) == (
+            "SequenceRef(oeis_id='A000166', description='derangement numbers', "
+            "slice_name='W_n(n)')"
+        )
+        assert "generator" not in repr(SequenceCheck(ref, 1, (0,), (0,), True, None))
