@@ -24,9 +24,9 @@ _SOURCES = {
         "variable_positions",
     ),
     "probability": (
-        "EXACT_MAX_VARIABLES", "EXPAND_MAX_N", "MAX_GRID", "ApproxModel",
-        "ExactCounts", "approx_model", "bernstein_string", "compare_grid",
-        "evaluate_polynomial", "exact_counts", "p_eval", "q_eval", "q_expand",
+        "EXACT_MAX_VARIABLES", "EXPAND_MAX_N", "MAX_GRID", "ExactCounts",
+        "bernstein_string", "compare_grid", "evaluate_polynomial", "exact_counts",
+        "p_eval", "q_eval", "q_expand",
     ),
     "sequences": (
         "LookupResult", "OEISFormatError", "SequenceCheck", "SequenceRef",
@@ -34,7 +34,7 @@ _SOURCES = {
     ),
     "termdist": (
         "BRUTEFORCE_MAX_N", "CycleType", "TermDistribution", "cycle_types",
-        "derangement", "e_table", "e_table_bruteforce", "e_tables_bruteforce",
+        "derangement", "e_table", "e_tables_bruteforce",
         "partitions", "v_closed_form", "v_via_w", "w_closed_form",
         "w_recurrence_table", "w_via_cycles",
     ),

@@ -21,12 +21,10 @@ import os
 import sys
 from typing import Callable
 
-from .guards import GuardError, Record, check_guard
+from .guards import GuardError, Record
 from .matrices import Family
 
 DEFAULT_GRID = 101
-
-_FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
 
 
 class UsageError(ValueError):
@@ -91,7 +89,9 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
              spec: _Subcommand) -> RunConfig:
     """Merge flags over config keys, for the options ``spec`` reads only.
 
-    ``oeis_url`` and ``oeis_timeout`` go with ``oeis``.
+    ``oeis_url`` and ``oeis_timeout`` go with ``oeis``.  The timeout, from
+    that key or else from ``PERMPROB_OEIS_TIMEOUT``, must be a positive,
+    finite number of seconds.
     """
     def pick(attr: str, default, cast):
         value = getattr(args, attr, None)
@@ -136,13 +136,23 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
     if "force" in options:
         cfg.force = flag("force")
     if "oeis" in options:
+        from .sequences import OEIS_TIMEOUT_ENV
+
         cfg.oeis_enabled = flag("oeis")
         cfg.oeis_base_url = file_cfg.get("oeis_url")
-        if file_cfg.get("oeis_timeout"):
-            cfg.oeis_timeout = pick("oeis_timeout", None, float)
+        source = "oeis_timeout"
+        raw = file_cfg.get(source)
+        if not raw:
+            source = OEIS_TIMEOUT_ENV
+            raw = os.environ.get(source)
+        if raw:
+            try:
+                cfg.oeis_timeout = float(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad config value for {source}: {exc}") from exc
             if not 0.0 < cfg.oeis_timeout < math.inf:
                 raise UsageError(
-                    "oeis_timeout must be a positive number of seconds, "
+                    f"{source} must be a positive number of seconds, "
                     f"got {cfg.oeis_timeout}"
                 )
     return cfg
@@ -163,76 +173,36 @@ def _require_one_family(cfg: RunConfig, command: str) -> Family:
 
 
 def _cmd_dist(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .output import DIST_MAX_N, dist_json, make_dist_doc
+    from .output import make_dist_doc
 
     family = _require_one_family(cfg, "dist")
-    check_guard(cfg.n, DIST_MAX_N, "table dimension", cfg.force)
-    if cfg.output_format == "json":
-        _emit(dist_json(family, cfg.n), cfg.output_path)
-    else:
-        _emit(make_dist_doc(family, cfg.n).render(), cfg.output_path)
+    doc = make_dist_doc(family, cfg.n, cfg.force)
+    _emit(doc.render(cfg.output_format), cfg.output_path)
     return 0
 
 
 def _cmd_exact(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .output import exact_json, make_exact_doc
+    from .output import make_exact_doc
     from .probability import bernstein_string, exact_counts
 
     family = _require_one_family(cfg, "exact")
     counts = exact_counts(family, cfg.n, force=cfg.force)
-    if cfg.output_format == "json":
-        _emit(exact_json(counts), cfg.output_path)
-    else:
-        _emit(make_exact_doc(counts).render(), cfg.output_path)
-        if cfg.output_path:
-            print(f"P(r) = {bernstein_string(counts)}")
+    _emit(make_exact_doc(counts).render(cfg.output_format), cfg.output_path)
+    if cfg.output_path and cfg.output_format == "csv":
+        print(f"P(r) = {bernstein_string(counts)}")
     return 0
 
 
 def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .probability import compare_grid
+    from .output import compare_svg, make_compare_doc
 
-    families = cfg.families or [Family.A, Family.B, Family.C]
-    grids = {
-        fam: compare_grid(fam, cfg.n, grid_points=cfg.grid_points, force=cfg.force)
-        for fam in families
-    }
+    families = cfg.families or list(Family)
     if cfg.output_format == "svg":
-        from .svgplot import Series, line_chart
-
-        series = []
-        for fam in families:
-            rows = grids[fam]
-            color = _FAMILY_COLORS[fam]
-            series.append(
-                Series(
-                    label=f"Q ({fam.value})",
-                    points=tuple((r, q) for r, q, _, _ in rows),
-                    color=color,
-                )
-            )
-            series.append(
-                Series(
-                    label=f"P ({fam.value})",
-                    points=tuple((r, p) for r, _, p, _ in rows),
-                    color=color,
-                    dashed=True,
-                )
-            )
-        text = line_chart(
-            series,
-            title=f"Probability that the permanent hits its target (n={cfg.n})",
-        )
-        _emit(text, cfg.output_path)
-    elif cfg.output_format == "json":
-        from .output import compare_json
-
-        _emit(compare_json(cfg.n, cfg.grid_points, families, grids), cfg.output_path)
+        text = compare_svg(families, cfg.n, cfg.grid_points, cfg.force)
     else:
-        from .output import make_compare_doc
-
-        doc = make_compare_doc(cfg.n, cfg.grid_points, families, grids)
-        _emit(doc.render(), cfg.output_path)
+        doc = make_compare_doc(families, cfg.n, cfg.grid_points, cfg.force)
+        text = doc.render(cfg.output_format)
+    _emit(text, cfg.output_path)
     return 0
 
 

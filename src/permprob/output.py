@@ -1,21 +1,33 @@
-"""Deterministic CSV and JSON artifacts for the command-line surface.
+"""Deterministic artifacts for the command-line surface: one document per kind.
+
+Each artifact kind has one builder that computes its values and checks its
+size guard: ``make_dist_doc``, ``make_exact_doc`` and ``make_compare_doc``.
+A builder returns a :class:`CsvDoc`, and ``CsvDoc.render`` renders it as CSV
+or, from the same rows, as JSON.  ``compare_svg`` plots the compare grid.
+``regenerate`` rebuilds the document a previously emitted artifact's
+metadata describes, which is how ``validate`` re-verifies it.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  Leading ``#`` comment lines carry artifact metadata so
 a file is self-describing and can be re-verified later.  Floats are fixed at
-12 significant digits for reproducible diffs.
+12 significant digits for reproducible diffs, and the JSON rendering carries
+the same 12-digit values.
 """
 
 from __future__ import annotations
 
-from .guards import Record
+from .guards import Record, check_guard
 from .matrices import Family
-from .probability import ExactCounts, bernstein_string
+from .probability import ExactCounts, bernstein_string, compare_grid, exact_counts
 from .termdist import e_table
 
 # Largest dimension of an emitted term-count table (``dist``, and ``validate``
 # re-running a dist artifact) unless forced.
 DIST_MAX_N = 30
+
+_POLYNOMIAL = "# polynomial: "
+
+_FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
 
 
 def format_float(x: float) -> str:
@@ -34,11 +46,41 @@ class CsvDoc(Record, mutable=True):
         self.header = [] if header is None else header
         self.rows = [] if rows is None else rows
 
-    def render(self) -> str:
+    def render(self, fmt: str = "csv") -> str:
+        """The document as ``fmt``: ``"csv"``, or ``"json"`` for a built artifact.
+
+        The JSON object holds the metadata, integers as numbers, then the
+        rows with every cell read back as a number: a float in a compare
+        grid, an int elsewhere.  An exact artifact's rows fold into the list
+        ``counts``, followed by its polynomial.
+        """
+        if fmt == "json":
+            return self._json()
         lines = list(self.comments)
         lines.append(",".join(self.header))
         lines.extend(",".join(row) for row in self.rows)
         return "\n".join(lines) + "\n"
+
+    def _json(self) -> str:
+        import json  # only JSON output pays for this import
+
+        meta = self.metadata()
+        doc: dict[str, object] = {}
+        for key, value in meta.items():
+            if key == "families":
+                doc[key] = value.split(",")
+            else:
+                doc["grid_points" if key == "grid" else key] = (
+                    int(value) if value.isdigit() else value
+                )
+        cast = float if meta["kind"] == "compare" else int
+        rows = [[cast(cell) for cell in row] for row in self.rows]
+        if meta["kind"] == "exact":
+            doc["counts"] = [count for _, count in rows]
+            doc["polynomial"] = self.comments[1].removeprefix(_POLYNOMIAL)
+        else:
+            doc["rows"] = [dict(zip(self.header, row)) for row in rows]
+        return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "CsvDoc":
@@ -68,12 +110,17 @@ class CsvDoc(Record, mutable=True):
         return {}
 
 
-def make_dist_doc(family: Family, n: int) -> CsvDoc:
-    """Triangle of term counts for every dimension up to n, columns n,m,count."""
+def make_dist_doc(family: Family, n: int, force: bool = False) -> CsvDoc:
+    """Triangle of term counts for every dimension up to n, columns n,m,count.
+
+    ``n`` above ``DIST_MAX_N`` raises :class:`GuardError` unless forced.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_guard(n, DIST_MAX_N, "table dimension", force)
     rows = []
     for dim in range(1, n + 1):
-        dist = e_table(family, dim)
-        for m, count in enumerate(dist.counts):
+        for m, count in enumerate(e_table(family, dim).counts):
             rows.append([str(dim), str(m), str(count)])
     return CsvDoc(
         comments=[f"# permprob dist family={family.value} n={n}"],
@@ -89,20 +136,26 @@ def make_exact_doc(counts: ExactCounts) -> CsvDoc:
             f"family={counts.family.value} n={counts.n} "
             f"variables={counts.variable_count} "
             f"target={counts.family.target_permanent}",
-            f"# polynomial: {bernstein_string(counts)}",
+            f"{_POLYNOMIAL}{bernstein_string(counts)}",
         ],
         header=["i", "count"],
         rows=[[str(i), str(c)] for i, c in enumerate(counts.counts)],
     )
 
 
-def make_compare_doc(
-    n: int,
-    grid_points: int,
-    families: list[Family],
-    grids: dict[Family, list[tuple[float, float, float, float]]],
-) -> CsvDoc:
-    names = ",".join(f.value for f in families)
+def _compare_grids(families: list[Family], n: int, grid_points: int,
+                   force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
+    """``compare_grid`` rows for each distinct family, each computed once."""
+    return {
+        fam: compare_grid(fam, n, grid_points=grid_points, force=force)
+        for fam in dict.fromkeys(families)
+    }
+
+
+def make_compare_doc(families: list[Family], n: int, grid_points: int,
+                     force: bool = False) -> CsvDoc:
+    """Columns r, then Q_X and P_X for each family, on a uniform grid."""
+    grids = _compare_grids(families, n, grid_points, force)
     header = ["r"]
     for fam in families:
         header.extend([f"Q_{fam.value}", f"P_{fam.value}"])
@@ -113,6 +166,7 @@ def make_compare_doc(
             _, q, p, _ = grids[fam][i]
             row.extend([format_float(q), format_float(p)])
         rows.append(row)
+    names = ",".join(f.value for f in families)
     return CsvDoc(
         comments=[f"# permprob compare n={n} grid={grid_points} families={names}"],
         header=header,
@@ -120,57 +174,40 @@ def make_compare_doc(
     )
 
 
-def _json_text(doc: dict) -> str:
-    import json  # only JSON output pays for this import
+def compare_svg(families: list[Family], n: int, grid_points: int,
+                force: bool = False) -> str:
+    """One figure of Q (solid) and P (dashed) against r for each family."""
+    from .svgplot import Series, line_chart
 
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _round12(x: float) -> float:
-    return float(format_float(x))
-
-
-def dist_json(family: Family, n: int) -> str:
-    rows = []
-    for dim in range(1, n + 1):
-        for m, count in enumerate(e_table(family, dim).counts):
-            rows.append({"n": dim, "m": m, "count": count})
-    doc = {"kind": "dist", "family": family.value, "n": n, "rows": rows}
-    return _json_text(doc)
-
-
-def exact_json(counts: ExactCounts) -> str:
-    doc = {
-        "kind": "exact",
-        "family": counts.family.value,
-        "n": counts.n,
-        "variables": counts.variable_count,
-        "target": counts.family.target_permanent,
-        "counts": list(counts.counts),
-        "polynomial": bernstein_string(counts),
-    }
-    return _json_text(doc)
+    grids = _compare_grids(families, n, grid_points, force)
+    series = []
+    for fam in families:
+        rows = grids[fam]
+        color = _FAMILY_COLORS[fam]
+        series.append(Series(label=f"Q ({fam.value})",
+                             points=tuple((r, q) for r, q, _, _ in rows), color=color))
+        series.append(Series(label=f"P ({fam.value})",
+                             points=tuple((r, p) for r, _, p, _ in rows), color=color,
+                             dashed=True))
+    return line_chart(
+        series, title=f"Probability that the permanent hits its target (n={n})"
+    )
 
 
-def compare_json(
-    n: int,
-    grid_points: int,
-    families: list[Family],
-    grids: dict[Family, list[tuple[float, float, float, float]]],
-) -> str:
-    rows = []
-    for i in range(grid_points):
-        row: dict[str, float] = {"r": _round12(grids[families[0]][i][0])}
-        for fam in families:
-            _, q, p, _ = grids[fam][i]
-            row[f"Q_{fam.value}"] = _round12(q)
-            row[f"P_{fam.value}"] = _round12(p)
-        rows.append(row)
-    doc = {
-        "kind": "compare",
-        "n": n,
-        "grid_points": grid_points,
-        "families": [f.value for f in families],
-        "rows": rows,
-    }
-    return _json_text(doc)
+def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
+    """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
+
+    The metadata sizes the run, so each builder's guard applies and
+    ``force=True`` lifts it.  Metadata that names no artifact kind gives
+    None; a missing key raises ``KeyError`` and a bad value ``ValueError``.
+    """
+    kind = meta.get("kind")
+    if kind == "dist":
+        return make_dist_doc(Family(meta["family"]), int(meta["n"]), force)
+    if kind == "exact":
+        return make_exact_doc(exact_counts(Family(meta["family"]), int(meta["n"]),
+                                           force=force))
+    if kind == "compare":
+        families = [Family(v) for v in meta["families"].split(",")]
+        return make_compare_doc(families, int(meta["n"]), int(meta["grid"]), force)
+    return None

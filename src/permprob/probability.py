@@ -30,22 +30,7 @@ MAX_GRID = 10_001
 EXPAND_MAX_N = 12
 
 
-class ApproxModel(Record):
-    """Term distribution packaged for evaluating the independence product."""
-
-    __slots__ = ("family", "n", "dist")
-
-    def __init__(self, family: Family, n: int, dist: TermDistribution) -> None:
-        self.family = family
-        self.n = n
-        self.dist = dist
-
-
-def approx_model(family: Family, n: int) -> ApproxModel:
-    return ApproxModel(family, n, e_table(family, n))
-
-
-def q_eval(model: ApproxModel, r: float) -> float:
+def q_eval(dist: TermDistribution, r: float) -> float:
     """Approximate probability that the permanent equals the family target.
 
     Evaluated in log space because the term counts can exceed the float
@@ -57,14 +42,14 @@ def q_eval(model: ApproxModel, r: float) -> float:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    counts = model.dist.counts
+    counts = dist.counts
     if r == 0.0:
         return 1.0
     if r == 1.0:
         return 0.0 if any(counts[1:]) else 1.0
     log_r = math.log(r)
     log_q = 0.0
-    for m in range(1, model.n + 1):
+    for m in range(1, dist.n + 1):
         e = counts[m]
         if not e:
             continue
@@ -78,16 +63,16 @@ def q_eval(model: ApproxModel, r: float) -> float:
     return math.exp(log_q)
 
 
-def q_expand(model: ApproxModel, force: bool = False) -> list[int]:
+def q_expand(dist: TermDistribution, force: bool = False) -> list[int]:
     """Exact integer coefficients of the expanded product, constant term first.
 
     The coefficient count is 1 + sum of m times the term count at m, so the
     expansion is only practical for small n; the guard reflects that.
     """
-    check_guard(model.n, EXPAND_MAX_N, "dimension for product expansion", force)
+    check_guard(dist.n, EXPAND_MAX_N, "dimension for product expansion", force)
     poly = [1]
-    for m in range(1, model.n + 1):
-        e = model.dist.counts[m]
+    for m in range(1, dist.n + 1):
+        e = dist.counts[m]
         if e == 0:
             continue
         new = [0] * (len(poly) + m * e)
@@ -361,11 +346,11 @@ def compare_grid(
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     check_guard(grid_points, MAX_GRID, "grid point count", force)
     counts = exact_counts(family, n, method=method, force=force)
-    model = approx_model(family, n)
+    dist = e_table(family, n)
     rows = []
     for i in range(grid_points):
         r = i / (grid_points - 1)
-        q = q_eval(model, r)
+        q = q_eval(dist, r)
         p = p_eval(counts, r)
         rows.append((r, q, p, q - p))
     return rows

@@ -259,12 +259,3 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
         Family.B: TermDistribution(Family.B, n, tuple(b)),
         Family.C: TermDistribution(Family.C, n, tuple(c)),
     }
-
-
-def e_table_bruteforce(family: Family, n: int, force: bool = False) -> TermDistribution:
-    """Term-count distribution of one family by walking all n! permutations.
-
-    The walk is :func:`e_tables_bruteforce`; callers that need more than one
-    family at the same n should call that once instead.
-    """
-    return e_tables_bruteforce(n, force)[family]

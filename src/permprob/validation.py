@@ -10,17 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .guards import GuardError, Record, check_guard
+from .guards import GuardError, Record
 from .matrices import BinaryMatrix, Family, permanent_ryser
-from .output import DIST_MAX_N, CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
-from .probability import (
-    approx_model,
-    compare_grid,
-    exact_counts,
-    exact_methods,
-    p_eval,
-    q_eval,
-)
+from .output import CsvDoc, regenerate
+from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import (
     e_table,
@@ -199,12 +192,12 @@ def run_offline_checks(
     ok = True
     detail = ""
     for family in Family:
-        model = approx_model(family, 3)
+        dist = e_table(family, 3)
         counts = exact_counts(family, 3)
-        if abs(q_eval(model, 0.0) - 1.0) > 1e-12 or abs(p_eval(counts, 0.0) - 1.0) > 1e-12:
+        if abs(q_eval(dist, 0.0) - 1.0) > 1e-12 or abs(p_eval(counts, 0.0) - 1.0) > 1e-12:
             ok, detail = False, f"{family.value}: r=0 endpoint"
         if family in (Family.A, Family.B):
-            if q_eval(model, 1.0) > 1e-12 or p_eval(counts, 1.0) > 1e-12:
+            if q_eval(dist, 1.0) > 1e-12 or p_eval(counts, 1.0) > 1e-12:
                 ok, detail = False, f"{family.value}: r=1 endpoint"
     add("probability-endpoints-n3", ok, detail)
 
@@ -223,10 +216,9 @@ def run_offline_checks(
 def verify_artifact(path: str, force: bool = False) -> CheckResult:
     """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
 
-    The artifact's metadata sizes the re-run, so the command-line guards
-    apply to it: ``DIST_MAX_N`` for dist tables, ``MAX_GRID`` and the
-    exact-count guard for compare grids.  ``force=True`` lifts them; a guard
-    hit is a failed check naming the guard.
+    ``output.regenerate`` rebuilds it from its metadata, so the guards of
+    the command that emitted it apply, and ``force=True`` lifts them; a
+    guard hit is a failed check naming the guard.
     """
     name = f"artifact:{path}"
     try:
@@ -235,35 +227,17 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     except (OSError, UnicodeDecodeError) as exc:
         return CheckResult(name, False, f"cannot read: {exc}")
     try:
-        doc = CsvDoc.parse(text)
-        meta = doc.metadata()
-        kind = meta.get("kind")
-        if kind == "dist":
-            n = int(meta["n"])
-            if n < 1:
-                raise ValueError(f"dimension must be >= 1, got {n}")
-            check_guard(n, DIST_MAX_N, "table dimension", force)
-            expected = make_dist_doc(Family(meta["family"]), n).render()
-        elif kind == "exact":
-            counts = exact_counts(Family(meta["family"]), int(meta["n"]), force=force)
-            expected = make_exact_doc(counts).render()
-        elif kind == "compare":
-            families = [Family(v) for v in meta["families"].split(",")]
-            n = int(meta["n"])
-            grid = int(meta["grid"])
-            grids = {
-                fam: compare_grid(fam, n, grid_points=grid, force=force)
-                for fam in families
-            }
-            expected = make_compare_doc(n, grid, families, grids).render()
-        else:
-            return CheckResult(name, False, "no recognizable artifact metadata")
+        meta = CsvDoc.parse(text).metadata()
+        doc = regenerate(meta, force)
     except GuardError as exc:
         return CheckResult(name, False, f"guard violation: {exc}")
     except (KeyError, ValueError) as exc:
         return CheckResult(name, False, f"malformed artifact: {exc}")
+    if doc is None:
+        return CheckResult(name, False, "no recognizable artifact metadata")
+    expected = doc.render()
     if text == expected:
-        return CheckResult(name, True, f"{kind} artifact matches regenerated values")
+        return CheckResult(name, True, f"{meta['kind']} artifact matches regenerated values")
     for lineno, (got, want) in enumerate(
         zip(text.splitlines(), expected.splitlines()), start=1
     ):

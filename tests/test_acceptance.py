@@ -10,7 +10,6 @@ import time
 from permprob import (
     BinaryMatrix,
     Family,
-    approx_model,
     builtin_checks,
     compare_grid,
     e_table,

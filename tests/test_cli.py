@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import permprob
-from permprob import MAX_GRID
+from permprob import MAX_GRID, Family, output
 from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
 
@@ -165,6 +165,24 @@ class TestCompare:
         # legend names every curve
         for label in ("Q (A)", "P (A)", "Q (B)", "P (B)", "Q (C)", "P (C)"):
             assert label in first
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_repeated_family_computed_once(self, capsys, monkeypatch, fmt):
+        compare_grid = output.compare_grid
+        calls = []
+
+        def counted(family, *args, **kwargs):
+            calls.append(family)
+            return compare_grid(family, *args, **kwargs)
+
+        monkeypatch.setattr(output, "compare_grid", counted)
+        argv = ["compare", "--n", "3", "--grid", "5", "--format", fmt]
+        code, out, _ = run(capsys, *argv, "--family", "C", "--family", "A",
+                           "--family", "C")
+        assert code == 0
+        assert calls == [Family.C, Family.A]
+        if fmt == "csv":
+            assert out.splitlines()[1] == "r,Q_C,P_C,Q_A,P_A,Q_C,P_C"
 
     def test_bad_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "1")
@@ -334,6 +352,21 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "oeis_timeout" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [("seq", "--oeis"), ("validate", "--n", "3", "--oeis")])
+    def test_bad_env_oeis_timeout(self, capsys, monkeypatch, value, argv):
+        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "PERMPROB_OEIS_TIMEOUT" in err
+
+    def test_config_oeis_timeout_wins_over_env(self, capsys, isolated_cwd, monkeypatch):
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "abc")
+        (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
+        assert run(capsys, "seq")[0] == 0
 
     def test_config_oeis_timeout_accepted(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")

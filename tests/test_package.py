@@ -5,7 +5,6 @@ import pytest
 
 import permprob
 from permprob import (
-    ApproxModel,
     BinaryMatrix,
     CycleType,
     ExactCounts,
@@ -14,7 +13,6 @@ from permprob import (
     SequenceCheck,
     SequenceRef,
     TermDistribution,
-    approx_model,
     builtin_checks,
     e_table,
     load_reference_terms,
@@ -72,7 +70,6 @@ def _frozen_records():
     check = builtin_checks()[0]
     return [
         BinaryMatrix.identity(2),
-        approx_model(Family.C, 3),
         ExactCounts(Family.C, 2, 2, (1, 2, 0)),
         CycleType((2, 1)),
         e_table(Family.B, 3),
@@ -109,7 +106,6 @@ class TestRecords:
         assert TermDistribution(Family.B, 2, (1, 0, 1)) != TermDistribution(
             Family.C, 2, (1, 0, 1))
         assert e_table(Family.C, 4) == e_table(Family.C, 4)
-        assert ApproxModel(Family.A, 1, e_table(Family.A, 1)) == approx_model(Family.A, 1)
         assert a != (3, (1, 2, 4))
 
     def test_mutable_records(self):

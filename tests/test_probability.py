@@ -7,10 +7,10 @@ from permprob import (
     MAX_GRID,
     Family,
     GuardError,
-    approx_model,
     bernstein_string,
     build_family_matrix,
     compare_grid,
+    e_table,
     evaluate_polynomial,
     exact_counts,
     p_eval,
@@ -37,101 +37,101 @@ def exact_counts_oracle(family, n):
 
 class TestQEval:
     def test_family_a_closed_form(self):
-        model = approx_model(Family.A, 3)
-        assert q_eval(model, 0.5) == pytest.approx((1 - 0.5**3) ** 6, abs=1e-14)
-        assert q_eval(model, 0.5) == pytest.approx(0.448795318604, abs=1e-9)
+        dist = e_table(Family.A, 3)
+        assert q_eval(dist, 0.5) == pytest.approx((1 - 0.5**3) ** 6, abs=1e-14)
+        assert q_eval(dist, 0.5) == pytest.approx(0.448795318604, abs=1e-9)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_r_zero_gives_one(self, family):
-        assert q_eval(approx_model(family, 4), 0.0) == 1.0
+        assert q_eval(e_table(family, 4), 0.0) == 1.0
 
     def test_family_c_product_form(self):
-        model = approx_model(Family.C, 3)
+        dist = e_table(Family.C, 3)
         for r in (0.1, 0.33, 0.5, 0.9, 0.999):
             expected = (1 - r**2) ** 3 * (1 - r**3) ** 2
-            assert q_eval(model, r) == pytest.approx(expected, rel=1e-12)
+            assert q_eval(dist, r) == pytest.approx(expected, rel=1e-12)
 
     def test_family_b_product_form(self):
-        model = approx_model(Family.B, 3)
+        dist = e_table(Family.B, 3)
         for r in (0.2, 0.7):
             expected = (1 - r) * (1 - r**2) ** 2 * (1 - r**3) ** 3
-            assert q_eval(model, r) == pytest.approx(expected, rel=1e-12)
+            assert q_eval(dist, r) == pytest.approx(expected, rel=1e-12)
 
     def test_r_one(self):
-        assert q_eval(approx_model(Family.A, 3), 1.0) == 0.0
+        assert q_eval(e_table(Family.A, 3), 1.0) == 0.0
         # the n=1 pinned-diagonal matrix has no variable term at all
-        assert q_eval(approx_model(Family.C, 1), 1.0) == 1.0
+        assert q_eval(e_table(Family.C, 1), 1.0) == 1.0
 
     def test_domain_errors(self):
-        model = approx_model(Family.A, 2)
+        dist = e_table(Family.A, 2)
         with pytest.raises(ValueError):
-            q_eval(model, -0.1)
+            q_eval(dist, -0.1)
         with pytest.raises(ValueError):
-            q_eval(model, 1.1)
+            q_eval(dist, 1.1)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_values_stay_in_unit_interval(self, family):
-        model = approx_model(family, 5)
+        dist = e_table(family, 5)
         for i in range(101):
-            assert 0.0 <= q_eval(model, i / 100) <= 1.0
+            assert 0.0 <= q_eval(dist, i / 100) <= 1.0
 
     @pytest.mark.parametrize("family", list(Family))
     def test_term_counts_past_float_range(self, family):
         # 200! is about 8e374, past the float range
-        model = approx_model(family, 200)
-        assert q_eval(model, 0.5) == 0.0
-        assert q_eval(model, 1e-300) == 1.0
+        dist = e_table(family, 200)
+        assert q_eval(dist, 0.5) == 0.0
+        assert q_eval(dist, 1e-300) == 1.0
         for i in range(101):
-            q = q_eval(model, i / 100)
+            q = q_eval(dist, i / 100)
             assert 0.0 <= q <= 1.0
 
     def test_factor_below_rounding_of_one_still_counts(self):
         # 1 - 0.008**8 rounds to 1.0, yet 8! such factors move Q by ~7e-13
-        model = approx_model(Family.A, 8)
+        dist = e_table(Family.A, 8)
         expected = math.exp(-math.factorial(8) * 0.008**8)
-        assert q_eval(model, 0.008) == pytest.approx(expected, rel=0, abs=1e-15)
-        assert q_eval(model, 0.008) < 1.0
+        assert q_eval(dist, 0.008) == pytest.approx(expected, rel=0, abs=1e-15)
+        assert q_eval(dist, 0.008) < 1.0
 
 
 class TestQExpand:
     def test_small_expansions(self):
-        assert q_expand(approx_model(Family.C, 2)) == [1, 0, -1]
-        assert q_expand(approx_model(Family.A, 2)) == [1, 0, -2, 0, 1]
-        assert q_expand(approx_model(Family.B, 1)) == [1, -1]
+        assert q_expand(e_table(Family.C, 2)) == [1, 0, -1]
+        assert q_expand(e_table(Family.A, 2)) == [1, 0, -2, 0, 1]
+        assert q_expand(e_table(Family.B, 1)) == [1, -1]
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_constant_term_and_degree(self, family, n):
-        model = approx_model(family, n)
-        coeffs = q_expand(model)
+        dist = e_table(family, n)
+        coeffs = q_expand(dist)
         assert coeffs[0] == 1
-        degree = sum(m * c for m, c in enumerate(model.dist.counts))
+        degree = sum(m * c for m, c in enumerate(dist.counts))
         assert len(coeffs) - 1 == degree
 
     @pytest.mark.parametrize("family", list(Family))
     def test_expansion_agrees_with_product_on_grid(self, family):
-        model = approx_model(family, 3)
-        coeffs = q_expand(model)
+        dist = e_table(family, 3)
+        coeffs = q_expand(dist)
         for i in range(101):
             r = Fraction(i, 100)
             exact_value = float(evaluate_polynomial(coeffs, r))
-            assert abs(exact_value - q_eval(model, i / 100)) < 1e-12
+            assert abs(exact_value - q_eval(dist, i / 100)) < 1e-12
 
     @pytest.mark.parametrize("family", list(Family))
     def test_expansion_is_the_product_polynomial(self, family):
         # identity check at an exact rational point, no floats involved
-        model = approx_model(family, 4)
-        coeffs = q_expand(model)
+        dist = e_table(family, 4)
+        coeffs = q_expand(dist)
         r = Fraction(3, 7)
         product = Fraction(1)
-        for m, e in enumerate(model.dist.counts):
+        for m, e in enumerate(dist.counts):
             if m >= 1 and e:
                 product *= (1 - r**m) ** e
         assert evaluate_polynomial(coeffs, r) == product
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            q_expand(approx_model(Family.C, 13))
+            q_expand(e_table(Family.C, 13))
 
 
 class TestExactCounts:

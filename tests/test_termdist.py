@@ -16,7 +16,6 @@ from permprob import (
     cycle_types,
     derangement,
     e_table,
-    e_table_bruteforce,
     e_tables_bruteforce,
     partitions,
     v_closed_form,
@@ -225,18 +224,18 @@ class TestETable:
 
 class TestBruteforce:
     def test_examples(self):
-        assert e_table_bruteforce(Family.C, 5).counts == (1, 0, 10, 20, 45, 44)
-        assert e_table_bruteforce(Family.B, 2).counts == (0, 1, 1)
-        assert e_table_bruteforce(Family.A, 4).counts == (0, 0, 0, 0, 24)
+        assert e_tables_bruteforce(5)[Family.C].counts == (1, 0, 10, 20, 45, 44)
+        assert e_tables_bruteforce(2)[Family.B].counts == (0, 1, 1)
+        assert e_tables_bruteforce(4)[Family.A].counts == (0, 0, 0, 0, 24)
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_closed_forms(self, family, n):
-        assert e_table_bruteforce(family, n) == e_table(family, n)
+        assert e_tables_bruteforce(n)[family] == e_table(family, n)
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            e_table_bruteforce(Family.C, 11)
+            e_tables_bruteforce(11)
 
 
 class TestSharedWalk:
@@ -255,11 +254,9 @@ class TestSharedWalk:
         monkeypatch.setattr(termdist, "BRUTEFORCE_MAX_N", 3)
         with pytest.raises(GuardError):
             e_tables_bruteforce(4)
-        with pytest.raises(GuardError):
-            e_table_bruteforce(Family.B, 4)
         walked = e_tables_bruteforce(4, force=True)
         assert walked[Family.B].counts == (0, 1, 3, 9, 11)
-        assert e_table_bruteforce(Family.C, 4, force=True).counts == (1, 0, 6, 8, 9)
+        assert e_tables_bruteforce(4, force=True)[Family.C].counts == (1, 0, 6, 8, 9)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):

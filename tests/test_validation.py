@@ -1,7 +1,7 @@
 import pytest
 
-from permprob import Family, validation
-from permprob.output import CsvDoc, make_dist_doc, make_exact_doc
+from permprob import Family, output, validation
+from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
 from permprob.termdist import TermDistribution, e_table
 from permprob.validation import run_offline_checks, verify_artifact
@@ -104,9 +104,26 @@ class TestArtifactVerification:
 
     def test_force_lifts_dist_guard(self, tmp_path):
         path = tmp_path / "dist.csv"
-        path.write_text(make_dist_doc(Family.C, 31).render())
+        path.write_text(make_dist_doc(Family.C, 31, force=True).render())
         assert "table dimension" in verify_artifact(str(path)).detail
         assert verify_artifact(str(path), force=True).passed
+
+    def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "compare.csv"
+        text = make_compare_doc([Family.A, Family.A, Family.A], 2, 5).render()
+        assert text.startswith("# permprob compare n=2 grid=5 families=A,A,A\n"
+                               "r,Q_A,P_A,Q_A,P_A,Q_A,P_A\n")
+        path.write_text(text)
+        calls = []
+        compare_grid = output.compare_grid
+
+        def counted(family, *args, **kwargs):
+            calls.append(family)
+            return compare_grid(family, *args, **kwargs)
+
+        monkeypatch.setattr(output, "compare_grid", counted)
+        assert verify_artifact(str(path)).passed
+        assert calls == [Family.A]
 
     def test_file_without_metadata(self, tmp_path):
         path = tmp_path / "plain.csv"
