@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -404,6 +405,54 @@ class TestUsage:
             "seq": ["--oeis"],
         }
         assert sum(map(len, flags.values())) == 20
+
+
+class TestPinnedOptions:
+    """Exit code, stdout and the full stderr line of each option error path."""
+
+    @pytest.mark.parametrize("conf, env, argv, message", [
+        (None, None, ("dist", "--n", "3"),
+         "dist needs exactly one --family (A, B, or C)"),
+        (None, None, ("compare", "--n", "0"), "n must be >= 1, got 0"),
+        ("family=Z", None, ("dist",), "unknown family 'Z'; expected A, B, or C"),
+        ("n=abc", None, ("exact", "--family", "C"),
+         "bad config value for n: invalid literal for int() with base 10: 'abc'"),
+        ("grid=1", None, ("compare",), "grid must be >= 2, got 1"),
+        ("format=svg", None, ("dist", "--family", "C"),
+         "format 'svg' is not supported here (choose from csv, json)"),
+        ("oeis_timeout=abc", None, ("seq",),
+         "bad config value for oeis_timeout: could not convert string to float: 'abc'"),
+        ("oeis_timeout=-1", None, ("validate", "--n", "2"),
+         "oeis_timeout must be a positive number of seconds, got -1.0"),
+        (None, "inf", ("seq", "--oeis"),
+         "PERMPROB_OEIS_TIMEOUT must be a positive number of seconds, got inf"),
+    ], ids=["dist-no-family", "compare-n0", "conf-family", "conf-n", "conf-grid",
+            "conf-format", "conf-timeout-abc", "conf-timeout-neg", "env-timeout-inf"])
+    def test_error_line(self, capsys, isolated_cwd, monkeypatch, conf, env, argv,
+                        message):
+        if conf is not None:
+            (isolated_cwd / "permprob.conf").write_text(conf + "\n")
+        if env is not None:
+            monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+            monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", env)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, digest", [
+        ("dist", "ba35d229beb309882799a8775ae10d1bd15acc9ff739068bf575f86c93f6d296"),
+        ("exact", "1672622fbaa37aa1e75996c9ef9701676c1b4522c4f3d70bc9941f64edd45266"),
+        ("compare", "fa91688434b53c7e939b754b6b87d9c76e5d4f222567d447e46d3846df852b6f"),
+    ])
+    def test_config_defaults_output(self, capsys, isolated_cwd, command, digest):
+        (isolated_cwd / "permprob.conf").write_text(
+            "family=C\nn=2\nformat=json\ngrid=7\nforce=yes\n")
+        code, out, err = run(capsys, command)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        (isolated_cwd / "permprob.conf").unlink()
+        flags = ["--family", "C", "--n", "2", "--format", "json", "--force"]
+        if command == "compare":
+            flags += ["--grid", "7"]
+        assert run(capsys, command, *flags) == (0, out, "")
 
 
 def run_fresh(script):
