@@ -5,7 +5,9 @@ violation.  Defaults work without any configuration; a ``permprob.conf``
 key=value file (or the path in ``PERMPROB_CONFIG``) supplies defaults that
 command-line flags override.  Each subcommand parses only the flags it reads
 and resolves only the matching config keys, so a shared config file may hold
-keys that some subcommands ignore.
+keys that some subcommands ignore.  The parsed ``argparse.Namespace`` is the
+one options object: ``_resolve`` fills in and checks each option the
+subcommand reads, and the handler takes the namespace alone.
 
 At top level this module imports only ``guards`` and ``matrices``.  Each
 handler imports the probability, term-table, rendering, plotting,
@@ -16,7 +18,6 @@ what it runs.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Callable
@@ -29,32 +30,6 @@ DEFAULT_GRID = 101
 
 class UsageError(ValueError):
     pass
-
-
-class RunConfig(Record, mutable=True):
-    """Effective options after merging defaults, config file, and flags.
-
-    Only the options a subcommand reads are resolved; the rest keep these
-    defaults.
-    """
-
-    __slots__ = ("families", "n", "grid_points", "output_format", "output_path",
-                 "force", "oeis_enabled", "oeis_base_url", "oeis_timeout")
-
-    def __init__(self, families: list[Family] | None = None, n: int | None = None,
-                 grid_points: int = DEFAULT_GRID, output_format: str = "csv",
-                 output_path: str | None = None, force: bool = False,
-                 oeis_enabled: bool = False, oeis_base_url: str | None = None,
-                 oeis_timeout: float | None = None) -> None:
-        self.families = [] if families is None else families
-        self.n = n
-        self.grid_points = grid_points
-        self.output_format = output_format
-        self.output_path = output_path
-        self.force = force
-        self.oeis_enabled = oeis_enabled
-        self.oeis_base_url = oeis_base_url
-        self.oeis_timeout = oeis_timeout
 
 
 def load_config_file(path: str | None = None) -> dict[str, str]:
@@ -86,76 +61,64 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
-             spec: _Subcommand) -> RunConfig:
-    """Merge flags over config keys, for the options ``spec`` reads only.
+             spec: _Subcommand) -> None:
+    """Fill in ``args`` each option ``spec`` reads that no flag set, and check it.
 
-    ``oeis_url`` and ``oeis_timeout`` go with ``oeis``.  The timeout, from
-    that key or else from ``PERMPROB_OEIS_TIMEOUT``, must be a positive,
-    finite number of seconds.
+    An unset option takes its ``permprob.conf`` key, or else its default;
+    options ``spec`` does not read stay absent.  ``family`` becomes a list of
+    :class:`Family`.  ``oeis`` brings ``oeis_url`` and ``oeis_timeout``: the
+    timeout, from that key or else from ``PERMPROB_OEIS_TIMEOUT``, is checked
+    by :func:`permprob.sequences.oeis_timeout`.
     """
-    def pick(attr: str, default, cast):
-        value = getattr(args, attr, None)
+    def pick(attr: str, default, cast=str):
+        value = getattr(args, attr)
         if value is None and attr in file_cfg:
             try:
                 value = cast(file_cfg[attr])
             except ValueError as exc:
                 raise UsageError(f"bad config value for {attr}: {exc}") from exc
-        return default if value is None else value
+        setattr(args, attr, default if value is None else value)
+        return getattr(args, attr)
 
-    def flag(attr: str) -> bool:
-        return bool(getattr(args, attr, False)) or _parse_bool(file_cfg.get(attr, ""))
+    def flag(attr: str) -> None:
+        setattr(args, attr, getattr(args, attr) or _parse_bool(file_cfg.get(attr, "")))
 
     options = spec.options
-    cfg = RunConfig()
     if "family" in options:
-        raw_families = args.family
-        if not raw_families and "family" in file_cfg:
-            raw_families = [file_cfg["family"]]
-        for name in raw_families or ():
+        names = pick("family", [], lambda raw: [raw])
+        args.family = []
+        for name in names:
             try:
-                cfg.families.append(Family(name))
+                args.family.append(Family(name))
             except ValueError:
                 raise UsageError(f"unknown family {name!r}; expected A, B, or C")
-    if "format" in options:
-        cfg.output_format = pick("format", spec.formats[0], str)
-        if cfg.output_format not in spec.formats:
-            raise UsageError(
-                f"format {cfg.output_format!r} is not supported here "
-                f"(choose from {', '.join(spec.formats)})"
-            )
-    if "n" in options:
-        cfg.n = pick("n", spec.default_n, int)
-        if cfg.n < 1:
-            raise UsageError(f"n must be >= 1, got {cfg.n}")
-    if "grid" in options:
-        cfg.grid_points = pick("grid", DEFAULT_GRID, int)
-        if cfg.grid_points < 2:
-            raise UsageError(f"grid must be >= 2, got {cfg.grid_points}")
+    if "format" in options and pick("format", spec.formats[0]) not in spec.formats:
+        raise UsageError(
+            f"format {args.format!r} is not supported here "
+            f"(choose from {', '.join(spec.formats)})"
+        )
+    if "n" in options and pick("n", spec.default_n, int) < 1:
+        raise UsageError(f"n must be >= 1, got {args.n}")
+    if "grid" in options and pick("grid", DEFAULT_GRID, int) < 2:
+        raise UsageError(f"grid must be >= 2, got {args.grid}")
     if "out" in options:
-        cfg.output_path = pick("out", None, str)
+        pick("out", None)
     if "force" in options:
-        cfg.force = flag("force")
+        flag("force")
     if "oeis" in options:
-        from .sequences import OEIS_TIMEOUT_ENV
+        from .sequences import OEIS_TIMEOUT_ENV, oeis_timeout
 
-        cfg.oeis_enabled = flag("oeis")
-        cfg.oeis_base_url = file_cfg.get("oeis_url")
+        flag("oeis")
+        args.oeis_url = file_cfg.get("oeis_url")
         source = "oeis_timeout"
         raw = file_cfg.get(source)
         if not raw:
             source = OEIS_TIMEOUT_ENV
             raw = os.environ.get(source)
-        if raw:
-            try:
-                cfg.oeis_timeout = float(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {source}: {exc}") from exc
-            if not 0.0 < cfg.oeis_timeout < math.inf:
-                raise UsageError(
-                    f"{source} must be a positive number of seconds, "
-                    f"got {cfg.oeis_timeout}"
-                )
-    return cfg
+        try:
+            args.oeis_timeout = oeis_timeout(raw, source) if raw else None
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -166,64 +129,64 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_one_family(cfg: RunConfig, command: str) -> Family:
-    if len(cfg.families) != 1:
+def _require_one_family(args: argparse.Namespace, command: str) -> Family:
+    if len(args.family) != 1:
         raise UsageError(f"{command} needs exactly one --family (A, B, or C)")
-    return cfg.families[0]
+    return args.family[0]
 
 
-def _cmd_dist(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_dist(args: argparse.Namespace) -> int:
     from .output import make_dist_doc
 
-    family = _require_one_family(cfg, "dist")
-    doc = make_dist_doc(family, cfg.n, cfg.force)
-    _emit(doc.render(cfg.output_format), cfg.output_path)
+    family = _require_one_family(args, "dist")
+    doc = make_dist_doc(family, args.n, args.force)
+    _emit(doc.render(args.format), args.out)
     return 0
 
 
-def _cmd_exact(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_exact(args: argparse.Namespace) -> int:
     from .output import make_exact_doc
     from .probability import bernstein_string, exact_counts
 
-    family = _require_one_family(cfg, "exact")
-    counts = exact_counts(family, cfg.n, force=cfg.force)
-    _emit(make_exact_doc(counts).render(cfg.output_format), cfg.output_path)
-    if cfg.output_path and cfg.output_format == "csv":
+    family = _require_one_family(args, "exact")
+    counts = exact_counts(family, args.n, force=args.force)
+    _emit(make_exact_doc(counts).render(args.format), args.out)
+    if args.out and args.format == "csv":
         print(f"P(r) = {bernstein_string(counts)}")
     return 0
 
 
-def _cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     from .output import compare_svg, make_compare_doc
 
-    families = cfg.families or list(Family)
-    if cfg.output_format == "svg":
-        text = compare_svg(families, cfg.n, cfg.grid_points, cfg.force)
+    families = args.family or list(Family)
+    if args.format == "svg":
+        text = compare_svg(families, args.n, args.grid, args.force)
     else:
-        doc = make_compare_doc(families, cfg.n, cfg.grid_points, cfg.force)
-        text = doc.render(cfg.output_format)
-    _emit(text, cfg.output_path)
+        doc = make_compare_doc(families, args.n, args.grid, args.force)
+        text = doc.render(args.format)
+    _emit(text, args.out)
     return 0
 
 
-def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation import run_offline_checks, verify_artifact
 
-    results = run_offline_checks(bruteforce_n=cfg.n, force=cfg.force)
+    results = run_offline_checks(bruteforce_n=args.n, force=args.force)
     for path in args.paths:
-        results.append(verify_artifact(path, force=cfg.force))
+        results.append(verify_artifact(path, force=args.force))
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         detail = f"  ({res.detail})" if res.detail else ""
         print(f"{status}  {res.name}{detail}")
-    if cfg.oeis_enabled:
-        _print_oeis_report(cfg)
+    if args.oeis:
+        _print_oeis_report(args)
     failed = sum(1 for res in results if not res.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
 
 
-def _print_oeis_report(cfg: RunConfig) -> None:
+def _print_oeis_report(args: argparse.Namespace) -> None:
     from datetime import datetime, timezone
 
     from .sequences import builtin_checks
@@ -232,20 +195,18 @@ def _print_oeis_report(cfg: RunConfig) -> None:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for check in builtin_checks():
         prefix = check.expected[:8]
-        line = _lookup_line(prefix, cfg, expected_id=check.ref.oeis_id)
+        line = _lookup_line(prefix, args, expected_id=check.ref.oeis_id)
         print(f"OEIS  {check.ref.oeis_id} [{check.ref.slice_name}] {line} at {stamp}")
     informational = [v_closed_form(n, 4) for n in range(4, 9)]
-    line = _lookup_line(informational, cfg, expected_id=None)
+    line = _lookup_line(informational, args, expected_id=None)
     print(f"OEIS  V_n(4) column {line} at {stamp}")
 
 
-def _lookup_line(prefix, cfg: RunConfig, expected_id: str | None) -> str:
+def _lookup_line(prefix, args: argparse.Namespace, expected_id: str | None) -> str:
     from .sequences import OEISFormatError, oeis_lookup
 
     try:
-        result = oeis_lookup(
-            prefix, base_url=cfg.oeis_base_url, timeout=cfg.oeis_timeout
-        )
+        result = oeis_lookup(prefix, base_url=args.oeis_url, timeout=args.oeis_timeout)
     except OEISFormatError as exc:
         return f"error: {exc}"
     if result.status == "skipped":
@@ -259,7 +220,7 @@ def _lookup_line(prefix, cfg: RunConfig, expected_id: str | None) -> str:
     return f"not among {len(result.ids)} candidates"
 
 
-def _cmd_seq(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_seq(args: argparse.Namespace) -> int:
     from .sequences import builtin_checks
 
     checks = builtin_checks()
@@ -274,8 +235,8 @@ def _cmd_seq(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{status}  {check.ref.oeis_id}  {check.ref.slice_name:<8}"
             f"  {check.window}{note}"
         )
-    if cfg.oeis_enabled:
-        _print_oeis_report(cfg)
+    if args.oeis:
+        _print_oeis_report(args)
     print(f"{len(checks) - failed}/{len(checks)} sequence checks passed")
     return 1 if failed else 0
 
@@ -289,7 +250,7 @@ class _Subcommand(Record):
 
     __slots__ = ("handler", "help", "options", "formats", "default_n")
 
-    def __init__(self, handler: Callable[[RunConfig, argparse.Namespace], int],
+    def __init__(self, handler: Callable[[argparse.Namespace], int],
                  help: str, options: tuple[str, ...],
                  formats: tuple[str, ...] = ("csv",),
                  default_n: int | None = None) -> None:
@@ -360,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     spec = _SUBCOMMANDS[args.command]
     try:
-        return spec.handler(_resolve(args, load_config_file(), spec), args)
+        _resolve(args, load_config_file(), spec)
+        return spec.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,23 +25,16 @@ class Record:
     """Base of the package's value records: field-wise ``==``, hash and repr.
 
     A subclass names its fields in ``__slots__`` and sets each one in its
-    ``__init__``.  A record is frozen: a field is set once, and assigning
-    to it again, or deleting it, raises ``AttributeError``.  A subclass
-    declared with ``mutable=True`` allows both and is unhashable.  Fields
-    named in ``_hidden`` are left out of the repr.  Unlike a generated
+    ``__init__``.  Every record is frozen: a field is set once, and
+    assigning to it again, or deleting it, raises ``AttributeError``.  A
+    field may still hold a list, which the record does not copy or freeze.
+    Fields named in ``_hidden`` are left out of the repr.  Unlike a generated
     record class, it needs no import, so a command that defines a dozen
     record classes pays only for the class statements.
     """
 
     __slots__ = ()
     _hidden: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, mutable: bool = False, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        if mutable:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):

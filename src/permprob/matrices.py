@@ -54,14 +54,6 @@ class Family(Enum):
             return n * n - n + 1
         return n * n - n
 
-    def fixed_diagonal(self, n: int) -> range:
-        """Row indices i whose diagonal entry (i, i) is pinned to 1."""
-        if self is Family.A:
-            return range(0)
-        if self is Family.B:
-            return range(1, n)
-        return range(n)
-
 
 @lru_cache(maxsize=None)
 def variable_positions(family: Family, n: int) -> tuple[tuple[int, int], ...]:
@@ -153,9 +145,7 @@ def build_family_matrix(
             f"assignment length {len(assignment)} does not match the "
             f"{len(positions)} variable positions of family {family.value} at n={n}"
         )
-    rows = [0] * n
-    for i in family.fixed_diagonal(n):
-        rows[i] |= 1 << i
+    rows = [0 if family.is_variable(i, i) else 1 << i for i in range(n)]
     for (i, j), bit in zip(positions, assignment):
         if bit not in (0, 1):
             raise ValueError(f"assignment bits must be 0 or 1, got {bit!r}")

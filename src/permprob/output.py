@@ -34,7 +34,7 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-class CsvDoc(Record, mutable=True):
+class CsvDoc(Record):
     """A CSV artifact that re-renders byte-identically after parsing."""
 
     __slots__ = ("comments", "header", "rows")

@@ -338,14 +338,13 @@ def compare_grid(
     family: Family,
     n: int,
     grid_points: int = 101,
-    method: str = "auto",
     force: bool = False,
 ) -> list[tuple[float, float, float, float]]:
     """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1]."""
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     check_guard(grid_points, MAX_GRID, "grid point count", force)
-    counts = exact_counts(family, n, method=method, force=force)
+    counts = exact_counts(family, n, force=force)
     dist = e_table(family, n)
     rows = []
     for i in range(grid_points):

@@ -8,6 +8,7 @@ degrades to a "skipped" result whenever the network is unavailable.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from importlib import resources
@@ -148,6 +149,22 @@ def builtin_checks() -> list[SequenceCheck]:
     return checks
 
 
+def oeis_timeout(raw: str | float, source: str) -> float:
+    """Seconds to wait for a lookup, parsed from ``raw`` and checked.
+
+    ``raw`` is a number or its text, and ``source`` names where it came from
+    (a config key, an environment variable or an argument).  Anything but a
+    positive, finite number of seconds raises ``ValueError`` naming ``source``.
+    """
+    try:
+        seconds = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad config value for {source}: {exc}") from exc
+    if not 0.0 < seconds < math.inf:
+        raise ValueError(f"{source} must be a positive number of seconds, got {seconds}")
+    return seconds
+
+
 class LookupResult(Record):
     """Outcome of one remote lookup; ``skipped`` status is not a failure."""
 
@@ -218,16 +235,20 @@ def oeis_lookup(
     error status, a base URL that is not http or https) yields
     ``status="skipped"`` rather than an exception so offline runs keep
     working.  A 200 response that is not in the endpoint's text format
-    raises :class:`OEISFormatError`.
+    raises :class:`OEISFormatError`.  ``timeout`` defaults to
+    ``PERMPROB_OEIS_TIMEOUT``, else 10 seconds; either one is checked by
+    :func:`oeis_timeout` before anything is fetched.
     """
     prefix = list(prefix)
     if len(prefix) < 4:
         raise ValueError(f"prefix must have at least 4 terms, got {len(prefix)}")
     base = base_url or os.environ.get(OEIS_URL_ENV) or DEFAULT_OEIS_URL
-    if timeout is None:
-        timeout = float(
-            os.environ.get(OEIS_TIMEOUT_ENV) or DEFAULT_OEIS_TIMEOUT
-        )
+    if timeout is not None:
+        timeout = oeis_timeout(timeout, "timeout")
+    elif os.environ.get(OEIS_TIMEOUT_ENV):
+        timeout = oeis_timeout(os.environ[OEIS_TIMEOUT_ENV], OEIS_TIMEOUT_ENV)
+    else:
+        timeout = DEFAULT_OEIS_TIMEOUT
     query = ",".join(str(t) for t in prefix)
     url = f"{base.rstrip('/')}/search?q={query}&fmt=text"
     fetch = fetch or _http_fetch

@@ -52,7 +52,11 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 }
 
 
-class CheckResult(Record, mutable=True):
+# Largest dimension of the closed-form, recurrence and permanent checks.
+TABLE_N = 12
+
+
+class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str = "") -> None:
@@ -61,27 +65,19 @@ class CheckResult(Record, mutable=True):
         self.detail = detail
 
 
-def _ones_minus_identity(n: int) -> BinaryMatrix:
+def _variable_mask(family: Family, n: int) -> BinaryMatrix:
+    """The n x n matrix with a 1 at each variable entry of ``family``."""
     return BinaryMatrix.from_rows(
-        [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        [[int(family.is_variable(i, j)) for j in range(n)] for i in range(n)]
     )
 
 
-def _ones_minus_identity_except_corner(n: int) -> BinaryMatrix:
-    return BinaryMatrix.from_rows(
-        [
-            [1 if (i != j or (i == 0 and j == 0)) else 0 for j in range(n)]
-            for i in range(n)
-        ]
-    )
+def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[CheckResult]:
+    """Run every offline cross-route check; failures come back as results.
 
-
-def run_offline_checks(
-    bruteforce_n: int = 8,
-    table_n: int = 12,
-    force: bool = False,
-) -> list[CheckResult]:
-    """Run every offline cross-route check; failures come back as results."""
+    The enumeration check walks S_n for n <= ``bruteforce_n``; the table
+    checks run to n = ``TABLE_N``.
+    """
     results = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -102,10 +98,10 @@ def run_offline_checks(
     add("v-triangle-reference", not bad, f"mismatch at {bad[:1]}" if bad else "n=1..8")
 
     # four-route agreement
-    table = w_recurrence_table(table_n)
+    table = w_recurrence_table(TABLE_N)
     bad = [
         (n, m)
-        for n in range(1, table_n + 1)
+        for n in range(1, TABLE_N + 1)
         for m in range(n + 1)
         if not (
             w_closed_form(n, m) == table[n][m] == w_via_cycles(n, m)
@@ -114,18 +110,18 @@ def run_offline_checks(
     add(
         "w-closed-vs-recurrence-vs-cycles",
         not bad,
-        f"first mismatch at {bad[:1]}" if bad else f"n<={table_n}",
+        f"first mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}",
     )
     bad = [
         (n, m)
-        for n in range(1, table_n + 1)
+        for n in range(1, TABLE_N + 1)
         for m in range(1, n + 1)
         if v_closed_form(n, m) != v_via_w(n, m)
     ]
     add(
         "v-closed-vs-identity",
         not bad,
-        f"first mismatch at {bad[:1]}" if bad else f"n<={table_n}",
+        f"first mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}",
     )
 
     # enumeration of the symmetric group: one walk per n serves every family,
@@ -149,24 +145,20 @@ def run_offline_checks(
     bad = [
         (family.value, n)
         for family in Family
-        for n in range(1, table_n + 1)
+        for n in range(1, TABLE_N + 1)
         if e_table(family, n).total() != math.factorial(n)
     ]
-    add("term-count-totals", not bad, f"mismatch at {bad[:1]}" if bad else f"n<={table_n}")
+    add("term-count-totals", not bad, f"mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}")
 
-    # diagonal values equal permanents of the matching fully-pinned matrices
-    bad = [
-        n
-        for n in range(1, table_n + 1)
-        if permanent_ryser(_ones_minus_identity(n)) != w_closed_form(n, n)
-    ]
-    add("w-diagonal-vs-permanent", not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={table_n}")
-    bad = [
-        n
-        for n in range(1, table_n + 1)
-        if permanent_ryser(_ones_minus_identity_except_corner(n)) != v_closed_form(n, n)
-    ]
-    add("v-diagonal-vs-permanent", not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={table_n}")
+    # diagonal values equal permanents of the C and B variable masks
+    for name, family, closed_form in (("w-diagonal-vs-permanent", Family.C, w_closed_form),
+                                      ("v-diagonal-vs-permanent", Family.B, v_closed_form)):
+        bad = [
+            n
+            for n in range(1, TABLE_N + 1)
+            if permanent_ryser(_variable_mask(family, n)) != closed_form(n, n)
+        ]
+        add(name, not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={TABLE_N}")
 
     # exact counts at n=3: both engines and the enumeration oracle
     bad_entries = []

@@ -17,7 +17,7 @@ from permprob import (
     e_table,
     load_reference_terms,
 )
-from permprob.cli import _SUBCOMMANDS, RunConfig
+from permprob.cli import _SUBCOMMANDS
 from permprob.output import CsvDoc
 from permprob.svgplot import Series
 from permprob.validation import CheckResult
@@ -79,6 +79,7 @@ def _frozen_records():
         check,
         LookupResult("ok", ("A000166",)),
         _SUBCOMMANDS["seq"],
+        CheckResult("x", True, "detail"),
     ]
 
 
@@ -108,21 +109,17 @@ class TestRecords:
         assert e_table(Family.C, 4) == e_table(Family.C, 4)
         assert a != (3, (1, 2, 4))
 
-    def test_mutable_records(self):
-        first, second = RunConfig(), RunConfig()
-        first.families.append(Family.A)
-        assert second.families == []
-        assert CsvDoc().rows is not CsvDoc().rows
-        doc = CsvDoc(header=["n"])
-        doc.rows.append(["1"])
-        doc.comments = ["# permprob"]
-        assert doc == CsvDoc(["# permprob"], ["n"], [["1"]])
-        result = CheckResult("x", True)
-        result.detail = "changed"
-        assert result == CheckResult("x", True, "changed")
-        for record in (first, doc, result):
-            with pytest.raises(TypeError):
-                hash(record)
+    def test_list_fields_fresh_per_instance(self):
+        first, second = CsvDoc(), CsvDoc()
+        assert first.rows is not second.rows
+        assert first.comments is not second.comments
+        assert first.header is not second.header
+        first.rows.append(["1"])
+        assert second == CsvDoc([], [], [])
+        with pytest.raises(AttributeError):
+            first.rows = []
+        with pytest.raises(TypeError):
+            hash(first)
 
     def test_repr_names_fields(self):
         assert repr(BinaryMatrix.identity(2)) == "BinaryMatrix(n=2, rows=(1, 2))"
@@ -130,7 +127,6 @@ class TestRecords:
         assert repr(LookupResult("ok", ())) == "LookupResult(status='ok', ids=(), note='')"
         assert repr(CheckResult("x", False)) == "CheckResult(name='x', passed=False, detail='')"
         assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
-        assert repr(RunConfig()).startswith("RunConfig(families=[], n=None, grid_points=101,")
 
     def test_sequence_ref_repr_leaves_out_generator(self):
         ref = SequenceRef("A000166", "derangement numbers", "W_n(n)", lambda n: n)

@@ -1,4 +1,5 @@
 import http.server
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -139,6 +140,35 @@ class TestLookup:
         oeis_lookup([1, 2, 4, 8], fetch=fake_fetch)
         assert captured["url"].startswith("http://oeis.invalid/search")
         assert captured["timeout"] == 3.5
+
+
+def _never_fetch(url, timeout):
+    raise AssertionError("fetch must not be reached")
+
+
+class TestLookupTimeout:
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+    def test_bad_env_timeout_refused_before_fetch(self, monkeypatch, value):
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", value)
+        with pytest.raises(ValueError, match="PERMPROB_OEIS_TIMEOUT") as info:
+            oeis_lookup([1, 2, 4, 8], fetch=_never_fetch)
+        assert type(info.value) is ValueError
+
+    def test_env_timeout_below_one_second_accepted(self, monkeypatch):
+        seen = []
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")
+        oeis_lookup([1, 2, 4, 8],
+                    fetch=lambda url, timeout: seen.append(timeout) or NO_RESULTS_RESPONSE)
+        assert seen == [0.5]
+
+    @pytest.mark.parametrize("value", [0, 0.0, -1, -0.5, math.nan, math.inf,
+                                       pytest.param(10**400, id="10**400"), "abc"])
+    def test_bad_timeout_argument_refused_before_fetch(self, monkeypatch, value):
+        # a valid variable does not stand in for a bad argument, 0 included
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "3.5")
+        with pytest.raises(ValueError, match=r"^(bad config value for )?timeout\b") as info:
+            oeis_lookup([1, 2, 4, 8], timeout=value, fetch=_never_fetch)
+        assert type(info.value) is ValueError
 
 
 class _OEISStub(http.server.BaseHTTPRequestHandler):

@@ -280,13 +280,13 @@ class TestSharedWalk:
         return sizes
 
     def test_offline_checks_walk_each_symmetric_group_once(self, walked):
-        results = validation.run_offline_checks(bruteforce_n=6, table_n=4)
+        results = validation.run_offline_checks(bruteforce_n=6)
         assert all(r.passed for r in results), [r for r in results if not r.passed]
         assert sorted(walked) == [1, 2, 3, 4, 5, 6]
 
     def test_offline_checks_guard_fires_before_any_walk(self, walked):
         with pytest.raises(GuardError, match="factorial-time enumeration 11"):
-            validation.run_offline_checks(bruteforce_n=11, table_n=2)
+            validation.run_offline_checks(bruteforce_n=11)
         assert walked == []
 
 

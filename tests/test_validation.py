@@ -9,13 +9,13 @@ from permprob.validation import run_offline_checks, verify_artifact
 
 class TestOfflineChecks:
     def test_all_pass(self):
-        results = run_offline_checks(bruteforce_n=5, table_n=8)
+        results = run_offline_checks(bruteforce_n=5)
         assert results
         failed = [r.name for r in results if not r.passed]
         assert not failed, failed
 
     def test_check_names_are_stable(self):
-        names = {r.name for r in run_offline_checks(bruteforce_n=2, table_n=4)}
+        names = {r.name for r in run_offline_checks(bruteforce_n=2)}
         assert {
             "w-triangle-reference",
             "v-triangle-reference",
@@ -39,7 +39,7 @@ class TestOfflineChecks:
             return dist
 
         monkeypatch.setattr(validation, "e_table", corrupted)
-        results = {r.name: r for r in run_offline_checks(bruteforce_n=6, table_n=4)}
+        results = {r.name: r for r in run_offline_checks(bruteforce_n=6)}
         check = results["e-table-vs-bruteforce"]
         assert not check.passed
         assert check.detail == "first mismatch at [('A', 6)]"
