@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -453,6 +454,63 @@ class TestPinnedOptions:
         if command == "compare":
             flags += ["--grid", "7"]
         assert run(capsys, command, *flags) == (0, out, "")
+
+
+_SEQ_LINES = [
+    "PASS  A000166  W_n(n)    n=1..12",
+    "PASS  A000217  W_n(2)    n=2..12",
+    "PASS  A007290  W_n(3)    n=3..12  (terms from n=7 are self-referential)",
+    "PASS  A060008  W_n(4)    n=4..12  (terms from n=7 are self-referential)",
+    "PASS  A060836  W_n(5)    n=5..12  (terms from n=7 are self-referential)",
+    "PASS  A000255  V_n(n)    n=1..12",
+    "PASS  A045943  V_n(3)    n=3..12  (terms from n=9 are self-referential)",
+]
+_VALIDATE_LINES = [
+    "PASS  w-triangle-reference  (n=1..6)",
+    "PASS  v-triangle-reference  (n=1..8)",
+    "PASS  w-closed-vs-recurrence-vs-cycles  (n<=12)",
+    "PASS  v-closed-vs-identity  (n<=12)",
+    "PASS  e-table-vs-bruteforce  (all families, n<=3)",
+    "PASS  term-count-totals  (n<=12)",
+    "PASS  w-diagonal-vs-permanent  (n<=12)",
+    "PASS  v-diagonal-vs-permanent  (n<=12)",
+    "PASS  exact-counts-n3-reference  (A/B/C, all methods)",
+    "PASS  n2-exactness  (max |Q-P| = 3.33e-16)",
+    "PASS  probability-endpoints-n3",
+    "PASS  sequence-references  (7 slices)",
+]
+_SKIPPED = ("lookup skipped (fetch failed: <urlopen error [Errno 111] Connection refused>)"
+            " at <stamp>")
+_OEIS_LINES = [
+    f"OEIS  {oeis_id} [{slice_name}] {_SKIPPED}"
+    for oeis_id, slice_name in (
+        ("A000166", "W_n(n)"), ("A000217", "W_n(2)"), ("A007290", "W_n(3)"),
+        ("A060008", "W_n(4)"), ("A060836", "W_n(5)"), ("A000255", "V_n(n)"),
+        ("A045943", "V_n(3)"),
+    )
+] + [f"OEIS  V_n(4) column {_SKIPPED}"]
+
+
+class TestPinnedReports:
+    """The full stdout of ``seq`` and ``validate --n 3``, with and without ``--oeis``.
+
+    The lookups go to a closed loopback port, so each is skipped; the UTC
+    stamp of an OEIS line is masked.
+    """
+
+    @pytest.mark.parametrize("argv, lines, summary", [
+        (("seq",), _SEQ_LINES, "7/7 sequence checks passed"),
+        (("validate", "--n", "3"), _VALIDATE_LINES, "12/12 checks passed"),
+    ], ids=["seq", "validate"])
+    @pytest.mark.parametrize("oeis", [False, True], ids=["offline", "oeis"])
+    def test_stdout(self, capsys, monkeypatch, argv, lines, summary, oeis):
+        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")
+        code, out, err = run(capsys, *argv, *(["--oeis"] if oeis else []))
+        assert (code, err) == (0, "")
+        out = re.sub(r" at \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$", " at <stamp>", out,
+                     flags=re.MULTILINE)
+        assert out.splitlines() == lines + (_OEIS_LINES if oeis else []) + [summary]
 
 
 def run_fresh(script):
