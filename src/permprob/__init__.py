@@ -29,8 +29,8 @@ _SOURCES = {
         "p_eval", "q_eval", "q_expand",
     ),
     "sequences": (
-        "LookupResult", "OEISFormatError", "SequenceCheck", "SequenceRef",
-        "builtin_checks", "load_reference_terms", "oeis_lookup",
+        "LookupResult", "OEISFormatError", "SequenceCheck", "builtin_checks",
+        "oeis_lookup",
     ),
     "termdist": (
         "BRUTEFORCE_MAX_N", "CycleType", "TermDistribution", "cycle_types",

@@ -25,7 +25,8 @@ from typing import Callable
 from .guards import GuardError, Record
 from .matrices import Family
 
-DEFAULT_GRID = 101
+# Longest permprob.conf, in characters, that is read.
+MAX_CONFIG_CHARS = 64 * 1024
 
 
 class UsageError(ValueError):
@@ -35,17 +36,20 @@ class UsageError(ValueError):
 def load_config_file(path: str | None = None) -> dict[str, str]:
     """Read key=value lines; a missing file is an empty configuration.
 
-    A path that cannot be read, or a file that is not UTF-8 text, is a
-    :class:`UsageError`.
+    A path that cannot be read, a file that is not UTF-8 text, or one longer
+    than ``MAX_CONFIG_CHARS`` is a :class:`UsageError`.
     """
     path = path or os.environ.get("PERMPROB_CONFIG", "permprob.conf")
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_CONFIG_CHARS + 1)
     except FileNotFoundError:
         return {}
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if len(text) > MAX_CONFIG_CHARS:
+        raise UsageError(
+            f"cannot read config {path}: longer than {MAX_CONFIG_CHARS} characters")
     config = {}
     for line in text.splitlines():
         line = line.strip()
@@ -99,8 +103,11 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
         )
     if "n" in options and pick("n", spec.default_n, int) < 1:
         raise UsageError(f"n must be >= 1, got {args.n}")
-    if "grid" in options and pick("grid", DEFAULT_GRID, int) < 2:
-        raise UsageError(f"grid must be >= 2, got {args.grid}")
+    if "grid" in options:
+        from .probability import DEFAULT_GRID
+
+        if pick("grid", DEFAULT_GRID, int) < 2:
+            raise UsageError(f"grid must be >= 2, got {args.grid}")
     if "out" in options:
         pick("out", None)
     if "force" in options:
@@ -195,8 +202,8 @@ def _print_oeis_report(args: argparse.Namespace) -> None:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for check in builtin_checks():
         prefix = check.expected[:8]
-        line = _lookup_line(prefix, args, expected_id=check.ref.oeis_id)
-        print(f"OEIS  {check.ref.oeis_id} [{check.ref.slice_name}] {line} at {stamp}")
+        line = _lookup_line(prefix, args, expected_id=check.oeis_id)
+        print(f"OEIS  {check.oeis_id} [{check.slice_name}] {line} at {stamp}")
     informational = [v_closed_form(n, 4) for n in range(4, 9)]
     line = _lookup_line(informational, args, expected_id=None)
     print(f"OEIS  V_n(4) column {line} at {stamp}")
@@ -232,7 +239,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         if check.self_ref_from is not None:
             note = f"  (terms from n={check.self_ref_from} are self-referential)"
         print(
-            f"{status}  {check.ref.oeis_id}  {check.ref.slice_name:<8}"
+            f"{status}  {check.oeis_id}  {check.slice_name:<8}"
             f"  {check.window}{note}"
         )
     if args.oeis:

@@ -28,13 +28,12 @@ class Record:
     ``__init__``.  Every record is frozen: a field is set once, and
     assigning to it again, or deleting it, raises ``AttributeError``.  A
     field may still hold a list, which the record does not copy or freeze.
-    Fields named in ``_hidden`` are left out of the repr.  Unlike a generated
-    record class, it needs no import, so a command that defines a dozen
-    record classes pays only for the class statements.
+    The repr names every field.  Unlike a generated record class, it needs
+    no import, so a command that defines a dozen record classes pays only
+    for the class statements.
     """
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):
@@ -56,6 +55,5 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name not in self._hidden)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({shown})"

@@ -27,6 +27,7 @@ from .termdist import TermDistribution, e_table
 
 EXACT_MAX_VARIABLES = 26
 MAX_GRID = 10_001
+DEFAULT_GRID = 101
 EXPAND_MAX_N = 12
 
 
@@ -100,16 +101,16 @@ class ExactCounts(Record):
     """Assignment counts behind the exact probability.
 
     ``counts[i]`` is the number of assignments with i ones among the
-    ``variable_count`` variable entries whose matrix hits the target permanent.
+    ``variable_count`` variable entries whose matrix hits the target permanent;
+    ``variable_count`` is ``family.variable_count(n)``.
     """
 
     __slots__ = ("family", "n", "variable_count", "counts")
 
-    def __init__(self, family: Family, n: int, variable_count: int,
-                 counts: tuple[int, ...]) -> None:
+    def __init__(self, family: Family, n: int, counts: tuple[int, ...]) -> None:
         self.family = family
         self.n = n
-        self.variable_count = variable_count
+        self.variable_count = family.variable_count(n)
         self.counts = counts
         if len(self.counts) != self.variable_count + 1:
             raise ValueError("counts must have length variable_count + 1")
@@ -313,7 +314,7 @@ def exact_counts(
     else:
         counts = _exact_counts_direct(family, n)
     counts += [0] * (k_total + 1 - len(counts))
-    return ExactCounts(family, n, k_total, tuple(counts))
+    return ExactCounts(family, n, tuple(counts))
 
 
 def p_eval(counts: ExactCounts, r: float) -> float:
@@ -337,7 +338,7 @@ def p_eval(counts: ExactCounts, r: float) -> float:
 def compare_grid(
     family: Family,
     n: int,
-    grid_points: int = 101,
+    grid_points: int = DEFAULT_GRID,
     force: bool = False,
 ) -> list[tuple[float, float, float, float]]:
     """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1]."""

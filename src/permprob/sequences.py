@@ -1,7 +1,7 @@
 """Cross-checks of generated table slices against known integer sequences.
 
 The offline checks compare slices of the generated triangles (diagonals and
-columns) against reference terms vendored in ``data/oeis_reference.txt``.
+columns) against the reference terms vendored in :data:`REFERENCES`.
 An optional read-only OEIS client can look the same prefixes up remotely; it
 degrades to a "skipped" result whenever the network is unavailable.
 """
@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import os
 import re
-from importlib import resources
 from typing import Callable, Sequence
 
 from .guards import Record
+from .termdist import v_closed_form, w_closed_form
 
 DEFAULT_OEIS_URL = "https://oeis.org"
 DEFAULT_OEIS_TIMEOUT = 10.0
@@ -23,129 +23,89 @@ OEIS_TIMEOUT_ENV = "PERMPROB_OEIS_TIMEOUT"
 
 _ID_PATTERN = re.compile(r"A\d{6}")
 
+# Reference terms for the offline checks: one row per table slice, holding
+# (OEIS id, slice name, first n, self_ref_from, terms).  The slice name says
+# what a row checks: ``W_n(c)`` is ``w_closed_form(n, c)`` and ``V_n(c)`` is
+# ``v_closed_form(n, c)``, where c is a fixed column or ``n`` for the
+# diagonal.  ``first_n`` is the table index n of the first term; the terms
+# are listed for consecutive n.
+#
+# Provenance
+#   A000166, A000217, A000255: standard published values (derangement
+#     numbers, triangular numbers, and the shifted-derangement sequence
+#     whose k-th term equals derangement(k + 2) / (k + 1)).
+#   A007290, A060008, A060836, A045943: leading terms checked against the
+#     vendored reference triangles; terms at or past self_ref_from were
+#     generated by this package's own closed forms and the corresponding
+#     checks are flagged self-referential in reports.
+#
+# Alignment notes (offset rules)
+#   A000166: the published list has a leading 1 at its index 0 that precedes
+#     the W_n(n) window (n >= 1) and is excluded here.
+#   A000255: published index k corresponds to table index n = k + 1, so no
+#     published term is dropped; the window starts at the list's first term.
+#   A000217: the published leading 0 (index 0) precedes the n >= 2 window.
+REFERENCES: tuple[tuple[str, str, int, int | None, tuple[int, ...]], ...] = (
+    # derangement numbers
+    ("A000166", "W_n(n)", 1, None,
+     (0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570, 176214841)),
+    # triangular numbers
+    ("A000217", "W_n(2)", 2, None, (1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66)),
+    # 2*C(n,3)
+    ("A007290", "W_n(3)", 3, 7, (2, 8, 20, 40, 70, 112, 168, 240, 330, 440)),
+    # 9*C(n,4)
+    ("A060008", "W_n(4)", 4, 7, (9, 45, 135, 315, 630, 1134, 1890, 2970, 4455)),
+    # 44*C(n,5)
+    ("A060836", "W_n(5)", 5, 7, (44, 264, 924, 2464, 5544, 11088, 20328, 34848)),
+    # shifted derangements D(n+1)/n
+    ("A000255", "V_n(n)", 1, None,
+     (1, 1, 3, 11, 53, 309, 2119, 16687, 148329, 1468457, 16019531, 190899411)),
+    # triangular matchstick numbers
+    ("A045943", "V_n(3)", 3, 9, (3, 9, 18, 30, 45, 63, 84, 108, 135, 165)),
+)
+
 
 class OEISFormatError(ValueError):
     """The lookup endpoint returned a body that is not in its text format."""
 
 
-class SequenceRef(Record):
-    """One table slice and the sequence identifier it is checked against."""
-
-    __slots__ = ("oeis_id", "description", "slice_name", "generator")
-    _hidden = ("generator",)
-
-    def __init__(self, oeis_id: str, description: str, slice_name: str,
-                 generator: Callable[[int], int]) -> None:
-        self.oeis_id = oeis_id
-        self.description = description
-        self.slice_name = slice_name
-        self.generator = generator
-
-
-class ReferenceEntry(Record):
-    __slots__ = ("oeis_id", "slice_name", "first_n", "self_ref_from", "terms")
-
-    def __init__(self, oeis_id: str, slice_name: str, first_n: int,
-                 self_ref_from: int | None, terms: tuple[int, ...]) -> None:
-        self.oeis_id = oeis_id
-        self.slice_name = slice_name
-        self.first_n = first_n
-        self.self_ref_from = self_ref_from
-        self.terms = terms
-
-
 class SequenceCheck(Record):
     """Outcome of comparing a generated slice against its vendored terms."""
 
-    __slots__ = ("ref", "first_n", "expected", "generated", "passed", "self_ref_from")
+    __slots__ = ("oeis_id", "slice_name", "first_n", "expected", "generated",
+                 "self_ref_from")
 
-    def __init__(self, ref: SequenceRef, first_n: int, expected: tuple[int, ...],
-                 generated: tuple[int, ...], passed: bool,
+    def __init__(self, oeis_id: str, slice_name: str, first_n: int,
+                 expected: tuple[int, ...], generated: tuple[int, ...],
                  self_ref_from: int | None) -> None:
-        self.ref = ref
+        self.oeis_id = oeis_id
+        self.slice_name = slice_name
         self.first_n = first_n
         self.expected = expected
         self.generated = generated
-        self.passed = passed
         self.self_ref_from = self_ref_from
+
+    @property
+    def passed(self) -> bool:
+        return self.generated == self.expected
 
     @property
     def window(self) -> str:
         return f"n={self.first_n}..{self.first_n + len(self.expected) - 1}"
 
 
-def _refs() -> tuple[SequenceRef, ...]:
-    from .termdist import v_closed_form, w_closed_form
-
-    return (
-        SequenceRef("A000166", "derangement numbers", "W_n(n)",
-                    lambda n: w_closed_form(n, n)),
-        SequenceRef("A000217", "triangular numbers", "W_n(2)",
-                    lambda n: w_closed_form(n, 2)),
-        SequenceRef("A007290", "2*C(n,3)", "W_n(3)",
-                    lambda n: w_closed_form(n, 3)),
-        SequenceRef("A060008", "9*C(n,4)", "W_n(4)",
-                    lambda n: w_closed_form(n, 4)),
-        SequenceRef("A060836", "44*C(n,5)", "W_n(5)",
-                    lambda n: w_closed_form(n, 5)),
-        SequenceRef("A000255", "shifted derangements D(n+1)/n", "V_n(n)",
-                    lambda n: v_closed_form(n, n)),
-        SequenceRef("A045943", "triangular matchstick numbers", "V_n(3)",
-                    lambda n: v_closed_form(n, 3)),
-    )
-
-
-REFS: tuple[SequenceRef, ...] = _refs()
-
-
-def load_reference_terms() -> dict[str, ReferenceEntry]:
-    """Parse the vendored reference-data file."""
-    text = (
-        resources.files("permprob").joinpath("data/oeis_reference.txt").read_text()
-    )
-    entries: dict[str, ReferenceEntry] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = dict(item.split("=", 1) for item in line.split()[1:])
-        oeis_id = line.split()[0]
-        self_ref = fields["self_ref_from"]
-        entries[oeis_id] = ReferenceEntry(
-            oeis_id=oeis_id,
-            slice_name=fields["slice"],
-            first_n=int(fields["first_n"]),
-            self_ref_from=None if self_ref == "none" else int(self_ref),
-            terms=tuple(int(t) for t in fields["terms"].split(",")),
-        )
-    return entries
-
-
 def builtin_checks() -> list[SequenceCheck]:
-    """Compare every registered slice against its vendored terms, offline."""
-    entries = load_reference_terms()
+    """Compare every slice in :data:`REFERENCES` against its vendored terms, offline."""
     checks = []
-    for ref in REFS:
-        entry = entries[ref.oeis_id]
-        if entry.slice_name != ref.slice_name:
-            raise RuntimeError(
-                f"reference data for {ref.oeis_id} describes slice "
-                f"{entry.slice_name!r}, expected {ref.slice_name!r}"
-            )
+    for oeis_id, slice_name, first_n, self_ref_from, terms in REFERENCES:
+        closed_form = {"W": w_closed_form, "V": v_closed_form}[slice_name[0]]
+        column = slice_name[4:-1]
         generated = tuple(
-            ref.generator(n)
-            for n in range(entry.first_n, entry.first_n + len(entry.terms))
+            closed_form(n, n if column == "n" else int(column))
+            for n in range(first_n, first_n + len(terms))
         )
-        checks.append(
-            SequenceCheck(
-                ref=ref,
-                first_n=entry.first_n,
-                expected=entry.terms,
-                generated=generated,
-                passed=generated == entry.terms,
-                self_ref_from=entry.self_ref_from,
-            )
-        )
+        checks.append(SequenceCheck(oeis_id, slice_name, first_n, terms, generated,
+                                    self_ref_from))
     return checks
 
 

@@ -33,12 +33,7 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def line_chart(
-    series: list[Series],
-    title: str,
-    x_label: str = "r",
-    y_label: str = "probability",
-) -> str:
+def line_chart(series: list[Series], title: str) -> str:
     """Render the series over the unit square as a standalone SVG document."""
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -84,12 +79,12 @@ def line_chart(
     )
     out.append(
         f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 14)}" '
-        f'font-family="sans-serif" font-size="13" text-anchor="middle">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13" text-anchor="middle">r</text>'
     )
     out.append(
         f'<text x="16" y="{_fmt(MARGIN_TOP + plot_h / 2)}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(MARGIN_TOP + plot_h / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_fmt(MARGIN_TOP + plot_h / 2)})">probability</text>'
     )
     # curves
     for s in series:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .guards import GuardError, Record
+from .guards import GuardError, Record, check_guard
 from .matrices import BinaryMatrix, Family, permanent_ryser
 from .output import CsvDoc, regenerate
 from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_eval
@@ -54,6 +54,10 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 
 # Largest dimension of the closed-form, recurrence and permanent checks.
 TABLE_N = 12
+# Longest artifact, in characters, that ``verify_artifact`` reads unforced;
+# the largest one an unforced command writes, ``compare --n 5 --grid 10001``,
+# is about 1 MiB.
+MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
 
 
 class CheckResult(Record):
@@ -195,7 +199,7 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
 
     # vendored sequence slices
     seq_checks = builtin_checks()
-    bad = [c.ref.oeis_id for c in seq_checks if not c.passed]
+    bad = [c.oeis_id for c in seq_checks if not c.passed]
     add(
         "sequence-references",
         not bad,
@@ -208,17 +212,21 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
 def verify_artifact(path: str, force: bool = False) -> CheckResult:
     """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
 
-    ``output.regenerate`` rebuilds it from its metadata, so the guards of
-    the command that emitted it apply, and ``force=True`` lifts them; a
-    guard hit is a failed check naming the guard.
+    The file is read with its line endings as they are, and at most
+    ``MAX_ARTIFACT_CHARS`` of it.  ``output.regenerate`` rebuilds it from
+    its metadata, so the guards of the command that emitted it apply.
+    ``force=True`` lifts every guard, the length one included; a guard hit
+    is a failed check naming the guard.
     """
     name = f"artifact:{path}"
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read(-1 if force else MAX_ARTIFACT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         return CheckResult(name, False, f"cannot read: {exc}")
     try:
+        check_guard(len(text), MAX_ARTIFACT_CHARS, "artifact length in characters",
+                    force)
         meta = CsvDoc.parse(text).metadata()
         doc = regenerate(meta, force)
     except GuardError as exc:
@@ -231,7 +239,7 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     if text == expected:
         return CheckResult(name, True, f"{meta['kind']} artifact matches regenerated values")
     for lineno, (got, want) in enumerate(
-        zip(text.splitlines(), expected.splitlines()), start=1
+        zip(text.split("\n"), expected.split("\n")), start=1
     ):
         if got != want:
             return CheckResult(name, False, f"line {lineno} differs from regenerated value")

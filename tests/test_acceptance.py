@@ -126,7 +126,7 @@ def test_criterion_7_sum_identity():
 
 
 def test_criterion_8_sequence_checks_offline():
-    checks = {c.ref.oeis_id: c for c in builtin_checks()}
+    checks = {c.oeis_id: c for c in builtin_checks()}
     ok = checks["A000166"].passed and len(checks["A000166"].expected) >= 8
     ok = ok and checks["A000255"].passed and len(checks["A000255"].expected) >= 8
     ok = ok and checks["A000217"].passed and len(checks["A000217"].expected) >= 8

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 import permprob
-from permprob import MAX_GRID, Family, output
+from permprob import MAX_GRID, Family, cli, output, validation
 from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
 
@@ -243,6 +243,13 @@ class TestValidate:
         assert (f"FAIL  artifact:{path}  "
                 f"(malformed artifact: dimension must be >= 1, got {n})") in out
 
+    def test_endless_artifact_is_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 1024)
+        code, out, err = run(capsys, "validate", "--n", "2", "/dev/zero")
+        assert (code, err) == (1, "")
+        assert ("FAIL  artifact:/dev/zero  (guard violation: artifact length in "
+                "characters 1025 exceeds the default guard of 1024") in out
+
     def test_undecodable_artifact_is_a_failed_check(self, capsys, isolated_cwd):
         path = isolated_cwd / "bad.csv"
         path.write_bytes(b"\xff\xfe# permprob dist family=C n=2\n")
@@ -328,6 +335,19 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: cannot read config {shown}: ")
         assert "Traceback" not in err
+
+    def test_endless_config_is_usage_error(self, capsys, monkeypatch):
+        # shrink the limit first, so /dev/zero is never read without a bound
+        monkeypatch.setattr(cli, "MAX_CONFIG_CHARS", 1024)
+        monkeypatch.setenv("PERMPROB_CONFIG", "/dev/zero")
+        assert run(capsys, "seq") == (
+            2, "", "error: cannot read config /dev/zero: longer than 1024 characters\n")
+
+    def test_empty_device_is_an_empty_config(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERMPROB_CONFIG", "/dev/null")
+        code, out, _ = run(capsys, "seq")
+        assert code == 0
+        assert out.endswith("7/7 sequence checks passed\n")
 
     def test_config_path_that_is_a_directory(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").mkdir()
@@ -513,12 +533,15 @@ class TestPinnedReports:
         assert out.splitlines() == lines + (_OEIS_LINES if oeis else []) + [summary]
 
 
-def run_fresh(script):
-    """Run ``script`` in a fresh interpreter that imports permprob from this tree."""
+def run_fresh(script, *options):
+    """Run ``script`` in a fresh interpreter that imports permprob from this tree.
+
+    ``options`` go to the interpreter, before ``-c``.
+    """
     src = os.path.dirname(os.path.dirname(permprob.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PERMPROB_CONFIG", None)
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+    return subprocess.run([sys.executable, *options, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
 
 
@@ -552,6 +575,21 @@ class TestImportDiet:
         proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+    def test_sequence_checks_read_no_package_data(self):
+        # -S skips site, which may import importlib.resources on its own
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["seq"]) == 0
+                assert cli.main(["validate", "--n", "3"]) == 0
+            print(sorted(m for m in ("importlib.resources", "zipfile") if m in sys.modules))
+        """)
+        proc = run_fresh(script, "-S")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
 
     def test_seq_loads_no_probability_module(self):
         script = textwrap.dedent("""

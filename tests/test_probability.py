@@ -5,6 +5,7 @@ import pytest
 
 from permprob import (
     MAX_GRID,
+    ExactCounts,
     Family,
     GuardError,
     bernstein_string,
@@ -191,6 +192,14 @@ class TestExactCounts:
         got = exact_counts(Family.B, 1)
         assert got.variable_count == 1
         assert got.counts == (1, 0)
+
+    @pytest.mark.parametrize("family, k_total", [(Family.A, 9), (Family.B, 7),
+                                                 (Family.C, 6)])
+    def test_variable_count_derived_from_family_and_n(self, family, k_total):
+        got = ExactCounts(family, 3, (1,) + (0,) * k_total)
+        assert got.variable_count == k_total
+        with pytest.raises(ValueError, match="variable_count"):
+            ExactCounts(family, 3, (1, 0))
 
     @pytest.mark.parametrize("family", list(Family))
     def test_structural_invariants(self, family):

@@ -8,11 +8,11 @@ import pytest
 
 from permprob import (
     OEISFormatError,
+    SequenceCheck,
     builtin_checks,
-    load_reference_terms,
     oeis_lookup,
 )
-from permprob.sequences import REFS, _http_fetch
+from permprob.sequences import REFERENCES, _http_fetch
 
 SAMPLE_RESPONSE = """\
 # Greetings from The On-Line Encyclopedia of Integer Sequences!
@@ -42,14 +42,14 @@ class TestBuiltinChecks:
         checks = builtin_checks()
         assert checks, "no sequence checks registered"
         for check in checks:
-            assert check.passed, f"{check.ref.oeis_id}: {check.generated} != {check.expected}"
+            assert check.passed, f"{check.oeis_id}: {check.generated} != {check.expected}"
 
     def test_window_lengths_at_least_eight(self):
         for check in builtin_checks():
-            assert len(check.expected) >= 8, check.ref.oeis_id
+            assert len(check.expected) >= 8, check.oeis_id
 
     def test_expected_slices(self):
-        by_id = {check.ref.oeis_id: check for check in builtin_checks()}
+        by_id = {check.oeis_id: check for check in builtin_checks()}
         assert by_id["A000166"].expected[:6] == (0, 1, 2, 9, 44, 265)
         assert by_id["A000166"].first_n == 1
         assert by_id["A000255"].expected == (
@@ -61,7 +61,7 @@ class TestBuiltinChecks:
         assert by_id["A045943"].expected[:3] == (3, 9, 18)
 
     def test_self_referential_flags(self):
-        by_id = {check.ref.oeis_id: check for check in builtin_checks()}
+        by_id = {check.oeis_id: check for check in builtin_checks()}
         assert by_id["A000166"].self_ref_from is None
         assert by_id["A000255"].self_ref_from is None
         assert by_id["A007290"].self_ref_from == 7
@@ -70,17 +70,15 @@ class TestBuiltinChecks:
         assert by_id["A045943"].self_ref_from == 9
 
 
-class TestReferenceData:
-    def test_every_ref_has_vendored_terms(self):
-        entries = load_reference_terms()
-        for ref in REFS:
-            assert ref.oeis_id in entries
-            entry = entries[ref.oeis_id]
-            assert entry.slice_name == ref.slice_name
-            assert all(isinstance(t, int) for t in entry.terms)
+    def test_mismatch_fails(self):
+        check = SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 3), None)
+        assert not check.passed
+        assert SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 2), None).passed
 
+
+class TestReferenceData:
     def test_ids_are_well_formed(self):
-        for oeis_id in load_reference_terms():
+        for oeis_id, *_ in REFERENCES:
             assert len(oeis_id) == 7 and oeis_id.startswith("A")
 
 

@@ -65,6 +65,30 @@ class TestArtifactVerification:
         assert not result.passed
         assert "differs" in result.detail
 
+    def test_crlf_copy_fails(self, tmp_path):
+        text = make_exact_doc(exact_counts(Family.C, 3)).render()
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode())
+        assert verify_artifact(str(path)).passed
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        result = verify_artifact(str(crlf))
+        assert not result.passed
+        assert result.detail == "line 1 differs from regenerated value"
+
+    def test_length_guard(self, tmp_path, monkeypatch):
+        # shrink the limit first, so /dev/zero is never read without a bound
+        monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 64)
+        guard = ("guard violation: artifact length in characters 65 exceeds the "
+                 "default guard of 64")
+        assert verify_artifact("/dev/zero").detail.startswith(guard)
+        path = tmp_path / "dist.csv"
+        path.write_text(make_dist_doc(Family.C, 4).render())
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail.startswith(guard)
+        assert verify_artifact(str(path), force=True).passed
+
     def test_missing_file(self, tmp_path):
         result = verify_artifact(str(tmp_path / "nope.csv"))
         assert not result.passed
