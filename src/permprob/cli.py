@@ -177,8 +177,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .termdist import BYTE_KEY_MAX_N
     from .validation import run_offline_checks, verify_artifact
 
+    if args.n > BYTE_KEY_MAX_N:  # --force cannot lift this one
+        raise UsageError(f"n must be <= {BYTE_KEY_MAX_N} for the symmetric-group "
+                         f"walk, got {args.n}")
     results = run_offline_checks(bruteforce_n=args.n, force=args.force)
     for path in args.paths:
         results.append(verify_artifact(path, force=args.force))

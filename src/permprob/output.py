@@ -5,7 +5,9 @@ size guard: ``make_dist_doc``, ``make_exact_doc`` and ``make_compare_doc``.
 A builder returns a :class:`CsvDoc`, and ``CsvDoc.render`` renders it as CSV
 or, from the same rows, as JSON.  ``compare_svg`` plots the compare grid.
 ``regenerate`` rebuilds the document a previously emitted artifact's
-metadata describes, which is how ``validate`` re-verifies it.
+metadata describes, which is how ``validate`` re-verifies it.  Only the
+builders that compute probabilities import ``probability``, so ``dist``
+never loads it.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  Leading ``#`` comment lines carry artifact metadata so
@@ -16,10 +18,14 @@ the same 12-digit values.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .guards import Record, check_guard
 from .matrices import Family
-from .probability import ExactCounts, bernstein_string, compare_grid, exact_counts
 from .termdist import e_table
+
+if TYPE_CHECKING:
+    from .probability import ExactCounts
 
 # Largest dimension of an emitted term-count table (``dist``, and ``validate``
 # re-running a dist artifact) unless forced.
@@ -130,6 +136,8 @@ def make_dist_doc(family: Family, n: int, force: bool = False) -> CsvDoc:
 
 
 def make_exact_doc(counts: ExactCounts) -> CsvDoc:
+    from .probability import bernstein_string
+
     return CsvDoc(
         comments=[
             "# permprob exact "
@@ -146,6 +154,8 @@ def make_exact_doc(counts: ExactCounts) -> CsvDoc:
 def _compare_grids(families: list[Family], n: int, grid_points: int,
                    force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
     """``compare_grid`` rows for each distinct family, each computed once."""
+    from .probability import compare_grid
+
     return {
         fam: compare_grid(fam, n, grid_points=grid_points, force=force)
         for fam in dict.fromkeys(families)
@@ -205,6 +215,8 @@ def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
     if kind == "dist":
         return make_dist_doc(Family(meta["family"]), int(meta["n"]), force)
     if kind == "exact":
+        from .probability import exact_counts
+
         return make_exact_doc(exact_counts(Family(meta["family"]), int(meta["n"]),
                                            force=force))
     if kind == "compare":

@@ -11,7 +11,9 @@ cross-check one another:
 * a sum over the cycle types of the symmetric group,
 * brute-force enumeration of all n! permutations, one walk per n shared by
   the three families (a permutation's fixed points and whether it fixes 0
-  decide its variable-entry count in every family).
+  decide its variable-entry count in every family).  The walk counts fixed
+  points a chunk of permutations at a time with whole-buffer ``bytes`` and
+  ``int`` operations, so its per-permutation cost is C code only.
 
 All arithmetic is exact (Python integers); nothing here touches floats.
 """
@@ -20,13 +22,23 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from itertools import chain, islice
 from typing import Iterator
 
 from .guards import Record, check_guard
 from .matrices import Family
 
 BRUTEFORCE_MAX_N = 10
+
+# Permutations whose fixed points the walk counts at once, whatever n is.
+# 7! is no slower than 8! and keeps each buffer at 5040 * n bytes.
+WALK_CHUNK = math.factorial(7)
+
+# The walk keeps 2 * fixed points + (1 if sigma fixes 0) in one byte.
+BYTE_KEY_MAX_N = 127
+
+# bytes.translate table: a zero byte (a fixed point) becomes 1, any other 0.
+_FIXED_POINT = b"\x01" + bytes(255)
 
 
 def derangement(k: int) -> int:
@@ -237,16 +249,46 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     family C, and for family B one more than that when sigma fixes 0 (the
     variable diagonal entry counts as variable).  The walk keeps the joint
     histogram of those two quantities and derives all three rows from it.
+
+    The walk reads ``itertools.permutations(range(n))`` in chunks of at most
+    ``WALK_CHUNK`` permutations, n bytes each, and counts a whole chunk's
+    fixed points with ``bytes`` and ``int`` operations.  Memory is bounded
+    by the chunk, not by n!: a few buffers of ``WALK_CHUNK * n`` bytes, well
+    under 1 MiB at n=10.  Each permutation's key ``2 * fp + fixes_0`` must
+    fit in one byte, so n above ``BYTE_KEY_MAX_N`` raises ``ValueError``
+    even when forced, before the guard and before any walk.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    if n > BYTE_KEY_MAX_N:
+        raise ValueError(
+            f"dimension must be <= {BYTE_KEY_MAX_N} for byte-wide fixed-point "
+            f"counts, got {n}"
+        )
     check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration", force)
+    # keyed[2 * fp + fixes_0] counts the permutations with fp fixed points
+    # that fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
+    keyed = [0] * (2 * n + 2)
+    walk = itertools.permutations(range(n))
+    identity = bytes(range(n))
+    ones = int.from_bytes(b"\x01" * n, "little")
+    while perms := bytes(chain.from_iterable(islice(walk, WALK_CHUNK))):
+        length = len(perms)
+        size = length // n
+        # Byte j of a permutation XOR j is zero exactly where sigma fixes j.
+        moved = (int.from_bytes(perms, "little")
+                 ^ int.from_bytes(identity * size, "little"))
+        fixed = moved.to_bytes(length, "little").translate(_FIXED_POINT)
+        # Times 0x0101...01 (n bytes), the last byte of each permutation holds
+        # the sum of its n flags; no byte sum exceeds n, so nothing carries.
+        sums = (int.from_bytes(fixed, "little") * ones).to_bytes(
+            length + n - 1, "little")[n - 1::n]
+        keys = (2 * int.from_bytes(sums, "little")
+                + int.from_bytes(fixed[0::n], "little")).to_bytes(size, "little")
+        for key in range(2 * n + 2):
+            keyed[key] += keys.count(key)
     # joint[fp][fixes_0] counts the permutations with fp fixed points.
-    joint = [[0, 0] for _ in range(n + 1)]
-    base = tuple(range(n))
-    eq = operator.eq
-    for sigma in itertools.permutations(base):
-        joint[sum(map(eq, sigma, base))][sigma[0] == 0] += 1
+    joint = [keyed[k:k + 2] for k in range(0, 2 * n + 2, 2)]
     b = [0] * (n + 1)
     c = [0] * (n + 1)
     for fp, (moving_0, fixing_0) in enumerate(joint):

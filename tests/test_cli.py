@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
 import permprob
-from permprob import MAX_GRID, Family, cli, output, validation
+from permprob import MAX_GRID, Family, cli, probability, termdist, validation
 from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
 
@@ -170,14 +171,14 @@ class TestCompare:
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_repeated_family_computed_once(self, capsys, monkeypatch, fmt):
-        compare_grid = output.compare_grid
+        compare_grid = probability.compare_grid
         calls = []
 
         def counted(family, *args, **kwargs):
             calls.append(family)
             return compare_grid(family, *args, **kwargs)
 
-        monkeypatch.setattr(output, "compare_grid", counted)
+        monkeypatch.setattr(probability, "compare_grid", counted)
         argv = ["compare", "--n", "3", "--grid", "5", "--format", fmt]
         code, out, _ = run(capsys, *argv, "--family", "C", "--family", "A",
                            "--family", "C")
@@ -233,6 +234,18 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--n", "2", str(path))
         assert code == 1
         assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
+
+    def test_n_past_byte_wide_walk_is_usage_error(self, capsys, monkeypatch):
+        def no_walk(iterable, r=None):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(termdist, "itertools", SimpleNamespace(permutations=no_walk))
+        assert run(capsys, "validate", "--n", "128", "--force") == (
+            2, "", "error: n must be <= 127 for the symmetric-group walk, got 128\n")
+        code, _, err = run(capsys, "validate", "--n", "127")
+        assert code == 3
+        assert err.startswith("guard violation: dimension for factorial-time "
+                              "enumeration 127 ")
 
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_dist_artifact_dimension_below_one_fails(self, capsys, isolated_cwd, n):
@@ -599,6 +612,22 @@ class TestImportDiet:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["seq"]) == 0
             print(sorted(m for m in ("permprob.probability", "permprob.output",
+                                     "permprob.validation") if m in sys.modules))
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"]
+
+    def test_dist_loads_no_probability_module(self):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["dist", "--family", "B", "--n", "6"]) == 0
+                assert cli.main(["dist", "--family", "C", "--n", "4",
+                                 "--format", "json"]) == 0
+            print(sorted(m for m in ("permprob.probability", "permprob.svgplot",
                                      "permprob.validation") if m in sys.modules))
         """)
         proc = run_fresh(script)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -239,7 +240,7 @@ class TestBruteforce:
 
 
 class TestSharedWalk:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_every_family_matches_closed_forms(self, n):
         walked = e_tables_bruteforce(n)
         assert set(walked) == set(Family)
@@ -262,32 +263,78 @@ class TestSharedWalk:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             e_tables_bruteforce(0)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        # A whole S_n for n <= 7 fits in one default chunk, so shrink it.
+        monkeypatch.setattr(termdist, "WALK_CHUNK", chunk)
+        for n in range(1, 7):
+            walked = e_tables_bruteforce(n)
+            for family in Family:
+                assert walked[family] == e_table(family, n), (family, n)
+
+    def test_memory_does_not_grow_with_the_walk(self):
+        # 10! permutations of 10 bytes are 34.6 MiB; the chunks stay near 0.3 MiB.
+        tracemalloc.start()
+        try:
+            e_tables_bruteforce(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_byte_wide_keys_refuse_n128_even_forced(self, monkeypatch):
+        def no_walk(iterable, r=None):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(termdist, "itertools", SimpleNamespace(permutations=no_walk))
+        with pytest.raises(ValueError, match="<= 127 for byte-wide"):
+            e_tables_bruteforce(128, force=True)
+        with pytest.raises(GuardError, match="factorial-time enumeration 127"):
+            e_tables_bruteforce(127)
+
     @pytest.fixture
     def walked(self, monkeypatch):
-        """Sizes of the symmetric groups that termdist enumerates."""
-        sizes = []
+        """Sizes of the symmetric groups that termdist enumerates, and how
+        many permutations each enumeration yielded."""
+        walks = SimpleNamespace(sizes=[], yielded=[])
 
         def counting_permutations(iterable, r=None):
             pool = tuple(iterable)
-            sizes.append(len(pool))
-            return itertools.permutations(pool, r)
+            walks.sizes.append(len(pool))
+            walks.yielded.append(0)
+            index = len(walks.yielded) - 1
+
+            def count():
+                for sigma in itertools.permutations(pool, r):
+                    walks.yielded[index] += 1
+                    yield sigma
+
+            return count()
 
         # Only termdist's reference to itertools is swapped, so the n=3
         # enumeration oracles in probability and matrices are not counted.
         monkeypatch.setattr(
             termdist, "itertools", SimpleNamespace(permutations=counting_permutations)
         )
-        return sizes
+        return walks
 
     def test_offline_checks_walk_each_symmetric_group_once(self, walked):
         results = validation.run_offline_checks(bruteforce_n=6)
         assert all(r.passed for r in results), [r for r in results if not r.passed]
-        assert sorted(walked) == [1, 2, 3, 4, 5, 6]
+        assert sorted(walked.sizes) == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("chunk", [5, termdist.WALK_CHUNK])
+    def test_each_permutation_consumed_once(self, walked, monkeypatch, chunk):
+        monkeypatch.setattr(termdist, "WALK_CHUNK", chunk)
+        for n in range(1, 7):
+            e_tables_bruteforce(n)
+        assert walked.sizes == [1, 2, 3, 4, 5, 6]
+        assert walked.yielded == [math.factorial(n) for n in range(1, 7)]
 
     def test_offline_checks_guard_fires_before_any_walk(self, walked):
         with pytest.raises(GuardError, match="factorial-time enumeration 11"):
             validation.run_offline_checks(bruteforce_n=11)
-        assert walked == []
+        assert walked.sizes == []
 
 
 @given(st.sampled_from(list(Family)), st.integers(1, 8))

@@ -1,6 +1,6 @@
 import pytest
 
-from permprob import Family, output, validation
+from permprob import Family, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
 from permprob.termdist import TermDistribution, e_table
@@ -139,13 +139,13 @@ class TestArtifactVerification:
                                "r,Q_A,P_A,Q_A,P_A,Q_A,P_A\n")
         path.write_text(text)
         calls = []
-        compare_grid = output.compare_grid
+        compare_grid = probability.compare_grid
 
         def counted(family, *args, **kwargs):
             calls.append(family)
             return compare_grid(family, *args, **kwargs)
 
-        monkeypatch.setattr(output, "compare_grid", counted)
+        monkeypatch.setattr(probability, "compare_grid", counted)
         assert verify_artifact(str(path)).passed
         assert calls == [Family.A]
 
