@@ -17,6 +17,7 @@ inclusion-exclusion scheme over column subsets with Gray-code updates.
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -177,7 +178,8 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
     """
     n = matrix.n
     check_guard(n, RYSER_MAX_N, "dimension for the subset-sum permanent", force)
-    rows = matrix.rows
+    # columns[b][i] is entry (i, b), so a Gray-code step adds or removes one tuple.
+    columns = [tuple(row >> b & 1 for row in matrix.rows) for b in range(n)]
     sums = [0] * n
     subset = 0
     parity = 1  # sign (-1)**|subset|
@@ -186,18 +188,10 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
         b = (k & -k).bit_length() - 1
         bit = 1 << b
         if subset & bit:
-            for i in range(n):
-                sums[i] -= rows[i] >> b & 1
+            sums = [s - x for s, x in zip(sums, columns[b])]
         else:
-            for i in range(n):
-                sums[i] += rows[i] >> b & 1
+            sums = [s + x for s, x in zip(sums, columns[b])]
         subset ^= bit
         parity = -parity
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        total += parity * prod
+        total += parity * math.prod(sums)
     return total if n % 2 == 0 else -total

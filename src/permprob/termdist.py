@@ -11,9 +11,11 @@ cross-check one another:
 * a sum over the cycle types of the symmetric group,
 * brute-force enumeration of all n! permutations, one walk per n shared by
   the three families (a permutation's fixed points and whether it fixes 0
-  decide its variable-entry count in every family).  The walk counts fixed
-  points a chunk of permutations at a time with whole-buffer ``bytes`` and
-  ``int`` operations, so its per-permutation cost is C code only.
+  decide its variable-entry count in every family).  The walk takes S_n as
+  blocks, one prefix followed by one S_7 column table relabelled onto the
+  values the prefix leaves, and counts a block's fixed points with
+  whole-buffer ``bytes`` and ``int`` operations, so it builds no tuple per
+  permutation.
 
 All arithmetic is exact (Python integers); nothing here touches floats.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from itertools import chain, islice
 from typing import Iterator
 
 from .guards import Record, check_guard
@@ -30,15 +31,13 @@ from .matrices import Family
 
 BRUTEFORCE_MAX_N = 10
 
-# Permutations whose fixed points the walk counts at once, whatever n is.
-# 7! is no slower than 8! and keeps each buffer at 5040 * n bytes.
-WALK_CHUNK = math.factorial(7)
+# Trailing positions of each S_n that the walk counts as one block: it
+# enumerates S_7 once, as 7 columns of 5040 bytes, and relabels it per prefix.
+WALK_BLOCK = 7
 
-# The walk keeps 2 * fixed points + (1 if sigma fixes 0) in one byte.
+# Largest n the walk accepts, even when forced; the CLI refuses a larger
+# ``validate --n`` as a usage error.
 BYTE_KEY_MAX_N = 127
-
-# bytes.translate table: a zero byte (a fixed point) becomes 1, any other 0.
-_FIXED_POINT = b"\x01" + bytes(255)
 
 
 def derangement(k: int) -> int:
@@ -157,18 +156,23 @@ def cycle_types(n: int) -> Iterator[CycleType]:
         yield CycleType(parts)
 
 
-def w_via_cycles(n: int, m: int) -> int:
-    """Family-C count via cycle structure.
+def _w_row_via_cycles(n: int) -> list[int]:
+    """Family-C row [W_n(0..n)] from one pass over the cycle types of S_n.
 
     A term has m variable entries exactly when its permutation moves m points,
-    i.e. has n - m fixed points; class sizes of the matching cycle types add up.
+    i.e. has n - m fixed points, so each class size adds to row[n - fp].
     """
-    _check_index(n, m)
-    total = 0
+    row = [0] * (n + 1)
     for ct in cycle_types(n):
-        if n - ct.fixed_points == m:
-            total += ct.permutation_count()
-    return total
+        row[n - ct.fixed_points] += ct.permutation_count()
+    return row
+
+
+def w_via_cycles(n: int, m: int) -> int:
+    """Family-C count via cycle structure: the class sizes of the cycle
+    types with n - m fixed points add up."""
+    _check_index(n, m)
+    return _w_row_via_cycles(n)[m]
 
 
 def v_closed_form(n: int, m: int) -> int:
@@ -240,6 +244,28 @@ def e_table(family: Family, n: int) -> TermDistribution:
     return TermDistribution(family, n, tuple(counts))
 
 
+def _walk_blocks(
+    n: int,
+) -> Iterator[tuple[tuple[int, ...], list[int], list[bytes]]]:
+    """All of S_n, in the order of ``itertools.permutations(range(n))``, as blocks.
+
+    With m = min(n, ``WALK_BLOCK``), each block is one prefix, a permutation
+    of n - m values from ``itertools.permutations(range(n), n - m)``, followed
+    by every permutation of the m values it leaves.  Yields (prefix, rest,
+    columns): ``rest`` lists those m values in ascending order, and
+    ``columns[j][t]`` is tau(j) for the t-th permutation tau of S_m, one
+    byte each, so the t-th permutation of the block is
+    ``prefix + tuple(rest[col[t]] for col in columns)``.  The column table
+    is built once per call and shared by every block.  When n <= m there is
+    no prefix and no prefix enumeration.
+    """
+    m = min(n, WALK_BLOCK)
+    columns = [bytes(col) for col in zip(*itertools.permutations(range(m)))]
+    prefixes = itertools.permutations(range(n), n - m) if n > m else [()]
+    for prefix in prefixes:
+        yield prefix, sorted(set(range(n)).difference(prefix)), columns
+
+
 def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistribution]:
     """Term-count distributions of every family from one walk of all n! permutations.
 
@@ -250,13 +276,15 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     variable diagonal entry counts as variable).  The walk keeps the joint
     histogram of those two quantities and derives all three rows from it.
 
-    The walk reads ``itertools.permutations(range(n))`` in chunks of at most
-    ``WALK_CHUNK`` permutations, n bytes each, and counts a whole chunk's
-    fixed points with ``bytes`` and ``int`` operations.  Memory is bounded
-    by the chunk, not by n!: a few buffers of ``WALK_CHUNK * n`` bytes, well
-    under 1 MiB at n=10.  Each permutation's key ``2 * fp + fixes_0`` must
-    fit in one byte, so n above ``BYTE_KEY_MAX_N`` raises ``ValueError``
-    even when forced, before the guard and before any walk.
+    The walk visits S_n in blocks, each one prefix followed by S_m
+    (m = min(n, ``WALK_BLOCK``)) relabelled onto the values it leaves.
+    A prefix's fixed points are the same for its whole block, and one
+    ``bytes.translate`` of an S_m column flags where the block fixes that
+    column's position, so the block's m! permutations are counted with
+    ``bytes`` and ``int`` operations and no tuple per permutation.  Memory
+    is bounded by the column table of S_7, under 1 MiB whatever n is.  n
+    above ``BYTE_KEY_MAX_N`` raises ``ValueError`` even when forced, before
+    the guard and before any walk.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -269,24 +297,29 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     # keyed[2 * fp + fixes_0] counts the permutations with fp fixed points
     # that fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
     keyed = [0] * (2 * n + 2)
-    walk = itertools.permutations(range(n))
-    identity = bytes(range(n))
-    ones = int.from_bytes(b"\x01" * n, "little")
-    while perms := bytes(chain.from_iterable(islice(walk, WALK_CHUNK))):
-        length = len(perms)
-        size = length // n
-        # Byte j of a permutation XOR j is zero exactly where sigma fixes j.
-        moved = (int.from_bytes(perms, "little")
-                 ^ int.from_bytes(identity * size, "little"))
-        fixed = moved.to_bytes(length, "little").translate(_FIXED_POINT)
-        # Times 0x0101...01 (n bytes), the last byte of each permutation holds
-        # the sum of its n flags; no byte sum exceeds n, so nothing carries.
-        sums = (int.from_bytes(fixed, "little") * ones).to_bytes(
-            length + n - 1, "little")[n - 1::n]
-        keys = (2 * int.from_bytes(sums, "little")
-                + int.from_bytes(fixed[0::n], "little")).to_bytes(size, "little")
-        for key in range(2 * n + 2):
-            keyed[key] += keys.count(key)
+    m = min(n, WALK_BLOCK)
+    offset = n - m  # a block's S_m part fills positions offset..n-1
+    # Keys 2 * fp + fixes_0 one block can hold: only a block without a prefix
+    # holds position 0, so only then can it fix 0.
+    block_keys = range(0, 2 * m + 2, 2 if offset else 1)
+    # bytes.translate tables: select[i] maps byte i to 1 and any other to 0.
+    select = [bytes(i) + b"\x01" + bytes(255 - i) for i in range(m)]
+    for prefix, rest, columns in _walk_blocks(n):
+        # The prefix's part of the key, the same for its whole block.
+        base = 2 * sum(v == j for j, v in enumerate(prefix)) + (prefix[:1] == (0,))
+        # Position p = offset + j holds rest[columns[j][t]], so it is fixed
+        # where column j holds the index i of p in rest.  A value p < offset
+        # belongs to a prefix position, so the block never fixes it.
+        flags = [
+            int.from_bytes(columns[p - offset].translate(select[i]), "little")
+            for i, p in enumerate(rest)
+            if p >= offset
+        ]
+        # Each byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
+        keys = 2 * sum(flags) + (0 if offset else flags[0])
+        block = keys.to_bytes(len(columns[0]), "little")
+        for key in block_keys:
+            keyed[base + key] += block.count(key)
     # joint[fp][fixes_0] counts the permutations with fp fixed points.
     joint = [keyed[k:k + 2] for k in range(0, 2 * n + 2, 2)]
     b = [0] * (n + 1)

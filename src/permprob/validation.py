@@ -16,13 +16,13 @@ from .output import CsvDoc, regenerate
 from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import (
+    _w_row_via_cycles,
     e_table,
     e_tables_bruteforce,
     v_closed_form,
     v_via_w,
     w_closed_form,
     w_recurrence_table,
-    w_via_cycles,
 )
 
 # Vendored reference triangles for the two non-trivial families (rows n=1..).
@@ -106,10 +106,8 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
     bad = [
         (n, m)
         for n in range(1, TABLE_N + 1)
-        for m in range(n + 1)
-        if not (
-            w_closed_form(n, m) == table[n][m] == w_via_cycles(n, m)
-        )
+        for m, by_cycles in enumerate(_w_row_via_cycles(n))
+        if not w_closed_form(n, m) == table[n][m] == by_cycles
     ]
     add(
         "w-closed-vs-recurrence-vs-cycles",

@@ -263,17 +263,29 @@ class TestSharedWalk:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             e_tables_bruteforce(0)
 
-    @pytest.mark.parametrize("chunk", [1, 5, 7])
-    def test_chunk_boundaries(self, monkeypatch, chunk):
-        # A whole S_n for n <= 7 fits in one default chunk, so shrink it.
-        monkeypatch.setattr(termdist, "WALK_CHUNK", chunk)
-        for n in range(1, 7):
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, termdist.WALK_BLOCK])
+    def test_chunk_boundaries(self, monkeypatch, block):
+        # A whole S_n for n <= 7 fits in one default block, so shrink it.
+        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        for n in range(1, 9):
             walked = e_tables_bruteforce(n)
             for family in Family:
                 assert walked[family] == e_table(family, n), (family, n)
 
+    @pytest.mark.parametrize("block", [1, 3, termdist.WALK_BLOCK])
+    def test_blocks_rebuild_every_permutation_in_order(self, monkeypatch, block):
+        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        for n in range(1, 9):
+            rebuilt = [
+                prefix + tuple(rest[col[t]] for col in columns)
+                for prefix, rest, columns in termdist._walk_blocks(n)
+                for t in range(len(columns[0]))
+            ]
+            assert rebuilt == list(itertools.permutations(range(n))), n
+
     def test_memory_does_not_grow_with_the_walk(self):
-        # 10! permutations of 10 bytes are 34.6 MiB; the chunks stay near 0.3 MiB.
+        # 10! permutations of 10 bytes are 34.6 MiB; the S_7 columns stay
+        # under 1 MiB.
         tracemalloc.start()
         try:
             e_tables_bruteforce(10)
@@ -323,13 +335,20 @@ class TestSharedWalk:
         assert all(r.passed for r in results), [r for r in results if not r.passed]
         assert sorted(walked.sizes) == [1, 2, 3, 4, 5, 6]
 
-    @pytest.mark.parametrize("chunk", [5, termdist.WALK_CHUNK])
-    def test_each_permutation_consumed_once(self, walked, monkeypatch, chunk):
-        monkeypatch.setattr(termdist, "WALK_CHUNK", chunk)
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, termdist.WALK_BLOCK])
+    def test_each_permutation_consumed_once(self, walked, monkeypatch, block):
+        # Past the block, S_n is S_m (m = block) once and then every prefix
+        # of n - m values once: m! * n!/m! = n! permutations.
+        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        sizes, yielded = [], []
         for n in range(1, 7):
             e_tables_bruteforce(n)
-        assert walked.sizes == [1, 2, 3, 4, 5, 6]
-        assert walked.yielded == [math.factorial(n) for n in range(1, 7)]
+            m = min(n, block)
+            sizes += [n] if n == m else [m, n]
+            yielded += [math.factorial(n)] if n == m else [
+                math.factorial(m), math.factorial(n) // math.factorial(m)]
+        assert walked.sizes == sizes
+        assert walked.yielded == yielded
 
     def test_offline_checks_guard_fires_before_any_walk(self, walked):
         with pytest.raises(GuardError, match="factorial-time enumeration 11"):
