@@ -17,9 +17,10 @@ import importlib
 
 # The submodule that defines each public name.
 _SOURCES = {
+    "families": ("Family",),
     "guards": ("GuardError",),
     "matrices": (
-        "MAX_DIMENSION", "NAIVE_MAX_N", "RYSER_MAX_N", "BinaryMatrix", "Family",
+        "MAX_DIMENSION", "NAIVE_MAX_N", "RYSER_MAX_N", "BinaryMatrix",
         "build_family_matrix", "permanent_naive", "permanent_ryser",
         "variable_positions",
     ),
@@ -33,10 +34,12 @@ _SOURCES = {
         "oeis_lookup",
     ),
     "termdist": (
-        "BRUTEFORCE_MAX_N", "CycleType", "TermDistribution", "cycle_types",
-        "derangement", "e_table", "e_tables_bruteforce",
-        "partitions", "v_closed_form", "v_via_w", "w_closed_form",
-        "w_recurrence_table", "w_via_cycles",
+        "TermDistribution", "derangement", "e_table", "v_closed_form",
+        "w_closed_form",
+    ),
+    "termoracles": (
+        "BRUTEFORCE_MAX_N", "CycleType", "cycle_types", "e_tables_bruteforce",
+        "partitions", "v_via_w", "w_recurrence_table", "w_via_cycles",
     ),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}

@@ -9,10 +9,11 @@ keys that some subcommands ignore.  The parsed ``argparse.Namespace`` is the
 one options object: ``_resolve`` fills in and checks each option the
 subcommand reads, and the handler takes the namespace alone.
 
-At top level this module imports only ``guards`` and ``matrices``.  Each
+At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
 validation and sequence modules it needs itself, so a command loads only
-what it runs.
+what it runs: the oracle modules ``matrices`` and ``termoracles`` load only
+under ``validate``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from typing import Callable
 
 from .guards import GuardError, Record
-from .matrices import Family
+from .families import Family
 
 # Longest permprob.conf, in characters, that is read.
 MAX_CONFIG_CHARS = 64 * 1024
@@ -177,11 +178,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .termdist import BYTE_KEY_MAX_N
+    from .termoracles import WALK_MAX_N
     from .validation import run_offline_checks, verify_artifact
 
-    if args.n > BYTE_KEY_MAX_N:  # --force cannot lift this one
-        raise UsageError(f"n must be <= {BYTE_KEY_MAX_N} for the symmetric-group "
+    if args.n > WALK_MAX_N:  # --force cannot lift this one
+        raise UsageError(f"n must be <= {WALK_MAX_N} for the symmetric-group "
                          f"walk, got {args.n}")
     results = run_offline_checks(bruteforce_n=args.n, force=args.force)
     for path in args.paths:

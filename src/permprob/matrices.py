@@ -1,59 +1,29 @@
-"""Bit-packed 0/1 matrices, the three random-matrix families, and two permanent kernels.
+"""Bit-packed 0/1 matrices and two permanent kernels, the oracle routes.
 
-A matrix belongs to one of three families that differ only in which entries
-are pinned to 1 ("fixed") and which are drawn at random ("variable"):
-
-* family A: every entry is variable;
-* family B: the diagonal is pinned to 1 except the entry at (0, 0), which is
-  variable along with every off-diagonal entry;
-* family C: the whole diagonal is pinned to 1, only off-diagonal entries are
-  variable.
+``build_family_matrix`` sets a family's fixed entries to 1 and its variable
+entries from an assignment.  ``Family`` lives in ``families``; this module
+imports it, so ``matrices.Family`` is the same object.
 
 The permanent is computed by two independent algorithms so each can serve as
 an oracle for the other: a factorial-time sum over all permutations, and an
-inclusion-exclusion scheme over column subsets with Gray-code updates.
+inclusion-exclusion scheme over column subsets with Gray-code updates.  Only
+``validate``, the ``direct`` method of ``exact_counts`` and the tests load
+this module; no other command imports it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
+from .families import Family
 from .guards import Record, check_guard
 
 NAIVE_MAX_N = 10
 RYSER_MAX_N = 30
 MAX_DIMENSION = 64
-
-
-class Family(Enum):
-    """The three families of random 0/1 matrices."""
-
-    A = "A"
-    B = "B"
-    C = "C"
-
-    @property
-    def target_permanent(self) -> int:
-        """Permanent value whose probability this family is studied at."""
-        return 1 if self is Family.C else 0
-
-    def is_variable(self, i: int, j: int) -> bool:
-        """True when entry (i, j) is drawn at random rather than pinned to 1."""
-        if i != j:
-            return True
-        return self is Family.A or (self is Family.B and i == 0)
-
-    def variable_count(self, n: int) -> int:
-        """Number K of variable entries of an n x n matrix of this family."""
-        if self is Family.A:
-            return n * n
-        if self is Family.B:
-            return n * n - n + 1
-        return n * n - n
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .guards import Record, check_guard
-from .matrices import Family
+from .families import Family
 from .termdist import e_table
 
 if TYPE_CHECKING:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import operator
 
+from .families import Family
 from .guards import Record, check_guard
-from .matrices import Family, build_family_matrix, permanent_ryser
 from .termdist import TermDistribution, e_table
 
 EXACT_MAX_VARIABLES = 26
@@ -256,6 +256,8 @@ def _counts_transfer(family: Family, n: int) -> list[int]:
 
 def _exact_counts_direct(family: Family, n: int) -> list[int]:
     """Oracle: build every assignment's matrix and call the permanent kernel."""
+    from .matrices import build_family_matrix, permanent_ryser
+
     k_total = family.variable_count(n)
     target = family.target_permanent
     counts = [0] * (k_total + 1)
@@ -321,17 +323,29 @@ def p_eval(counts: ExactCounts, r: float) -> float:
     """Exact probability that the permanent equals the family target.
 
     Kept in the Bernstein-style basis r**i * (1-r)**(K-i) to avoid the
-    cancellation a monomial expansion would suffer; summed with fsum.
+    cancellation a monomial expansion would suffer; summed with fsum.  When
+    a count exceeds the float range, P is instead evaluated exactly at the
+    float r = a / 2**e, as the integer sum_i N_i * a**i * (2**e - a)**(K-i)
+    over 2**(e*K), and rounded once.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
     k_total = counts.variable_count
     s = 1.0 - r
-    total = math.fsum(
-        float(c) * r**i * s ** (k_total - i)
-        for i, c in enumerate(counts.counts)
-        if c
-    )
+    try:
+        total = math.fsum(
+            float(c) * r**i * s ** (k_total - i)
+            for i, c in enumerate(counts.counts)
+            if c
+        )
+    except OverflowError:  # a count past 2**1024
+        a, d = r.as_integer_ratio()
+        numerator = 0
+        a_power = 1  # a**i
+        for c in counts.counts:
+            numerator = numerator * (d - a) + c * a_power
+            a_power *= a
+        return numerator / d**k_total  # int / int rounds correctly
     return min(1.0, max(0.0, total))
 
 

@@ -1,0 +1,247 @@
+"""Independent routes that check the closed-form term counts of ``termdist``.
+
+Each route counts, for every m, the permanent-expansion terms with exactly m
+variable entries another way than the closed form of the same family:
+
+* a family-C table driven purely by recurrences,
+* a sum over the cycle types of the symmetric group,
+* family B's counts from family C's, by deleting the row and column of the
+  lone variable diagonal entry,
+* brute-force enumeration of all n! permutations, one walk per n shared by
+  the three families (a permutation's fixed points and whether it fixes 0
+  decide its variable-entry count in every family).  The walk takes S_n as
+  blocks, one prefix followed by one S_7 column table relabelled onto the
+  values the prefix leaves, and counts a block's fixed points with
+  whole-buffer ``bytes`` and ``int`` operations, so it builds no tuple per
+  permutation.
+
+These are oracles: only ``validate`` and the tests load this module, so no
+other command compiles it.  All arithmetic is exact (Python integers).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterator
+
+from .families import Family
+from .guards import Record, check_guard
+from .termdist import TermDistribution, _check_index, derangement
+
+BRUTEFORCE_MAX_N = 10
+
+# Trailing positions of each S_n that the walk counts as one block: it
+# enumerates S_7 once, as 7 columns of 5040 bytes, and relabels it per prefix.
+WALK_BLOCK = 7
+
+# Largest n the walk accepts, even when forced: a plain input bound, far past
+# any walk that could finish, so an absurd n is refused before the guard.
+# The CLI refuses a larger ``validate --n`` as a usage error.
+WALK_MAX_N = 127
+
+
+def w_recurrence_table(n_max: int) -> list[list[int]]:
+    """Family-C triangle rows [W_n(0..n)] for n = 0..n_max, built from recurrences only.
+
+    Seeds: the n=1 diagonal value is 0 and every m=0 column entry is 1.  The
+    diagonal then advances by the step W_n(n) = n*W_{n-1}(n-1) + (-1)^n and
+    each interior entry scales the smaller diagonal value by a binomial
+    factor, W_n(m) = C(n, m) * W_m(m).  Row 0 is a filler for alignment.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    rows = [[1], [1, 0]]
+    for n in range(2, n_max + 1):
+        row = [1]
+        for m in range(1, n):
+            row.append(math.comb(n, m) * rows[m][m])
+        row.append(n * rows[n - 1][n - 1] + (1 if n % 2 == 0 else -1))
+        rows.append(row)
+    return rows
+
+
+def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Integer partitions of n as descending tuples, largest first part first.
+
+    The order is deterministic: (n,), (n-1, 1), ..., (1,)*n.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+class CycleType(Record):
+    """Cycle-length multiset of a permutation, stored as a descending tuple."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        self.parts = parts
+        if not self.parts:
+            raise ValueError("a cycle type needs at least one part")
+        if any(p < 1 for p in self.parts):
+            raise ValueError("cycle lengths must be >= 1")
+        if list(self.parts) != sorted(self.parts, reverse=True):
+            raise ValueError("parts must be in descending order")
+
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def fixed_points(self) -> int:
+        return sum(1 for p in self.parts if p == 1)
+
+    def multiplicities(self) -> dict[int, int]:
+        mult: dict[int, int] = {}
+        for p in self.parts:
+            mult[p] = mult.get(p, 0) + 1
+        return mult
+
+    def permutation_count(self) -> int:
+        """Number of permutations with this cycle type (conjugacy-class size)."""
+        denom = 1
+        for length, mult in self.multiplicities().items():
+            denom *= length**mult * math.factorial(mult)
+        return math.factorial(self.n) // denom
+
+
+def cycle_types(n: int) -> Iterator[CycleType]:
+    """All cycle types of permutations of n elements, in stable partition order."""
+    for parts in partitions(n):
+        yield CycleType(parts)
+
+
+def _w_row_via_cycles(n: int) -> list[int]:
+    """Family-C row [W_n(0..n)] from one pass over the cycle types of S_n.
+
+    A term has m variable entries exactly when its permutation moves m points,
+    i.e. has n - m fixed points, so each class size adds to row[n - fp].
+    """
+    row = [0] * (n + 1)
+    for ct in cycle_types(n):
+        row[n - ct.fixed_points] += ct.permutation_count()
+    return row
+
+
+def w_via_cycles(n: int, m: int) -> int:
+    """Family-C count via cycle structure: the class sizes of the cycle
+    types with n - m fixed points add up."""
+    _check_index(n, m)
+    return _w_row_via_cycles(n)[m]
+
+
+def _w_or_zero(n: int, m: int) -> int:
+    if n < 0 or m < 0 or m > n:
+        return 0
+    return math.comb(n, m) * derangement(m)
+
+
+def v_via_w(n: int, m: int) -> int:
+    """Family-B count from family-C counts.
+
+    Deleting the row and column through the lone variable diagonal entry
+    leaves a family-C matrix one size smaller, which gives
+    V_n(m) = W_n(m) - W_{n-1}(m) + W_{n-1}(m-1), with out-of-range terms 0.
+    """
+    _check_index(n, m)
+    if m < 1:
+        raise IndexError(f"m must be >= 1, got {m}")
+    return _w_or_zero(n, m) - _w_or_zero(n - 1, m) + _w_or_zero(n - 1, m - 1)
+
+
+def _walk_blocks(
+    n: int,
+) -> Iterator[tuple[tuple[int, ...], list[int], list[bytes]]]:
+    """All of S_n, in the order of ``itertools.permutations(range(n))``, as blocks.
+
+    With m = min(n, ``WALK_BLOCK``), each block is one prefix, a permutation
+    of n - m values from ``itertools.permutations(range(n), n - m)``, followed
+    by every permutation of the m values it leaves.  Yields (prefix, rest,
+    columns): ``rest`` lists those m values in ascending order, and
+    ``columns[j][t]`` is tau(j) for the t-th permutation tau of S_m, one
+    byte each, so the t-th permutation of the block is
+    ``prefix + tuple(rest[col[t]] for col in columns)``.  The column table
+    is built once per call and shared by every block.  When n <= m there is
+    no prefix and no prefix enumeration.
+    """
+    m = min(n, WALK_BLOCK)
+    columns = [bytes(col) for col in zip(*itertools.permutations(range(m)))]
+    prefixes = itertools.permutations(range(n), n - m) if n > m else [()]
+    for prefix in prefixes:
+        yield prefix, sorted(set(range(n)).difference(prefix)), columns
+
+
+def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistribution]:
+    """Term-count distributions of every family from one walk of all n! permutations.
+
+    Position (sigma(j), j) lies on the diagonal exactly when sigma fixes j,
+    so a term's variable-entry count follows from its fixed-point count fp
+    and from whether sigma fixes 0: all n positions for family A, n - fp for
+    family C, and for family B one more than that when sigma fixes 0 (the
+    variable diagonal entry counts as variable).  The walk keeps the joint
+    histogram of those two quantities and derives all three rows from it.
+
+    The walk visits S_n in blocks, each one prefix followed by S_m
+    (m = min(n, ``WALK_BLOCK``)) relabelled onto the values it leaves.
+    A prefix's fixed points are the same for its whole block, and one
+    ``bytes.translate`` of an S_m column flags where the block fixes that
+    column's position, so the block's m! permutations are counted with
+    ``bytes`` and ``int`` operations and no tuple per permutation.  Memory
+    is bounded by the column table of S_7, under 1 MiB whatever n is.  n
+    above ``WALK_MAX_N`` raises ``ValueError`` even when forced, before the
+    guard and before any walk.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if n > WALK_MAX_N:
+        raise ValueError(f"dimension must be <= {WALK_MAX_N}, got {n}")
+    check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration", force)
+    # keyed[2 * fp + fixes_0] counts the permutations with fp fixed points
+    # that fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
+    keyed = [0] * (2 * n + 2)
+    m = min(n, WALK_BLOCK)
+    offset = n - m  # a block's S_m part fills positions offset..n-1
+    # Keys 2 * fp + fixes_0 one block can hold: only a block without a prefix
+    # holds position 0, so only then can it fix 0.
+    block_keys = range(0, 2 * m + 2, 2 if offset else 1)
+    # bytes.translate tables: select[i] maps byte i to 1 and any other to 0.
+    select = [bytes(i) + b"\x01" + bytes(255 - i) for i in range(m)]
+    for prefix, rest, columns in _walk_blocks(n):
+        # The prefix's part of the key, the same for its whole block.
+        base = 2 * sum(v == j for j, v in enumerate(prefix)) + (prefix[:1] == (0,))
+        # Position p = offset + j holds rest[columns[j][t]], so it is fixed
+        # where column j holds the index i of p in rest.  A value p < offset
+        # belongs to a prefix position, so the block never fixes it.
+        flags = [
+            int.from_bytes(columns[p - offset].translate(select[i]), "little")
+            for i, p in enumerate(rest)
+            if p >= offset
+        ]
+        # Each byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
+        keys = 2 * sum(flags) + (0 if offset else flags[0])
+        block = keys.to_bytes(len(columns[0]), "little")
+        for key in block_keys:
+            keyed[base + key] += block.count(key)
+    # joint[fp][fixes_0] counts the permutations with fp fixed points.
+    joint = [keyed[k:k + 2] for k in range(0, 2 * n + 2, 2)]
+    b = [0] * (n + 1)
+    c = [0] * (n + 1)
+    for fp, (moving_0, fixing_0) in enumerate(joint):
+        c[n - fp] = moving_0 + fixing_0
+        b[n - fp] += moving_0
+        if fp:  # a permutation that fixes 0 has at least one fixed point
+            b[n - fp + 1] += fixing_0
+    return {
+        Family.A: TermDistribution(Family.A, n, (0,) * n + (sum(c),)),
+        Family.B: TermDistribution(Family.B, n, tuple(b)),
+        Family.C: TermDistribution(Family.C, n, tuple(c)),
+    }

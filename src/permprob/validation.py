@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import math
 
+from .families import Family
 from .guards import GuardError, Record, check_guard
-from .matrices import BinaryMatrix, Family, permanent_ryser
+from .matrices import BinaryMatrix, permanent_ryser
 from .output import CsvDoc, regenerate
 from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_eval
 from .sequences import builtin_checks
-from .termdist import (
+from .termdist import e_table, v_closed_form, w_closed_form
+from .termoracles import (
     _w_row_via_cycles,
-    e_table,
     e_tables_bruteforce,
-    v_closed_form,
     v_via_w,
-    w_closed_form,
     w_recurrence_table,
 )
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import permprob
-from permprob import MAX_GRID, Family, cli, probability, termdist, validation
+from permprob import MAX_GRID, Family, cli, probability, termoracles, validation
 from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
 
@@ -235,11 +235,11 @@ class TestValidate:
         assert code == 1
         assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
 
-    def test_n_past_byte_wide_walk_is_usage_error(self, capsys, monkeypatch):
+    def test_n_past_walk_ceiling_is_usage_error(self, capsys, monkeypatch):
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(termdist, "itertools", SimpleNamespace(permutations=no_walk))
+        monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
         assert run(capsys, "validate", "--n", "128", "--force") == (
             2, "", "error: n must be <= 127 for the symmetric-group walk, got 128\n")
         code, _, err = run(capsys, "validate", "--n", "127")
@@ -588,6 +588,45 @@ class TestImportDiet:
         proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
+
+    def test_only_validate_loads_the_oracle_modules(self):
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            for argv in (
+                ["exact", "--family", "A", "--n", "3"],
+                ["compare", "--n", "3", "--format", "csv"],
+                ["compare", "--n", "3", "--format", "svg"],
+                ["dist", "--family", "B", "--n", "5"],
+                ["seq"],
+                ["validate", "--n", "3"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                print(argv[0], sorted(m for m in ("permprob.matrices",
+                                                  "permprob.termoracles")
+                                      if m in sys.modules))
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "exact []", "compare []", "compare []", "dist []", "seq []",
+            "validate ['permprob.matrices', 'permprob.termoracles']",
+        ]
+
+    def test_direct_method_imports_its_kernels(self):
+        proc = run_fresh(textwrap.dedent("""
+            import permprob
+            print(permprob.exact_counts(permprob.Family.A, 2, method="direct").counts)
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["(1, 4, 4, 0, 0)"]
+
+    def test_family_is_one_object(self):
+        from permprob import families, matrices
+
+        assert permprob.Family is matrices.Family is families.Family
 
     def test_sequence_checks_read_no_package_data(self):
         # -S skips site, which may import importlib.resources on its own

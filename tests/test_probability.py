@@ -260,6 +260,19 @@ class TestPEval:
         for i in range(101):
             assert 0.0 <= p_eval(counts, i / 100) <= 1.0
 
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
+    def test_counts_past_the_float_range(self, r):
+        # comb(1225, 612) exceeds 2**1024; binomial counts make P = (r + 1-r)**K.
+        counts = ExactCounts(Family.A, 35, tuple(math.comb(1225, i) for i in range(1226)))
+        assert p_eval(counts, r) == 1.0
+        # Only the even binomials: P = (1 + (1-2r)**K) / 2, rounded once from
+        # its exact value at the float r = a/d.
+        even = ExactCounts(Family.A, 35, tuple(
+            0 if i % 2 else math.comb(1225, i) for i in range(1226)))
+        a, d = r.as_integer_ratio()
+        exact = Fraction(d**1225 + (d - 2 * a) ** 1225, 2 * d**1225)
+        assert p_eval(even, r) == float(exact)
+
 
 class TestCompareGrid:
     @pytest.mark.parametrize("family", list(Family))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import termdist, validation
+from permprob import termdist, termoracles, validation
 from permprob import (
     CycleType,
     Family,
@@ -252,7 +252,7 @@ class TestSharedWalk:
             e_tables_bruteforce(11)
 
     def test_force_lifts_guard(self, monkeypatch):
-        monkeypatch.setattr(termdist, "BRUTEFORCE_MAX_N", 3)
+        monkeypatch.setattr(termoracles, "BRUTEFORCE_MAX_N", 3)
         with pytest.raises(GuardError):
             e_tables_bruteforce(4)
         walked = e_tables_bruteforce(4, force=True)
@@ -263,22 +263,22 @@ class TestSharedWalk:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             e_tables_bruteforce(0)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, termdist.WALK_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, termoracles.WALK_BLOCK])
     def test_chunk_boundaries(self, monkeypatch, block):
         # A whole S_n for n <= 7 fits in one default block, so shrink it.
-        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
         for n in range(1, 9):
             walked = e_tables_bruteforce(n)
             for family in Family:
                 assert walked[family] == e_table(family, n), (family, n)
 
-    @pytest.mark.parametrize("block", [1, 3, termdist.WALK_BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, termoracles.WALK_BLOCK])
     def test_blocks_rebuild_every_permutation_in_order(self, monkeypatch, block):
-        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
         for n in range(1, 9):
             rebuilt = [
                 prefix + tuple(rest[col[t]] for col in columns)
-                for prefix, rest, columns in termdist._walk_blocks(n)
+                for prefix, rest, columns in termoracles._walk_blocks(n)
                 for t in range(len(columns[0]))
             ]
             assert rebuilt == list(itertools.permutations(range(n))), n
@@ -294,19 +294,19 @@ class TestSharedWalk:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_byte_wide_keys_refuse_n128_even_forced(self, monkeypatch):
+    def test_walk_refuses_n128_even_forced(self, monkeypatch):
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(termdist, "itertools", SimpleNamespace(permutations=no_walk))
-        with pytest.raises(ValueError, match="<= 127 for byte-wide"):
+        monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
+        with pytest.raises(ValueError, match=r"dimension must be <= 127, got 128$"):
             e_tables_bruteforce(128, force=True)
         with pytest.raises(GuardError, match="factorial-time enumeration 127"):
             e_tables_bruteforce(127)
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """Sizes of the symmetric groups that termdist enumerates, and how
+        """Sizes of the symmetric groups that termoracles enumerates, and how
         many permutations each enumeration yielded."""
         walks = SimpleNamespace(sizes=[], yielded=[])
 
@@ -323,10 +323,10 @@ class TestSharedWalk:
 
             return count()
 
-        # Only termdist's reference to itertools is swapped, so the n=3
+        # Only termoracles' reference to itertools is swapped, so the n=3
         # enumeration oracles in probability and matrices are not counted.
         monkeypatch.setattr(
-            termdist, "itertools", SimpleNamespace(permutations=counting_permutations)
+            termoracles, "itertools", SimpleNamespace(permutations=counting_permutations)
         )
         return walks
 
@@ -335,11 +335,11 @@ class TestSharedWalk:
         assert all(r.passed for r in results), [r for r in results if not r.passed]
         assert sorted(walked.sizes) == [1, 2, 3, 4, 5, 6]
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, termdist.WALK_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, termoracles.WALK_BLOCK])
     def test_each_permutation_consumed_once(self, walked, monkeypatch, block):
         # Past the block, S_n is S_m (m = block) once and then every prefix
         # of n - m values once: m! * n!/m! = n! permutations.
-        monkeypatch.setattr(termdist, "WALK_BLOCK", block)
+        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
         sizes, yielded = [], []
         for n in range(1, 7):
             e_tables_bruteforce(n)
