@@ -25,9 +25,8 @@ _SOURCES = {
         "variable_positions",
     ),
     "probability": (
-        "EXACT_MAX_VARIABLES", "EXPAND_MAX_N", "MAX_GRID", "ExactCounts",
-        "bernstein_string", "compare_grid", "evaluate_polynomial", "exact_counts",
-        "p_eval", "q_eval", "q_expand",
+        "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",
+        "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
     "sequences": (
         "LookupResult", "OEISFormatError", "SequenceCheck", "builtin_checks",
@@ -38,8 +37,8 @@ _SOURCES = {
         "w_closed_form",
     ),
     "termoracles": (
-        "BRUTEFORCE_MAX_N", "CycleType", "cycle_types", "e_tables_bruteforce",
-        "partitions", "v_via_w", "w_recurrence_table", "w_via_cycles",
+        "BRUTEFORCE_MAX_N", "e_tables_bruteforce", "partitions", "v_via_w",
+        "w_recurrence_table", "w_row_via_cycles",
     ),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}

@@ -28,7 +28,6 @@ from .termdist import TermDistribution, e_table
 EXACT_MAX_VARIABLES = 26
 MAX_GRID = 10_001
 DEFAULT_GRID = 101
-EXPAND_MAX_N = 12
 
 
 def q_eval(dist: TermDistribution, r: float) -> float:
@@ -62,39 +61,6 @@ def q_eval(dist: TermDistribution, r: float) -> float:
         except OverflowError:  # e exceeds the float range and term < 0
             return 0.0
     return math.exp(log_q)
-
-
-def q_expand(dist: TermDistribution, force: bool = False) -> list[int]:
-    """Exact integer coefficients of the expanded product, constant term first.
-
-    The coefficient count is 1 + sum of m times the term count at m, so the
-    expansion is only practical for small n; the guard reflects that.
-    """
-    check_guard(dist.n, EXPAND_MAX_N, "dimension for product expansion", force)
-    poly = [1]
-    for m in range(1, dist.n + 1):
-        e = dist.counts[m]
-        if e == 0:
-            continue
-        new = [0] * (len(poly) + m * e)
-        for k in range(e + 1):
-            c = math.comb(e, k)
-            if k % 2:
-                c = -c
-            off = m * k
-            for idx, pc in enumerate(poly):
-                if pc:
-                    new[off + idx] += c * pc
-        poly = new
-    return poly
-
-
-def evaluate_polynomial(coeffs, x):
-    """Horner evaluation; works for float, Fraction, or int arguments."""
-    acc = 0 * x
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class ExactCounts(Record):
@@ -378,7 +344,7 @@ def bernstein_string(counts: ExactCounts) -> str:
         if c == 0:
             continue
         factors = []
-        if c != 1 or i == k_total == 0:
+        if c != 1:
             factors.append(str(c))
         if i == 1:
             factors.append("r")
@@ -389,7 +355,5 @@ def bernstein_string(counts: ExactCounts) -> str:
             factors.append("(1-r)")
         elif rest > 1:
             factors.append(f"(1-r)^{rest}")
-        if not factors:
-            factors.append("1")
-        parts.append("".join(factors))
+        parts.append("".join(factors) or "1")
     return "+".join(parts) if parts else "0"

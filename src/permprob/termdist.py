@@ -60,10 +60,9 @@ def v_closed_form(n: int, m: int) -> int:
     so the value is (n-1)! * derangement(m+1) / ((n-m)! * m!), an exact
     integer division.  The m=0 column is 0 by convention.
     """
-    if m == 0:
-        _check_index(n, m)
-        return 0
     _check_index(n, m)
+    if m == 0:
+        return 0
     num = math.factorial(n - 1) * derangement(m + 1)
     den = math.factorial(n - m) * math.factorial(m)
     q, rem = divmod(num, den)

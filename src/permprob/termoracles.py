@@ -3,17 +3,18 @@
 Each route counts, for every m, the permanent-expansion terms with exactly m
 variable entries another way than the closed form of the same family:
 
-* a family-C table driven purely by recurrences,
-* a sum over the cycle types of the symmetric group,
-* family B's counts from family C's, by deleting the row and column of the
-  lone variable diagonal entry,
-* brute-force enumeration of all n! permutations, one walk per n shared by
-  the three families (a permutation's fixed points and whether it fixes 0
-  decide its variable-entry count in every family).  The walk takes S_n as
-  blocks, one prefix followed by one S_7 column table relabelled onto the
-  values the prefix leaves, and counts a block's fixed points with
-  whole-buffer ``bytes`` and ``int`` operations, so it builds no tuple per
-  permutation.
+* ``w_recurrence_table``: a family-C table driven purely by recurrences,
+* ``w_row_via_cycles``: a family-C row summed over the cycle types of S_n,
+  that is over the integer partitions of n, one class size per partition,
+* ``v_via_w``: family B's counts from family C's, by deleting the row and
+  column of the lone variable diagonal entry,
+* ``e_tables_bruteforce``: enumeration of all n! permutations, one walk per
+  n shared by the three families (a permutation's fixed points and whether
+  it fixes 0 decide its variable-entry count in every family).  The walk
+  takes S_n as blocks, one prefix followed by one S_7 column table
+  relabelled onto the values the prefix leaves, and counts a block's fixed
+  points with whole-buffer ``bytes`` and ``int`` operations, so it builds no
+  tuple per permutation.
 
 These are oracles: only ``validate`` and the tests load this module, so no
 other command compiles it.  All arithmetic is exact (Python integers).
@@ -26,7 +27,7 @@ import math
 from typing import Iterator
 
 from .families import Family
-from .guards import Record, check_guard
+from .guards import check_guard
 from .termdist import TermDistribution, _check_index, derangement
 
 BRUTEFORCE_MAX_N = 10
@@ -78,65 +79,22 @@ def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class CycleType(Record):
-    """Cycle-length multiset of a permutation, stored as a descending tuple."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        self.parts = parts
-        if not self.parts:
-            raise ValueError("a cycle type needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError("cycle lengths must be >= 1")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError("parts must be in descending order")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def fixed_points(self) -> int:
-        return sum(1 for p in self.parts if p == 1)
-
-    def multiplicities(self) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for p in self.parts:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
-    def permutation_count(self) -> int:
-        """Number of permutations with this cycle type (conjugacy-class size)."""
-        denom = 1
-        for length, mult in self.multiplicities().items():
-            denom *= length**mult * math.factorial(mult)
-        return math.factorial(self.n) // denom
-
-
-def cycle_types(n: int) -> Iterator[CycleType]:
-    """All cycle types of permutations of n elements, in stable partition order."""
-    for parts in partitions(n):
-        yield CycleType(parts)
-
-
-def _w_row_via_cycles(n: int) -> list[int]:
+def w_row_via_cycles(n: int) -> list[int]:
     """Family-C row [W_n(0..n)] from one pass over the cycle types of S_n.
 
     A term has m variable entries exactly when its permutation moves m points,
-    i.e. has n - m fixed points, so each class size adds to row[n - fp].
+    i.e. has n - m fixed points.  A cycle type with k_l cycles of length l
+    holds n! / prod_l (l**k_l * k_l!) permutations, and each such class size
+    adds to row[n - k_1].
     """
     row = [0] * (n + 1)
-    for ct in cycle_types(n):
-        row[n - ct.fixed_points] += ct.permutation_count()
+    for parts in partitions(n):
+        denom = 1
+        for length in set(parts):
+            k = parts.count(length)
+            denom *= length**k * math.factorial(k)
+        row[n - parts.count(1)] += math.factorial(n) // denom
     return row
-
-
-def w_via_cycles(n: int, m: int) -> int:
-    """Family-C count via cycle structure: the class sizes of the cycle
-    types with n - m fixed points add up."""
-    _check_index(n, m)
-    return _w_row_via_cycles(n)[m]
 
 
 def _w_or_zero(n: int, m: int) -> int:

@@ -18,10 +18,10 @@ from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_ev
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
 from .termoracles import (
-    _w_row_via_cycles,
     e_tables_bruteforce,
     v_via_w,
     w_recurrence_table,
+    w_row_via_cycles,
 )
 
 # Vendored reference triangles for the two non-trivial families (rows n=1..).
@@ -105,7 +105,7 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
     bad = [
         (n, m)
         for n in range(1, TABLE_N + 1)
-        for m, by_cycles in enumerate(_w_row_via_cycles(n))
+        for m, by_cycles in enumerate(w_row_via_cycles(n))
         if not w_closed_form(n, m) == table[n][m] == by_cycles
     ]
     add(

@@ -20,7 +20,7 @@ from permprob import (
     v_via_w,
     w_closed_form,
     w_recurrence_table,
-    w_via_cycles,
+    w_row_via_cycles,
 )
 from permprob.probability import exact_methods
 
@@ -51,9 +51,10 @@ def test_criterion_2_four_route_agreement():
         walked = e_tables_bruteforce(n)
         brute_w = walked[Family.C].counts
         brute_v = walked[Family.B].counts
+        by_cycles = w_row_via_cycles(n)
         for m in range(n + 1):
             w = w_closed_form(n, m)
-            ok = ok and w == table[n][m] == w_via_cycles(n, m) == brute_w[m]
+            ok = ok and w == table[n][m] == by_cycles[m] == brute_w[m]
         for m in range(1, n + 1):
             ok = ok and v_closed_form(n, m) == v_via_w(n, m) == brute_v[m]
         ok = ok and brute_v[0] == 0

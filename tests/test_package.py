@@ -1,12 +1,14 @@
+import ast
 import importlib
+import pathlib
 import textwrap
+from collections import Counter
 
 import pytest
 
 import permprob
 from permprob import (
     BinaryMatrix,
-    CycleType,
     ExactCounts,
     Family,
     LookupResult,
@@ -67,7 +69,6 @@ def _frozen_records():
     return [
         BinaryMatrix.identity(2),
         ExactCounts(Family.C, 2, (1, 2, 0)),
-        CycleType((2, 1)),
         e_table(Family.B, 3),
         Series("Q (A)", ((0.0, 1.0),), "#000000"),
         builtin_checks()[0],
@@ -117,7 +118,41 @@ class TestRecords:
 
     def test_repr_names_fields(self):
         assert repr(BinaryMatrix.identity(2)) == "BinaryMatrix(n=2, rows=(1, 2))"
-        assert repr(CycleType((2, 1))) == "CycleType(parts=(2, 1))"
         assert repr(LookupResult("ok", ())) == "LookupResult(status='ok', ids=(), note='')"
         assert repr(CheckResult("x", False)) == "CheckResult(name='x', passed=False, detail='')"
         assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
+
+
+# Public names that only the tests call: the naive permanent is the oracle
+# that checks ``permanent_ryser``.
+_TEST_ONLY = {"permanent_naive"}
+
+
+def _referenced(node):
+    """Names and attributes that ``node`` and its subtree read."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+class TestDeadSurface:
+    def test_every_definition_is_used_in_the_package(self):
+        """Each module-level function or class is referenced in ``src/``
+        outside its own body; ``__init__._SOURCES`` lists names as strings,
+        which count for nothing."""
+        defs, uses = [], Counter()
+        for path in pathlib.Path(permprob.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            uses += _referenced(tree)
+            defs += [
+                (node.name, _referenced(node)[node.name])
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            ]
+        dead = sorted(
+            name for name, own in defs
+            if uses[name] == own and not name.startswith("__")
+        )
+        assert dead == sorted(_TEST_ONLY)

@@ -12,12 +12,10 @@ from permprob import (
     build_family_matrix,
     compare_grid,
     e_table,
-    evaluate_polynomial,
     exact_counts,
     p_eval,
     permanent_naive,
     q_eval,
-    q_expand,
 )
 from permprob.probability import EXACT_METHODS, exact_methods
 
@@ -94,45 +92,19 @@ class TestQEval:
         assert q_eval(dist, 0.008) < 1.0
 
 
-class TestQExpand:
-    def test_small_expansions(self):
-        assert q_expand(e_table(Family.C, 2)) == [1, 0, -1]
-        assert q_expand(e_table(Family.A, 2)) == [1, 0, -2, 0, 1]
-        assert q_expand(e_table(Family.B, 1)) == [1, -1]
-
+class TestQEvalExactProduct:
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_constant_term_and_degree(self, family, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_fraction_product_on_grid(self, family, n):
+        # Q(r) = prod_m (1 - r**m)**E_m, evaluated exactly at r = i/100
         dist = e_table(family, n)
-        coeffs = q_expand(dist)
-        assert coeffs[0] == 1
-        degree = sum(m * c for m, c in enumerate(dist.counts))
-        assert len(coeffs) - 1 == degree
-
-    @pytest.mark.parametrize("family", list(Family))
-    def test_expansion_agrees_with_product_on_grid(self, family):
-        dist = e_table(family, 3)
-        coeffs = q_expand(dist)
         for i in range(101):
             r = Fraction(i, 100)
-            exact_value = float(evaluate_polynomial(coeffs, r))
-            assert abs(exact_value - q_eval(dist, i / 100)) < 1e-12
-
-    @pytest.mark.parametrize("family", list(Family))
-    def test_expansion_is_the_product_polynomial(self, family):
-        # identity check at an exact rational point, no floats involved
-        dist = e_table(family, 4)
-        coeffs = q_expand(dist)
-        r = Fraction(3, 7)
-        product = Fraction(1)
-        for m, e in enumerate(dist.counts):
-            if m >= 1 and e:
-                product *= (1 - r**m) ** e
-        assert evaluate_polynomial(coeffs, r) == product
-
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            q_expand(e_table(Family.C, 13))
+            product = Fraction(1)
+            for m, e in enumerate(dist.counts):
+                if m >= 1 and e:
+                    product *= (1 - r**m) ** e
+            assert abs(q_eval(dist, i / 100) - float(product)) < 1e-12
 
 
 class TestExactCounts:
@@ -330,3 +302,10 @@ class TestBernsteinString:
 
     def test_b1_rendering(self):
         assert bernstein_string(exact_counts(Family.B, 1)) == "(1-r)"
+
+    def test_no_variable_entries_renders_one(self):
+        assert bernstein_string(exact_counts(Family.C, 1)) == "1"
+
+    def test_all_zero_counts_render_zero(self):
+        assert bernstein_string(ExactCounts(Family.C, 1, (0,))) == "0"
+        assert bernstein_string(ExactCounts(Family.C, 2, (0, 0, 0))) == "0"

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from permprob import termdist, termoracles, validation
 from permprob import (
-    CycleType,
     Family,
     GuardError,
     TermDistribution,
-    cycle_types,
     derangement,
     e_table,
     e_tables_bruteforce,
@@ -23,7 +21,7 @@ from permprob import (
     v_via_w,
     w_closed_form,
     w_recurrence_table,
-    w_via_cycles,
+    w_row_via_cycles,
 )
 
 from oracles import TABLE_V, TABLE_W
@@ -109,42 +107,32 @@ class TestCycles:
         assert len(parts) == 7
 
     def test_class_sizes_for_n5(self):
-        sizes = {ct.parts: ct.permutation_count() for ct in cycle_types(5)}
-        assert sizes[(1, 1, 1, 1, 1)] == 1
-        assert sizes[(2, 1, 1, 1)] == 10
-        assert sizes[(3, 1, 1)] == 20
-        assert sizes[(4, 1)] == 30
-        assert sizes[(2, 2, 1)] == 15
-        assert sizes[(5,)] == 24
-        assert sizes[(3, 2)] == 20
+        sizes = {
+            (1, 1, 1, 1, 1): 1, (2, 1, 1, 1): 10, (3, 1, 1): 20, (4, 1): 30,
+            (2, 2, 1): 15, (5,): 24, (3, 2): 20,
+        }
+        assert sorted(sizes) == sorted(partitions(5))
         assert sum(sizes.values()) == math.factorial(5)
+        # row[m] sums the classes with 5 - m fixed points
+        row = [0] * 6
+        for parts, size in sizes.items():
+            row[5 - parts.count(1)] += size
+        assert w_row_via_cycles(5) == row
 
     def test_m4_and_m5_split(self):
-        assert w_via_cycles(5, 4) == 30 + 15 == 45
-        assert w_via_cycles(5, 5) == 24 + 20 == 44
+        row = w_row_via_cycles(5)
+        assert row[4] == 30 + 15 == 45
+        assert row[5] == 24 + 20 == 44
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_m0_only_identity_type(self, n):
-        assert w_via_cycles(n, 0) == 1
+        row = w_row_via_cycles(n)
+        assert row[0] == 1
+        assert sum(row) == math.factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_closed_form(self, n):
-        for m in range(n + 1):
-            assert w_via_cycles(n, m) == w_closed_form(n, m)
-
-    def test_cycle_type_validation(self):
-        with pytest.raises(ValueError):
-            CycleType(())
-        with pytest.raises(ValueError):
-            CycleType((0, 1))
-        with pytest.raises(ValueError):
-            CycleType((1, 2))
-
-    def test_cycle_type_accessors(self):
-        ct = CycleType((3, 2, 1, 1))
-        assert ct.n == 7
-        assert ct.fixed_points == 2
-        assert ct.multiplicities() == {3: 1, 2: 1, 1: 2}
+        assert w_row_via_cycles(n) == [w_closed_form(n, m) for m in range(n + 1)]
 
 
 class TestVClosedForm:

@@ -1,10 +1,50 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permprob import Family, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
-from permprob.probability import exact_counts
+from permprob.probability import MAX_GRID, exact_counts
 from permprob.termdist import TermDistribution, e_table
-from permprob.validation import run_offline_checks, verify_artifact
+from permprob.validation import CheckResult, run_offline_checks, verify_artifact
+
+_NON_ASCII_DIGITS = [str.maketrans("0123456789", digits)
+                     for digits in ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")]
+
+
+def _number_text(plain):
+    """Header text for an integer drawn from ``plain``: as is, signed, with
+    ``_`` separators or in non-ASCII digits, or else junk text."""
+    return st.one_of(
+        plain.map(str),
+        plain.map(lambda v: f"+{v}"),
+        plain.map(lambda v: f"{v:_}"),
+        st.builds(str.translate, plain.map(str), st.sampled_from(_NON_ASCII_DIGITS)),
+        st.text(alphabet="xé.-_+ ", max_size=4),
+        st.sampled_from(["1e3", "0x10", "3.5", "nan", "²", "9" * 5000]),
+    )
+
+
+_HUGE = st.integers(10**6, 10**40)
+# valid letters three times over, so most lists of families are all valid
+_FAMILY_TEXT = st.sampled_from(["A", "B", "C"] * 3 + ["", "a", "D", "AB"])
+_HEADER_VALUES = {
+    "family": _FAMILY_TEXT,
+    "families": st.lists(_FAMILY_TEXT, max_size=4).map(",".join),
+    "n": _number_text(st.one_of(st.integers(-3, 6), _HUGE)),
+    # a grid inside the guard stays small, so each example runs in milliseconds
+    "grid": _number_text(st.one_of(st.integers(-3, 50), st.integers(MAX_GRID + 1, 10**40))),
+}
+# ``# permprob <kind> key=value ...`` with every key but at most one
+_HEADERS = st.builds(
+    lambda kind, values, missing: " ".join(
+        ["# permprob", kind]
+        + [f"{key}={value}" for key, value in values.items() if key != missing]
+    ),
+    st.sampled_from(["dist", "exact", "compare", "junk"]),
+    st.fixed_dictionaries(_HEADER_VALUES),
+    st.sampled_from([None, *_HEADER_VALUES]),
+)
 
 
 class TestOfflineChecks:
@@ -148,6 +188,15 @@ class TestArtifactVerification:
         monkeypatch.setattr(probability, "compare_grid", counted)
         assert verify_artifact(str(path)).passed
         assert calls == [Family.A]
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=_HEADERS)
+    def test_fuzzed_header_is_a_failed_check(self, tmp_path_factory, header):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_text(f"{header}\nr,x\n", encoding="utf-8")
+        result = verify_artifact(str(path))
+        assert isinstance(result, CheckResult)
+        assert not result.passed
 
     def test_file_without_metadata(self, tmp_path):
         path = tmp_path / "plain.csv"
