@@ -4,6 +4,8 @@ The tables are frozen here once, independently of the library's own copies
 in ``permprob.validation``.  ``subset_sum_counts`` is an enumeration oracle
 for ``exact_counts`` that shares no code with the library's engines: it
 computes all 2**K permanents at once through a subset-sum transform.
+``product_polynomial`` expands the paper's product form of Q(r) into integer
+coefficients, a reference that ``q_eval`` never sees.
 """
 
 import itertools
@@ -85,3 +87,27 @@ def subset_sum_counts(family, n):
         popcounts = np.concatenate([popcounts, popcounts + 1])
     counts = np.bincount(popcounts[hits], minlength=k_total + 1)
     return tuple(int(c) for c in counts)
+
+
+def product_polynomial(counts):
+    """Integer coefficients of prod_{m >= 1} (1 - x**m)**counts[m], lowest first.
+
+    Multiplies one factor at a time, so keep sum(m * counts[m]) small.
+    """
+    coeffs = [1]
+    for m, e in enumerate(counts):
+        if m == 0:
+            continue
+        for _ in range(e):
+            shifted = [0] * m + coeffs
+            coeffs = coeffs + [0] * m
+            coeffs = [a - b for a, b in zip(coeffs, shifted)]
+    return coeffs
+
+
+def horner(coeffs, x):
+    """The polynomial with these coefficients, lowest first, at x."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value

@@ -19,7 +19,7 @@ from permprob import (
 )
 from permprob.probability import EXACT_METHODS, exact_methods
 
-from oracles import EXACT_N3, subset_sum_counts
+from oracles import EXACT_N3, horner, product_polynomial, subset_sum_counts
 
 
 def exact_counts_oracle(family, n):
@@ -90,6 +90,52 @@ class TestQEval:
         expected = math.exp(-math.factorial(8) * 0.008**8)
         assert q_eval(dist, 0.008) == pytest.approx(expected, rel=0, abs=1e-15)
         assert q_eval(dist, 0.008) < 1.0
+
+
+class TestQExpand:
+    # Q(r) expanded into integer coefficients by the test oracle, not the library
+    def test_small_expansions(self):
+        assert product_polynomial(e_table(Family.C, 2).counts) == [1, 0, -1]
+        assert product_polynomial(e_table(Family.A, 2).counts) == [1, 0, -2, 0, 1]
+        assert product_polynomial(e_table(Family.B, 1).counts) == [1, -1]
+        for i in range(101):
+            r = i / 100
+            assert q_eval(e_table(Family.C, 2), r) == pytest.approx(1 - r**2, abs=1e-15)
+            assert q_eval(e_table(Family.A, 2), r) == pytest.approx(
+                (1 - r**2) ** 2, abs=1e-15
+            )
+            assert q_eval(e_table(Family.B, 1), r) == pytest.approx(1 - r, abs=1e-15)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_constant_term_and_degree(self, family, n):
+        dist = e_table(family, n)
+        coeffs = product_polynomial(dist.counts)
+        assert coeffs[0] == 1 == q_eval(dist, 0.0)
+        degree = sum(m * c for m, c in enumerate(dist.counts))
+        assert len(coeffs) - 1 == degree
+        assert coeffs[-1] == (-1) ** sum(dist.counts[1:])
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_expansion_agrees_with_product_on_grid(self, family):
+        dist = e_table(family, 3)
+        coeffs = product_polynomial(dist.counts)
+        for i in range(101):
+            exact_value = float(horner(coeffs, Fraction(i, 100)))
+            assert abs(exact_value - q_eval(dist, i / 100)) < 1e-12
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_expansion_is_the_product_polynomial(self, family):
+        # identity check at an exact rational point, no floats involved
+        dist = e_table(family, 4)
+        coeffs = product_polynomial(dist.counts)
+        r = Fraction(3, 7)
+        product = Fraction(1)
+        for m, e in enumerate(dist.counts):
+            if m >= 1 and e:
+                product *= (1 - r**m) ** e
+        assert horner(coeffs, r) == product
+        assert abs(q_eval(dist, 3 / 7) - float(product)) < 1e-12
 
 
 class TestQEvalExactProduct:
