@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Callable
 
-from .guards import GuardError, Record
+from .guards import GuardError, Record, parse_int
 from .families import Family
 
 # Longest permprob.conf, in characters, that is read.
@@ -71,7 +71,9 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
 
     An unset option takes its ``permprob.conf`` key, or else its default;
     options ``spec`` does not read stay absent.  ``family`` becomes a list of
-    :class:`Family`.  ``oeis`` brings ``oeis_url`` and ``oeis_timeout``: the
+    :class:`Family`.  An ``n`` or ``grid`` key longer than
+    ``guards.MAX_INT_CHARS`` characters is refused before ``int()`` reads it.
+    ``oeis`` brings ``oeis_url`` and ``oeis_timeout``: the
     timeout, from that key or else from ``PERMPROB_OEIS_TIMEOUT``, is checked
     by :func:`permprob.sequences.oeis_timeout`.
     """
@@ -102,12 +104,12 @@ def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
             f"format {args.format!r} is not supported here "
             f"(choose from {', '.join(spec.formats)})"
         )
-    if "n" in options and pick("n", spec.default_n, int) < 1:
+    if "n" in options and pick("n", spec.default_n, parse_int) < 1:
         raise UsageError(f"n must be >= 1, got {args.n}")
     if "grid" in options:
         from .probability import DEFAULT_GRID
 
-        if pick("grid", DEFAULT_GRID, int) < 2:
+        if pick("grid", DEFAULT_GRID, parse_int) < 2:
             raise UsageError(f"grid must be >= 2, got {args.grid}")
     if "out" in options:
         pick("out", None)

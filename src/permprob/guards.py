@@ -1,4 +1,5 @@
-"""Size guards shared by the expensive kernels, and the base of the value records.
+"""Size guards shared by the expensive kernels and the input parsers, and the
+base of the value records.
 
 This is the package's leaf module: it imports nothing, so every other
 module can use it without loading more.
@@ -19,6 +20,24 @@ def check_guard(value: int, limit: int, what: str, force: bool = False) -> None:
             f"{what} {value} exceeds the default guard of {limit}; "
             "pass force=True (or --force on the command line) to accept the runtime"
         )
+
+
+# Longest integer text, in characters, that ``parse_int`` reads: a signed
+# 64-bit value.  ``int()`` of longer text costs time quadratic in its length,
+# and past 4300 digits CPython refuses it with a message about its own limit.
+MAX_INT_CHARS = 20
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for text from outside: an artifact header or ``permprob.conf``.
+
+    Text longer than ``MAX_INT_CHARS`` raises ``ValueError`` before
+    ``int()`` sees it; other text is parsed, or refused, as ``int()`` does.
+    """
+    if len(text) > MAX_INT_CHARS:
+        raise ValueError(
+            f"an integer may have at most {MAX_INT_CHARS} characters, got {len(text)}")
+    return int(text)
 
 
 class Record:

@@ -6,7 +6,10 @@ imports it, so ``matrices.Family`` is the same object.
 
 The permanent is computed by two independent algorithms so each can serve as
 an oracle for the other: a factorial-time sum over all permutations, and an
-inclusion-exclusion scheme over column subsets with Gray-code updates.  Only
+inclusion-exclusion scheme over column subsets with Gray-code updates (Ryser,
+in the order of Nijenhuis and Wilf).  The second keeps its n row sums as
+byte lanes of one int, so a Gray-code step is one int add or subtract and a
+term is ``math.prod`` of that int's bytes.  Only
 ``validate``, the ``direct`` method of ``exact_counts`` and the tests load
 this module; no other command imports it.
 """
@@ -144,13 +147,25 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
     """Permanent by inclusion-exclusion over column subsets, O(2^n * n).
 
     Column subsets are visited in Gray-code order so each step adjusts the
-    per-row sums by a single column.
+    per-row sums by a single column.  The n row sums live in one int, one
+    byte lane per row (byte i is the sum of row i), and each column is
+    packed the same way, so a step is one int add or subtract and a term is
+    the product of the bytes of that int.
     """
     n = matrix.n
     check_guard(n, RYSER_MAX_N, "dimension for the subset-sum permanent", force)
-    # columns[b][i] is entry (i, b), so a Gray-code step adds or removes one tuple.
-    columns = [tuple(row >> b & 1 for row in matrix.rows) for b in range(n)]
-    sums = [0] * n
+    # Byte i of columns[b] is entry (i, b), packed in one pass over each
+    # row's set bits.  A row sum counts at most n <= MAX_DIMENSION = 64 < 256
+    # columns, so no lane carries into the next or borrows from it, forced
+    # or not.
+    columns = [0] * n
+    for i, row in enumerate(matrix.rows):
+        lane = 1 << 8 * i
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] += lane
+            row ^= low
+    sums = 0
     subset = 0
     parity = 1  # sign (-1)**|subset|
     total = 0
@@ -158,10 +173,10 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
         b = (k & -k).bit_length() - 1
         bit = 1 << b
         if subset & bit:
-            sums = [s - x for s, x in zip(sums, columns[b])]
+            sums -= columns[b]
         else:
-            sums = [s + x for s, x in zip(sums, columns[b])]
+            sums += columns[b]
         subset ^= bit
         parity = -parity
-        total += parity * math.prod(sums)
+        total += parity * math.prod(sums.to_bytes(n, "little"))
     return total if n % 2 == 0 else -total

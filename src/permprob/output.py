@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .guards import Record, check_guard
+from .guards import Record, check_guard, parse_int
 from .families import Family
 from .termdist import e_table
 
@@ -209,17 +209,19 @@ def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
 
     The metadata sizes the run, so each builder's guard applies and
     ``force=True`` lifts it.  Metadata that names no artifact kind gives
-    None; a missing key raises ``KeyError`` and a bad value ``ValueError``.
+    None; a missing key raises ``KeyError`` and a bad value ``ValueError``,
+    an integer longer than ``guards.MAX_INT_CHARS`` characters included.
     """
     kind = meta.get("kind")
     if kind == "dist":
-        return make_dist_doc(Family(meta["family"]), int(meta["n"]), force)
+        return make_dist_doc(Family(meta["family"]), parse_int(meta["n"]), force)
     if kind == "exact":
         from .probability import exact_counts
 
-        return make_exact_doc(exact_counts(Family(meta["family"]), int(meta["n"]),
+        return make_exact_doc(exact_counts(Family(meta["family"]), parse_int(meta["n"]),
                                            force=force))
     if kind == "compare":
         families = [Family(v) for v in meta["families"].split(",")]
-        return make_compare_doc(families, int(meta["n"]), int(meta["grid"]), force)
+        return make_compare_doc(families, parse_int(meta["n"]), parse_int(meta["grid"]),
+                                force)
     return None

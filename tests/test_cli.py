@@ -8,11 +8,15 @@ import textwrap
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import permprob
 from permprob import MAX_GRID, Family, cli, probability, termoracles, validation
 from permprob.cli import build_parser, main
 from permprob.output import CsvDoc
+
+from strategies import HUGE, number_text
 
 
 @pytest.fixture(autouse=True)
@@ -240,6 +244,7 @@ class TestValidate:
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
+        monkeypatch.setattr(termoracles, "_column_table", no_walk)
         assert run(capsys, "validate", "--n", "128", "--force") == (
             2, "", "error: n must be <= 127 for the symmetric-group walk, got 128\n")
         code, _, err = run(capsys, "validate", "--n", "127")
@@ -255,6 +260,18 @@ class TestValidate:
         assert code == 1
         assert (f"FAIL  artifact:{path}  "
                 f"(malformed artifact: dimension must be >= 1, got {n})") in out
+
+    @pytest.mark.parametrize("header", [
+        "# permprob dist family=C n=" + "9" * 5000,
+        "# permprob compare n=2 grid=" + "9" * 5000 + " families=C",
+    ], ids=["dist-n", "compare-grid"])
+    def test_artifact_integer_of_5000_digits_fails(self, capsys, isolated_cwd, header):
+        path = isolated_cwd / "huge.csv"
+        path.write_text(header + "\nn,m,count\n")
+        code, out, err = run(capsys, "validate", "--n", "2", str(path))
+        assert (code, err) == (1, "")
+        assert (f"FAIL  artifact:{path}  (malformed artifact: an integer may have "
+                "at most 20 characters, got 5000)") in out
 
     def test_endless_artifact_is_a_failed_check(self, capsys, monkeypatch):
         monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 1024)
@@ -369,6 +386,49 @@ class TestConfigFile:
         assert err.startswith("error: cannot read config permprob.conf: ")
 
 
+# No ``force``, ``out`` or ``oeis`` key, so every run stays small and offline;
+# a grid inside the guard is small too.
+_CONFIG_VALUES = {
+    "family": st.sampled_from(["A", "B", "C", "", "a", "D", "A,B", "Ｃ"]),
+    "n": number_text(st.one_of(st.integers(-3, 6), HUGE)),
+    "grid": number_text(st.one_of(st.integers(-3, 50), HUGE)),
+    "format": st.sampled_from(["csv", "json", "svg", "", "CSV", "xml", "é"]),
+    "oeis_timeout": st.one_of(
+        number_text(st.integers(-3, 30)),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    ),
+}
+# key=value lines, so a key may repeat (the last one wins) or be missing,
+# with now and then a line that is a comment, blank or not key=value at all
+_CONFIG_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(list(_CONFIG_VALUES)).flatmap(
+            lambda key: _CONFIG_VALUES[key].map(lambda value: f"{key}={value}")),
+        st.sampled_from(["", "# n=4", "n", "=", " n = 2 "]),
+    ),
+    max_size=8,
+)
+
+
+class TestFuzzedConfig:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.sampled_from([
+        ("dist",), ("exact",), ("compare",), ("seq",), ("validate", "--n", "3"),
+    ]), lines=_CONFIG_LINES)
+    def test_every_config_exits_with_a_documented_code(self, capsys, isolated_cwd,
+                                                        monkeypatch, argv, lines):
+        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+        monkeypatch.delenv("PERMPROB_OEIS_TIMEOUT", raising=False)
+        (isolated_cwd / "permprob.conf").write_text("\n".join(lines) + "\n",
+                                                    encoding="utf-8")
+        # an exception that escapes main fails the example with its traceback
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3), err
+        assert err.startswith({0: "", 2: "error: ", 3: "guard violation: "}[code])
+        event(f"exit {code}")
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -460,8 +520,13 @@ class TestPinnedOptions:
          "oeis_timeout must be a positive number of seconds, got -1.0"),
         (None, "inf", ("seq", "--oeis"),
          "PERMPROB_OEIS_TIMEOUT must be a positive number of seconds, got inf"),
+        ("n=" + "9" * 5000, None, ("validate",),
+         "bad config value for n: an integer may have at most 20 characters, got 5000"),
+        ("grid=+" + "0" * 20, None, ("compare",),
+         "bad config value for grid: an integer may have at most 20 characters, got 21"),
     ], ids=["dist-no-family", "compare-n0", "conf-family", "conf-n", "conf-grid",
-            "conf-format", "conf-timeout-abc", "conf-timeout-neg", "env-timeout-inf"])
+            "conf-format", "conf-timeout-abc", "conf-timeout-neg", "env-timeout-inf",
+            "conf-n-5000-digits", "conf-grid-21-chars"])
     def test_error_line(self, capsys, isolated_cwd, monkeypatch, conf, env, argv,
                         message):
         if conf is not None:
@@ -470,6 +535,12 @@ class TestPinnedOptions:
             monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
             monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", env)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_config_integer_of_max_length_is_read(self, capsys, isolated_cwd):
+        (isolated_cwd / "permprob.conf").write_text("n=" + "0" * 19 + "2\n")
+        expected = run(capsys, "exact", "--family", "C", "--n", "2")
+        assert expected[0] == 0
+        assert run(capsys, "exact", "--family", "C") == expected
 
     @pytest.mark.parametrize("command, digest", [
         ("dist", "ba35d229beb309882799a8775ae10d1bd15acc9ff739068bf575f86c93f6d296"),

@@ -100,6 +100,28 @@ class TestPermanentKnownValues:
             assert permanent_naive(m) == permanent_ryser(m)
 
 
+class TestByteLanes:
+    """``permanent_ryser`` keeps its row sums as byte lanes of one int."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_all_ones_is_n_factorial(self, n):
+        # Every lane climbs to n, the largest a row sum can reach.
+        assert permanent_ryser(BinaryMatrix.ones(n)) == math.factorial(n)
+
+    def test_random_9x9_agrees_with_naive(self):
+        rng = random.Random(9)
+        for density in (0.5, 0.9):
+            rows = tuple(
+                sum((rng.random() < density) << j for j in range(9)) for _ in range(9)
+            )
+            m = BinaryMatrix(9, rows)
+            assert permanent_ryser(m) == permanent_naive(m)
+
+    def test_a_row_sum_fits_in_a_byte(self):
+        # A row sum is at most n <= MAX_DIMENSION, even when forced.
+        assert matrices.MAX_DIMENSION < 256
+
+
 class TestPermanentProperties:
     @given(binary_matrices(max_n=6))
     @settings(max_examples=120, deadline=None)

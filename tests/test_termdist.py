@@ -272,21 +272,22 @@ class TestSharedWalk:
             assert rebuilt == list(itertools.permutations(range(n))), n
 
     def test_memory_does_not_grow_with_the_walk(self):
-        # 10! permutations of 10 bytes are 34.6 MiB; the S_7 columns stay
-        # under 1 MiB.
+        # 10! permutations of 10 bytes are 34.6 MiB; the S_7 columns, 7 of
+        # 5040 bytes, and their relabelled S_1..S_6 keep the walk under 1 MiB.
         tracemalloc.start()
         try:
             e_tables_bruteforce(10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
 
     def test_walk_refuses_n128_even_forced(self, monkeypatch):
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
+        monkeypatch.setattr(termoracles, "_column_table", no_walk)
         with pytest.raises(ValueError, match=r"dimension must be <= 127, got 128$"):
             e_tables_bruteforce(128, force=True)
         with pytest.raises(GuardError, match="factorial-time enumeration 127"):
@@ -295,7 +296,11 @@ class TestSharedWalk:
     @pytest.fixture
     def walked(self, monkeypatch):
         """Sizes of the symmetric groups that termoracles enumerates, and how
-        many permutations each enumeration yielded."""
+        many permutations each enumeration yielded.
+
+        A walk enumerates its prefixes with ``itertools.permutations`` and
+        builds its S_m column table with ``_column_table``; both count, the
+        table as m! permutations of m values."""
         walks = SimpleNamespace(sizes=[], yielded=[])
 
         def counting_permutations(iterable, r=None):
@@ -311,11 +316,20 @@ class TestSharedWalk:
 
             return count()
 
+        build_table = termoracles._column_table
+
+        def counting_table(m):
+            columns = build_table(m)
+            walks.sizes.append(m)
+            walks.yielded.append(len(columns[0]))
+            return columns
+
         # Only termoracles' reference to itertools is swapped, so the n=3
         # enumeration oracles in probability and matrices are not counted.
         monkeypatch.setattr(
             termoracles, "itertools", SimpleNamespace(permutations=counting_permutations)
         )
+        monkeypatch.setattr(termoracles, "_column_table", counting_table)
         return walks
 
     def test_offline_checks_walk_each_symmetric_group_once(self, walked):

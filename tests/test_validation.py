@@ -8,32 +8,16 @@ from permprob.probability import MAX_GRID, exact_counts
 from permprob.termdist import TermDistribution, e_table
 from permprob.validation import CheckResult, run_offline_checks, verify_artifact
 
-_NON_ASCII_DIGITS = [str.maketrans("0123456789", digits)
-                     for digits in ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")]
+from strategies import HUGE, number_text
 
-
-def _number_text(plain):
-    """Header text for an integer drawn from ``plain``: as is, signed, with
-    ``_`` separators or in non-ASCII digits, or else junk text."""
-    return st.one_of(
-        plain.map(str),
-        plain.map(lambda v: f"+{v}"),
-        plain.map(lambda v: f"{v:_}"),
-        st.builds(str.translate, plain.map(str), st.sampled_from(_NON_ASCII_DIGITS)),
-        st.text(alphabet="xé.-_+ ", max_size=4),
-        st.sampled_from(["1e3", "0x10", "3.5", "nan", "²", "9" * 5000]),
-    )
-
-
-_HUGE = st.integers(10**6, 10**40)
 # valid letters three times over, so most lists of families are all valid
 _FAMILY_TEXT = st.sampled_from(["A", "B", "C"] * 3 + ["", "a", "D", "AB"])
 _HEADER_VALUES = {
     "family": _FAMILY_TEXT,
     "families": st.lists(_FAMILY_TEXT, max_size=4).map(",".join),
-    "n": _number_text(st.one_of(st.integers(-3, 6), _HUGE)),
+    "n": number_text(st.one_of(st.integers(-3, 6), HUGE)),
     # a grid inside the guard stays small, so each example runs in milliseconds
-    "grid": _number_text(st.one_of(st.integers(-3, 50), st.integers(MAX_GRID + 1, 10**40))),
+    "grid": number_text(st.one_of(st.integers(-3, 50), st.integers(MAX_GRID + 1, 10**40))),
 }
 # ``# permprob <kind> key=value ...`` with every key but at most one
 _HEADERS = st.builds(
@@ -165,6 +149,19 @@ class TestArtifactVerification:
         result = verify_artifact(str(path))
         assert not result.passed
         assert result.detail == f"malformed artifact: dimension must be >= 1, got {n}"
+
+    @pytest.mark.parametrize("header, length", [
+        ("# permprob exact family=C n=" + "1" * 21, 21),
+        ("# permprob compare n=2 grid=" + "9" * 5000 + " families=A", 5000),
+    ], ids=["exact-n", "compare-grid"])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_integer_too_long_is_malformed(self, tmp_path, header, length, force):
+        path = tmp_path / "long.csv"
+        path.write_text(header + "\ni,count\n")
+        result = verify_artifact(str(path), force=force)
+        assert not result.passed
+        assert result.detail == ("malformed artifact: an integer may have at most 20 "
+                                 f"characters, got {length}")
 
     def test_force_lifts_dist_guard(self, tmp_path):
         path = tmp_path / "dist.csv"
