@@ -4,9 +4,10 @@ For three families of n x n matrices whose entries are either pinned to 1 or
 drawn at random, the package counts how many of the n! permanent-expansion
 terms contain each possible number of random entries, evaluates the
 product-form approximation Q(r) that treats terms as independent, and checks
-it against the exact probability P(r), counted exactly by recurrences and
-a row-by-row transfer and checked against enumeration of every assignment
-of the random entries.
+it against the exact probability P(r).  The exact counts come from one
+engine per family, recurrences for B and C and a row-by-row transfer for
+A; ``validate`` checks them against enumeration of every assignment of the
+random entries.
 
 Every public name is imported from its submodule on first access (PEP 562),
 so ``import permprob`` loads no submodule and a command loads only the
@@ -20,9 +21,8 @@ _SOURCES = {
     "families": ("Family",),
     "guards": ("GuardError",),
     "matrices": (
-        "MAX_DIMENSION", "NAIVE_MAX_N", "RYSER_MAX_N", "BinaryMatrix",
-        "build_family_matrix", "permanent_naive", "permanent_ryser",
-        "variable_positions",
+        "MAX_DIMENSION", "RYSER_MAX_N", "BinaryMatrix", "build_family_matrix",
+        "permanent_ryser", "variable_positions",
     ),
     "probability": (
         "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",

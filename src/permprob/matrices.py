@@ -1,30 +1,29 @@
-"""Bit-packed 0/1 matrices and two permanent kernels, the oracle routes.
+"""Bit-packed 0/1 matrices, a permanent kernel and the 2**K enumeration, the oracle routes.
 
 ``build_family_matrix`` sets a family's fixed entries to 1 and its variable
 entries from an assignment.  ``Family`` lives in ``families``; this module
 imports it, so ``matrices.Family`` is the same object.
 
-The permanent is computed by two independent algorithms so each can serve as
-an oracle for the other: a factorial-time sum over all permutations, and an
-inclusion-exclusion scheme over column subsets with Gray-code updates (Ryser,
-in the order of Nijenhuis and Wilf).  The second keeps its n row sums as
-byte lanes of one int, so a Gray-code step is one int add or subtract and a
-term is ``math.prod`` of that int's bytes.  Only
-``validate``, the ``direct`` method of ``exact_counts`` and the tests load
+``permanent_ryser`` computes the permanent by inclusion-exclusion over
+column subsets with Gray-code updates (Ryser, in the order of Nijenhuis and
+Wilf).  It keeps its n row sums as byte lanes of one int, so a Gray-code
+step is one int add or subtract and a term is ``math.prod`` of that int's
+bytes.  ``exact_counts_direct`` calls it on every assignment's matrix, an
+oracle for ``probability.exact_counts``; the tests check the kernel against
+a factorial-time sum of their own.  Only ``validate`` and the tests load
 this module; no other command imports it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
 
 from .families import Family
-from .guards import Record, check_guard
+from .guards import GuardError, Record
+from .probability import EXACT_MAX_VARIABLES
 
-NAIVE_MAX_N = 10
 RYSER_MAX_N = 30
 MAX_DIMENSION = 64
 
@@ -127,23 +126,7 @@ def build_family_matrix(
     return BinaryMatrix(n, tuple(rows))
 
 
-def permanent_naive(matrix: BinaryMatrix, force: bool = False) -> int:
-    """Permanent as the sum over all n! permutation terms (the oracle kernel)."""
-    n = matrix.n
-    check_guard(n, NAIVE_MAX_N, "dimension for the factorial-time permanent", force)
-    rows = matrix.rows
-    total = 0
-    for sigma in itertools.permutations(range(n)):
-        term = 1
-        for j, i in enumerate(sigma):
-            if not rows[i] >> j & 1:
-                term = 0
-                break
-        total += term
-    return total
-
-
-def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
+def permanent_ryser(matrix: BinaryMatrix) -> int:
     """Permanent by inclusion-exclusion over column subsets, O(2^n * n).
 
     Column subsets are visited in Gray-code order so each step adjusts the
@@ -153,11 +136,12 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
     the product of the bytes of that int.
     """
     n = matrix.n
-    check_guard(n, RYSER_MAX_N, "dimension for the subset-sum permanent", force)
+    if n > RYSER_MAX_N:
+        raise GuardError(
+            f"dimension {n} exceeds RYSER_MAX_N = {RYSER_MAX_N} of the subset-sum permanent")
     # Byte i of columns[b] is entry (i, b), packed in one pass over each
-    # row's set bits.  A row sum counts at most n <= MAX_DIMENSION = 64 < 256
-    # columns, so no lane carries into the next or borrows from it, forced
-    # or not.
+    # row's set bits.  A row sum counts at most n <= RYSER_MAX_N < 256
+    # columns, so no lane carries into the next or borrows from it.
     columns = [0] * n
     for i, row in enumerate(matrix.rows):
         lane = 1 << 8 * i
@@ -180,3 +164,23 @@ def permanent_ryser(matrix: BinaryMatrix, force: bool = False) -> int:
         parity = -parity
         total += parity * math.prod(sums.to_bytes(n, "little"))
     return total if n % 2 == 0 else -total
+
+
+def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
+    """Oracle for ``exact_counts``: enumerate all 2**K assignments.
+
+    Builds every assignment's matrix and counts, by number of ones, those
+    whose ``permanent_ryser`` equals the family target.  Refuses K past
+    ``EXACT_MAX_VARIABLES``, the bound ``exact_counts`` keeps unforced.
+    """
+    k_total = len(variable_positions(family, n))
+    if k_total > EXACT_MAX_VARIABLES:
+        raise GuardError(f"variable-entry count {k_total} exceeds EXACT_MAX_VARIABLES = "
+                         f"{EXACT_MAX_VARIABLES} of the enumeration")
+    target = family.target_permanent
+    counts = [0] * (k_total + 1)
+    for x in range(1 << k_total):
+        bits = [(x >> k) & 1 for k in range(k_total)]
+        if permanent_ryser(build_family_matrix(family, n, bits)) == target:
+            counts[x.bit_count()] += 1
+    return tuple(counts)

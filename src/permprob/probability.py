@@ -8,12 +8,11 @@ assignments of the K variable entries that land the permanent on the
 family's target value, and ``p_eval`` turns those counts into the exact
 probability sum_i N_i * r**i * (1-r)**(K-i).
 
-``exact_counts`` has three methods.  The production engines never visit the
-2**K assignments: ``recurrence`` (families B and C) counts digraphs through
-closed recurrences, and ``transfer`` (every family) runs a dynamic program
-row by row.  The oracle ``direct`` enumerates all 2**K assignments and
-serves only to check the engines; the test suite keeps a second,
-subset-sum oracle of its own.
+``exact_counts`` never visits the 2**K assignments.  For families B and C
+it counts digraphs through closed recurrences; for A it runs a dynamic
+program row by row.  That transfer covers every family, and ``validate``
+runs it on B and C as a second route.  The 2**K enumeration oracle lives
+in ``matrices``, and the test suite keeps a subset-sum oracle of its own.
 """
 
 from __future__ import annotations
@@ -220,67 +219,19 @@ def _counts_transfer(family: Family, n: int) -> list[int]:
     return [total >> (width * i) & mask for i in range(k_total + 1)]
 
 
-def _exact_counts_direct(family: Family, n: int) -> list[int]:
-    """Oracle: build every assignment's matrix and call the permanent kernel."""
-    from .matrices import build_family_matrix, permanent_ryser
-
-    k_total = family.variable_count(n)
-    target = family.target_permanent
-    counts = [0] * (k_total + 1)
-    for x in range(1 << k_total):
-        bits = [(x >> k) & 1 for k in range(k_total)]
-        if permanent_ryser(build_family_matrix(family, n, bits)) == target:
-            counts[x.bit_count()] += 1
-    return counts
-
-
-EXACT_METHODS = ("recurrence", "transfer", "direct")
-
-
-def exact_methods(family: Family) -> tuple[str, ...]:
-    """The methods of ``exact_counts`` that support ``family``."""
-    return tuple(m for m in EXACT_METHODS if m != "recurrence" or family in _RECURRENCES)
-
-
-def exact_counts(
-    family: Family,
-    n: int,
-    method: str = "auto",
-    force: bool = False,
-) -> ExactCounts:
+def exact_counts(family: Family, n: int, force: bool = False) -> ExactCounts:
     """Count, by number of ones, the assignments that hit the target permanent.
 
-    Two production engines:
-
-    * ``"recurrence"`` (families B and C): closed recurrences over the
-      digraph the off-diagonal entries describe, polynomial in n;
-    * ``"transfer"`` (every family): a row-by-row dynamic program over the
-      capped permanents of column subsets.
-
-    One oracle, kept to check the engines: ``"direct"`` enumerates all 2**K
-    assignments, builds every matrix and calls the permanent kernel.
-
-    ``"auto"`` picks ``recurrence`` for B and C and ``transfer`` for A.
-    Every method returns identical counts.
+    The engine follows from the family: closed recurrences over the digraph
+    the off-diagonal entries describe, polynomial in n, for B and C; the
+    row-by-row transfer over the capped permanents of column subsets for A.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     k_total = family.variable_count(n)
     check_guard(k_total, EXACT_MAX_VARIABLES, "variable-entry count", force)
-    if method == "auto":
-        method = "recurrence" if family in _RECURRENCES else "transfer"
-    if method not in EXACT_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected auto or one of {EXACT_METHODS}"
-        )
-    if method not in exact_methods(family):
-        raise ValueError(f"method {method!r} covers families B and C only")
-    if method == "recurrence":
-        counts = _RECURRENCES[family](n)
-    elif method == "transfer":
-        counts = _counts_transfer(family, n)
-    else:
-        counts = _exact_counts_direct(family, n)
+    recurrence = _RECURRENCES.get(family)
+    counts = recurrence(n) if recurrence else _counts_transfer(family, n)
     counts += [0] * (k_total + 1 - len(counts))
     return ExactCounts(family, n, tuple(counts))
 

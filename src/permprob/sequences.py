@@ -20,6 +20,9 @@ DEFAULT_OEIS_URL = "https://oeis.org"
 DEFAULT_OEIS_TIMEOUT = 10.0
 OEIS_URL_ENV = "PERMPROB_OEIS_URL"
 OEIS_TIMEOUT_ENV = "PERMPROB_OEIS_TIMEOUT"
+# Longest lookup response, in bytes, that ``_http_fetch`` reads; a page of
+# OEIS text-format results is a few tens of KiB.
+MAX_OEIS_BODY_BYTES = 1024 * 1024
 
 _ID_PATTERN = re.compile(r"A\d{6}")
 
@@ -140,8 +143,10 @@ def _http_fetch(url: str, timeout: float) -> str:
     """GET ``url`` and return its decoded body; every failure is an ``OSError``.
 
     Only http and https URLs are fetched, so a configured ``file://`` base
-    cannot read local files.  The HTTP stack is imported here, not at module
-    level, because only the optional remote lookup needs it.
+    cannot read local files, and a body longer than ``MAX_OEIS_BODY_BYTES``
+    is refused after reading one byte past that cap.  The HTTP stack is
+    imported here, not at module level, because only the optional remote
+    lookup needs it.
     """
     import http.client
     import urllib.error
@@ -154,10 +159,14 @@ def _http_fetch(url: str, timeout: float) -> str:
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             charset = response.headers.get_content_charset() or "utf-8"
-            body = response.read()
+            body = response.read(MAX_OEIS_BODY_BYTES + 1)
     except (http.client.HTTPException, ValueError) as exc:
         # URLError, HTTPError and timeouts already are OSErrors.
         raise OSError(f"fetching {url!r} failed: {exc}") from exc
+    if len(body) > MAX_OEIS_BODY_BYTES:
+        raise OSError(
+            f"response to {url!r} is longer than MAX_OEIS_BODY_BYTES = "
+            f"{MAX_OEIS_BODY_BYTES} bytes")
     try:
         return body.decode(charset, errors="replace")
     except LookupError:  # a charset name Python does not know

@@ -12,9 +12,9 @@ import math
 
 from .families import Family
 from .guards import GuardError, Record, check_guard
-from .matrices import BinaryMatrix, permanent_ryser
+from .matrices import BinaryMatrix, exact_counts_direct, permanent_ryser
 from .output import CsvDoc, regenerate
-from .probability import compare_grid, exact_counts, exact_methods, p_eval, q_eval
+from .probability import _counts_transfer, compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
 from .termoracles import (
@@ -161,13 +161,17 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
         ]
         add(name, not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={TABLE_N}")
 
-    # exact counts at n=3: both engines and the enumeration oracle
+    # exact counts at n=3: the engine, the transfer on B and C (A's engine is
+    # the transfer) and the enumeration oracle
     bad_entries = []
     for family, expected in REFERENCE_EXACT_COUNTS_N3.items():
-        for method in exact_methods(family):
-            got = exact_counts(family, 3, method=method).counts
-            if got != expected:
-                bad_entries.append((family.value, method, list(got)))
+        routes = [("exact_counts", exact_counts(family, 3).counts)]
+        if family is not Family.A:
+            routes.append(("_counts_transfer", tuple(_counts_transfer(family, 3))))
+        routes.append(("exact_counts_direct", exact_counts_direct(family, 3)))
+        bad_entries += [
+            (family.value, route, list(got)) for route, got in routes if got != expected
+        ]
     add(
         "exact-counts-n3-reference",
         not bad_entries,

@@ -5,7 +5,8 @@ in ``permprob.validation``.  ``subset_sum_counts`` is an enumeration oracle
 for ``exact_counts`` that shares no code with the library's engines: it
 computes all 2**K permanents at once through a subset-sum transform.
 ``product_polynomial`` expands the paper's product form of Q(r) into integer
-coefficients, a reference that ``q_eval`` never sees.
+coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
+sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
 """
 
 import itertools
@@ -14,6 +15,9 @@ import math
 import numpy as np
 
 from permprob import Family, variable_positions
+
+# Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
+NAIVE_MAX_N = 10
 
 # Term-count triangles W (family C, rows n=1..6) and V (family B, n=1..8).
 TABLE_W = {
@@ -40,6 +44,22 @@ EXACT_N3 = {
     Family.B: (1, 6, 13, 10, 2, 0, 0, 0),
     Family.C: (1, 6, 12, 6, 0, 0, 0),
 }
+
+
+def permanent_naive(matrix):
+    """Permanent as the sum over all n! permutation terms."""
+    n = matrix.n
+    assert n <= NAIVE_MAX_N, f"permanent_naive takes n <= {NAIVE_MAX_N}, got {n}"
+    rows = matrix.rows
+    total = 0
+    for sigma in itertools.permutations(range(n)):
+        term = 1
+        for j, i in enumerate(sigma):
+            if not rows[i] >> j & 1:
+                term = 0
+                break
+        total += term
+    return total
 
 
 def _permanent_table(family, n):

@@ -22,7 +22,8 @@ from permprob import (
     w_recurrence_table,
     w_row_via_cycles,
 )
-from permprob.probability import exact_methods
+from permprob.matrices import exact_counts_direct
+from permprob.probability import _RECURRENCES, _counts_transfer
 
 from oracles import EXACT_N3, TABLE_V, TABLE_W, subset_sum_counts
 
@@ -67,8 +68,12 @@ def test_criterion_3_exact_enumeration_coefficients():
     start = time.perf_counter()
     ok = True
     for family, expected in EXACT_N3.items():
-        for method in exact_methods(family):
-            ok = ok and exact_counts(family, 3, method=method).counts == expected
+        ok = ok and exact_counts(family, 3).counts == expected
+        if family in _RECURRENCES:
+            recurrence = _RECURRENCES[family](3)
+            ok = ok and tuple(recurrence) + (0,) * (len(expected) - len(recurrence)) == expected
+        ok = ok and tuple(_counts_transfer(family, 3)) == expected
+        ok = ok and exact_counts_direct(family, 3) == expected
         ok = ok and subset_sum_counts(family, 3) == expected
     elapsed = time.perf_counter() - start
     report(3, "exact coefficient lists at n=3", ok and elapsed < 1.0,

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -686,13 +688,21 @@ class TestImportDiet:
             "validate ['permprob.matrices', 'permprob.termoracles']",
         ]
 
-    def test_direct_method_imports_its_kernels(self):
-        proc = run_fresh(textwrap.dedent("""
-            import permprob
-            print(permprob.exact_counts(permprob.Family.A, 2, method="direct").counts)
-        """))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["(1, 4, 4, 0, 0)"]
+    @pytest.mark.parametrize(
+        "module", ["probability", "output", "termdist", "sequences", "svgplot"]
+    )
+    def test_command_path_module_imports_no_oracle(self, module):
+        # Every import statement counts, a lazy one inside a function too.
+        oracles = {"matrices", "termoracles", "validation"}
+        path = pathlib.Path(permprob.__file__).parent / f"{module}.py"
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").removeprefix("permprob").lstrip(".")
+                imported += [source] if source else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [a.name.removeprefix("permprob.") for a in node.names]
+        assert oracles.isdisjoint(imported), imported
 
     def test_family_is_one_object(self):
         from permprob import families, matrices

@@ -10,11 +10,12 @@ from permprob import (
     Family,
     GuardError,
     build_family_matrix,
-    permanent_naive,
     permanent_ryser,
     variable_positions,
 )
 from permprob import matrices
+
+from oracles import permanent_naive
 
 
 def ones_minus_identity(n):
@@ -118,8 +119,8 @@ class TestByteLanes:
             assert permanent_ryser(m) == permanent_naive(m)
 
     def test_a_row_sum_fits_in_a_byte(self):
-        # A row sum is at most n <= MAX_DIMENSION, even when forced.
-        assert matrices.MAX_DIMENSION < 256
+        # A row sum is at most n <= RYSER_MAX_N <= MAX_DIMENSION.
+        assert matrices.RYSER_MAX_N <= matrices.MAX_DIMENSION < 256
 
 
 class TestPermanentProperties:
@@ -154,19 +155,20 @@ class TestPermanentProperties:
 
 
 class TestGuards:
-    def test_naive_guard(self):
-        with pytest.raises(GuardError):
-            permanent_naive(BinaryMatrix.identity(11))
-
     def test_ryser_guard(self):
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match="exceeds RYSER_MAX_N = 30"):
             permanent_ryser(BinaryMatrix.identity(31))
 
-    def test_force_bypasses_guard(self, monkeypatch):
-        monkeypatch.setattr(matrices, "NAIVE_MAX_N", 2)
-        with pytest.raises(GuardError):
-            permanent_naive(BinaryMatrix.ones(3))
-        assert permanent_naive(BinaryMatrix.ones(3), force=True) == 6
+    def test_enumeration_guard(self, monkeypatch):
+        with pytest.raises(GuardError, match="count 30 exceeds EXACT_MAX_VARIABLES = 26"):
+            matrices.exact_counts_direct(Family.C, 6)
+        monkeypatch.setattr(matrices, "EXACT_MAX_VARIABLES", 5)
+        with pytest.raises(GuardError, match="count 6 exceeds EXACT_MAX_VARIABLES = 5"):
+            matrices.exact_counts_direct(Family.C, 3)
+
+    def test_enumeration_refuses_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            matrices.exact_counts_direct(Family.A, 0)
 
 
 class TestFamilies:

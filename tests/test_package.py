@@ -123,9 +123,9 @@ class TestRecords:
         assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
 
 
-# Public names that only the tests call: the naive permanent is the oracle
-# that checks ``permanent_ryser``.
-_TEST_ONLY = {"permanent_naive"}
+# Public names that only the tests call; the oracles that only tests call
+# live in ``tests/oracles.py``.
+_TEST_ONLY = set()
 
 
 def _referenced(node):

@@ -14,12 +14,37 @@ from permprob import (
     e_table,
     exact_counts,
     p_eval,
-    permanent_naive,
     q_eval,
 )
-from permprob.probability import EXACT_METHODS, exact_methods
+from permprob.matrices import exact_counts_direct
+from permprob.probability import _RECURRENCES, _counts_transfer
 
-from oracles import EXACT_N3, horner, product_polynomial, subset_sum_counts
+from oracles import (
+    EXACT_N3,
+    horner,
+    permanent_naive,
+    product_polynomial,
+    subset_sum_counts,
+)
+
+# Every route to the exact counts, each called directly: the recurrences
+# (B and C), the transfer (every family) and the enumeration oracle.
+ROUTES = {
+    "recurrence": lambda family, n: _RECURRENCES[family](n),
+    "transfer": _counts_transfer,
+    "direct": exact_counts_direct,
+}
+
+
+def routes_for(family):
+    """The routes of ``ROUTES`` that cover ``family``."""
+    return [name for name in ROUTES if name != "recurrence" or family in _RECURRENCES]
+
+
+def route_counts(route, family, n):
+    """Counts from one route, padded with zeros to K + 1 entries."""
+    counts = tuple(ROUTES[route](family, n))
+    return counts + (0,) * (family.variable_count(n) + 1 - len(counts))
 
 
 def exact_counts_oracle(family, n):
@@ -156,7 +181,8 @@ class TestQEvalExactProduct:
 class TestExactCounts:
     @pytest.mark.parametrize("family", list(Family))
     def test_n3_frozen_lists(self, family):
-        got = exact_counts(family, 3, method="direct")
+        assert exact_counts_direct(family, 3) == EXACT_N3[family]
+        got = exact_counts(family, 3)
         assert got.counts == EXACT_N3[family]
         assert got.variable_count == family.variable_count(3)
         assert subset_sum_counts(family, 3) == EXACT_N3[family]
@@ -169,32 +195,31 @@ class TestExactCounts:
 
     def test_methods_agree_midsize(self):
         for family, n in ((Family.C, 4), (Family.B, 4), (Family.A, 4)):
-            direct = exact_counts(family, n, method="direct")
-            assert direct.counts == subset_sum_counts(family, n)
+            assert exact_counts_direct(family, n) == subset_sum_counts(family, n)
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_engines_match_vectorized_oracle(self, family, n):
         oracle = subset_sum_counts(family, n)
-        engines = [m for m in exact_methods(family) if m in ("recurrence", "transfer")]
-        for method in engines:
-            assert exact_counts(family, n, method=method).counts == oracle
+        for route in routes_for(family):
+            if route != "direct":
+                assert route_counts(route, family, n) == oracle
         assert exact_counts(family, n).counts == oracle
 
     def test_c_recurrence_totals_are_labelled_dags(self):
         # OEIS A003024: labelled acyclic digraphs on n vertices
         a003024 = [1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]
         for n, total in enumerate(a003024, start=1):
-            got = exact_counts(Family.C, n, method="recurrence", force=True)
-            assert sum(got.counts) == total
+            assert sum(route_counts("recurrence", Family.C, n)) == total
 
     @pytest.mark.parametrize(
         "family, total", [(Family.B, 79_331_328), (Family.C, 3_781_503)]
     )
     def test_transfer_matches_recurrence_at_n6(self, family, total):
-        transfer = exact_counts(family, 6, method="transfer", force=True)
-        assert transfer == exact_counts(family, 6, method="recurrence", force=True)
-        assert sum(transfer.counts) == total
+        transfer = route_counts("transfer", family, 6)
+        assert transfer == route_counts("recurrence", family, 6)
+        assert exact_counts(family, 6, force=True).counts == transfer
+        assert sum(transfer) == total
 
     def test_a6_zero_permanent_total(self):
         got = exact_counts(Family.A, 6, force=True)
@@ -228,28 +253,17 @@ class TestExactCounts:
         assert got.counts[0] == 1
 
     def test_all_methods_return_equal_counts(self):
-        assert EXACT_METHODS == ("recurrence", "transfer", "direct")
         for family in Family:
-            results = [exact_counts(family, 3, method=m) for m in exact_methods(family)]
+            results = [route_counts(route, family, 3) for route in routes_for(family)]
             assert len(results) == (2 if family is Family.A else 3)
             assert all(r == results[0] for r in results)
-            assert exact_counts(family, 3) == results[0]
+            assert exact_counts(family, 3).counts == results[0]
 
     def test_guard(self):
         with pytest.raises(GuardError):
             exact_counts(Family.C, 6)  # K = 30
         with pytest.raises(GuardError):
-            exact_counts(Family.A, 6, method="transfer")  # K = 36
-
-    def test_unknown_method(self):
-        # the subset-sum oracle lives in the tests, not behind a method name
-        for method in ("telepathy", "vectorized"):
-            with pytest.raises(ValueError, match="unknown method"):
-                exact_counts(Family.C, 2, method=method)
-
-    def test_recurrence_does_not_cover_family_a(self):
-        with pytest.raises(ValueError, match="families B and C"):
-            exact_counts(Family.A, 2, method="recurrence")
+            exact_counts(Family.A, 6)  # K = 36
 
 
 class TestPEval:

@@ -12,7 +12,7 @@ from permprob import (
     builtin_checks,
     oeis_lookup,
 )
-from permprob.sequences import REFERENCES, _http_fetch
+from permprob.sequences import MAX_OEIS_BODY_BYTES, REFERENCES, _http_fetch
 
 SAMPLE_RESPONSE = """\
 # Greetings from The On-Line Encyclopedia of Integer Sequences!
@@ -170,7 +170,11 @@ class TestLookupTimeout:
 
 
 class _OEISStub(http.server.BaseHTTPRequestHandler):
-    """Answers /ok/search with a text body and /status/<code>/search with that code."""
+    """Answers /ok/search with a text body and /status/<code>/search with that code.
+
+    /big/<extra>/search answers the /ok body padded with newlines to
+    ``MAX_OEIS_BODY_BYTES`` + extra bytes.
+    """
 
     def do_GET(self):
         self.server.paths.append(self.path)
@@ -183,6 +187,11 @@ class _OEISStub(http.server.BaseHTTPRequestHandler):
             body = "%N A000166 r\u00e9sum\u00e9\n".encode("iso-8859-1")
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; charset=iso-8859-1")
+        elif parts[1] == "big":
+            body = SAMPLE_RESPONSE.encode("utf-8")
+            body += b"\n" * (MAX_OEIS_BODY_BYTES + int(parts[2]) - len(body))
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain; charset=utf-8")
         else:
             body = b"error"
             self.send_response(int(parts[2]))
@@ -227,6 +236,20 @@ class TestStdlibClient:
         assert result.status == "skipped"
         assert result.ids == ()
         assert str(code) in result.note
+        assert len(paths) == 1
+
+    def test_body_up_to_the_cap_is_read(self, oeis_stub):
+        base, _ = oeis_stub
+        result = oeis_lookup([0, 1, 2, 9], base_url=f"{base}/big/0", timeout=5)
+        assert result.status == "ok"
+        assert result.ids == ("A000166", "A000255")
+
+    def test_body_past_the_cap_is_skipped(self, oeis_stub):
+        base, paths = oeis_stub
+        result = oeis_lookup([0, 1, 2, 9], base_url=f"{base}/big/1", timeout=5)
+        assert result.status == "skipped"
+        assert result.ids == ()
+        assert f"longer than MAX_OEIS_BODY_BYTES = {MAX_OEIS_BODY_BYTES} bytes" in result.note
         assert len(paths) == 1
 
     def test_body_decoded_with_response_charset(self, oeis_stub):

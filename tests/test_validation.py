@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import Family, probability, validation
+from permprob import Family, matrices, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import MAX_GRID, exact_counts
 from permprob.termdist import TermDistribution, e_table
@@ -67,6 +67,33 @@ class TestOfflineChecks:
         check = results["e-table-vs-bruteforce"]
         assert not check.passed
         assert check.detail == "first mismatch at [('A', 6)]"
+
+    @pytest.mark.parametrize("route, family", [
+        ("exact_counts", Family.C),
+        ("_counts_transfer", Family.B),
+        ("exact_counts_direct", Family.A),
+    ])
+    def test_a_wrong_exact_counts_route_is_named(self, monkeypatch, route, family):
+        # one family's counts come back with N_0 = 2 from one route only
+        def wrong(counts, f):
+            return ((2,) + tuple(counts)[1:]) if f is family else counts
+
+        if route == "exact_counts":
+            def corrupted(f, n, force=False):
+                got = probability.exact_counts(f, n, force)
+                return probability.ExactCounts(f, n, wrong(got.counts, f))
+        elif route == "_counts_transfer":
+            def corrupted(f, n):
+                return list(wrong(probability._counts_transfer(f, n), f))
+        else:
+            def corrupted(f, n):
+                return wrong(matrices.exact_counts_direct(f, n), f)
+        monkeypatch.setattr(validation, route, corrupted)
+        results = {r.name: r for r in run_offline_checks(bruteforce_n=2)}
+        check = results["exact-counts-n3-reference"]
+        assert not check.passed
+        expected = [2] + list(validation.REFERENCE_EXACT_COUNTS_N3[family][1:])
+        assert check.detail == f"mismatch: [({family.value!r}, {route!r}, {expected})]"
 
 
 class TestArtifactVerification:
