@@ -5,8 +5,8 @@ drawn at random, the package counts how many of the n! permanent-expansion
 terms contain each possible number of random entries, evaluates the
 product-form approximation Q(r) that treats terms as independent, and checks
 it against the exact probability P(r).  The exact counts come from one
-engine per family, recurrences for B and C and a row-by-row transfer for
-A; ``validate`` checks them against enumeration of every assignment of the
+recurrence per family, polynomial in n; ``validate`` checks them against a
+row-by-row transfer and against enumeration of every assignment of the
 random entries.
 
 Every public name is imported from its submodule on first access (PEP 562),

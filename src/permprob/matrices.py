@@ -1,4 +1,4 @@
-"""Bit-packed 0/1 matrices, a permanent kernel and the 2**K enumeration, the oracle routes.
+"""Bit-packed 0/1 matrices, a permanent kernel and the two oracle routes to the exact counts.
 
 ``build_family_matrix`` sets a family's fixed entries to 1 and its variable
 entries from an assignment.  ``Family`` lives in ``families``; this module
@@ -10,13 +10,16 @@ Wilf).  It keeps its n row sums as byte lanes of one int, so a Gray-code
 step is one int add or subtract and a term is ``math.prod`` of that int's
 bytes.  ``exact_counts_direct`` calls it on every assignment's matrix, an
 oracle for ``probability.exact_counts``; the tests check the kernel against
-a factorial-time sum of their own.  Only ``validate`` and the tests load
-this module; no other command imports it.
+a factorial-time sum of their own.  ``_counts_transfer``, the second
+oracle, runs a dynamic program row by row over the capped permanents of
+column subsets, in time exponential in n.  Only ``validate`` and the tests
+load this module; no other command imports it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -184,3 +187,70 @@ def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
         if permanent_ryser(build_family_matrix(family, n, bits)) == target:
             counts[x.bit_count()] += 1
     return tuple(counts)
+
+
+def _counts_transfer(family: Family, n: int) -> list[int]:
+    """Row-by-row transfer over column subsets, for any family.
+
+    After i rows the state records, for every i-element set T of columns,
+    min(perm, target + 1) of the submatrix on those rows and columns; the
+    final state holds the whole matrix's capped permanent.  A state is one
+    int: bit T of layer L (bit L * 2**n + T) is set when that capped value
+    exceeds L; the target is 0 or 1, so there are one or two layers.  Adding
+    a row with a one in column c lifts every set T without c to T | {c},
+    which is one mask and one shift of the state.
+
+    Each state carries the polynomial, in the number of ones, of the
+    assignments that reach it, packed into one int with ``width`` = K + 1
+    bits per coefficient: no coefficient exceeds 2**K, so none carries into
+    the next.
+    """
+    k_total = family.variable_count(n)
+    target = family.target_permanent
+    width = k_total + 1
+    size = 1 << n
+    layers = target + 1
+    keep = []
+    for c in range(n):
+        without_c = sum(1 << t for t in range(size) if not t >> c & 1)
+        keep.append(sum(without_c << (layer * size) for layer in range(layers)))
+    if layers == 1:
+        add = operator.or_
+    else:
+        low = (1 << size) - 1
+
+        def add(a: int, b: int) -> int:
+            """Capped sum of two states: both >= 1 makes >= 2."""
+            return a | b | ((a & b & low) << size)
+
+    states = {1: 1}  # the empty column set is matched once; polynomial 1
+    for i in range(n):
+        free = [j for j in range(n) if family.is_variable(i, j)]
+        pinned = [j for j in range(n) if not family.is_variable(i, j)]
+        monomial = [1 << (width * p.bit_count()) for p in range(1 << len(free))]
+        nxt: dict[int, int] = {}
+        for state, poly in states.items():
+            lifted = [(state & keep[c]) << (1 << c) for c in range(n)]
+            base = 0
+            for c in pinned:
+                base = add(base, lifted[c])
+            # after[p]: the state once a row with ones at the pinned columns
+            # and at the free columns picked by the bits of p is added
+            after = [base]
+            for p in range(1, 1 << len(free)):
+                column = free[(p & -p).bit_length() - 1]
+                after.append(add(after[p & (p - 1)], lifted[column]))
+            weights: dict[int, int] = {}
+            for p, new in enumerate(after):
+                weights[new] = weights.get(new, 0) + monomial[p]
+            for new, weight in weights.items():
+                nxt[new] = nxt.get(new, 0) + poly * weight
+        states = nxt
+    full = size - 1
+    total = sum(
+        poly
+        for state, poly in states.items()
+        if sum(state >> (full + layer * size) & 1 for layer in range(layers)) == target
+    )
+    mask = (1 << width) - 1
+    return [total >> (width * i) & mask for i in range(k_total + 1)]

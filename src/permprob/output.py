@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .guards import Record, check_guard, parse_int
+from .guards import GuardError, Record, check_guard, parse_int
 from .families import Family
 from .termdist import e_table
 
@@ -30,6 +30,19 @@ if TYPE_CHECKING:
 # Largest dimension of an emitted term-count table (``dist``, and ``validate``
 # re-running a dist artifact) unless forced.
 DIST_MAX_N = 30
+
+# Hard ceilings on the sizes an artifact's metadata may ask ``regenerate``
+# for, keyed by artifact kind and metadata key; no ``force`` lifts them.  At
+# them a forced regeneration takes at most about 5 s on two cores: 0.4 s for
+# dist at n=200, 1.6 s for exact A at n=16 (B and C are faster) and 4.8 s
+# for a three-family compare at n=12 on 20,001 points.  Every builder's own
+# guard is lower, so unforced it refuses first.
+REGENERATE_CEILINGS = {
+    ("dist", "n"): 200,
+    ("exact", "n"): 16,
+    ("compare", "n"): 12,
+    ("compare", "grid"): 20_001,
+}
 
 _POLYNOMIAL = "# polynomial: "
 
@@ -204,24 +217,35 @@ def compare_svg(families: list[Family], n: int, grid_points: int,
     )
 
 
+def _size(meta: dict[str, str], key: str, force: bool) -> int:
+    """``meta[key]`` as an int; forced, a size past its ceiling raises ``GuardError``."""
+    value = parse_int(meta[key])
+    ceiling = REGENERATE_CEILINGS[meta["kind"], key]
+    if force and value > ceiling:
+        raise GuardError(f"{meta['kind']} artifact {key} {value} exceeds its ceiling of "
+                         f"{ceiling}, which no --force lifts")
+    return value
+
+
 def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
     """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
 
     The metadata sizes the run, so each builder's guard applies and
-    ``force=True`` lifts it.  Metadata that names no artifact kind gives
-    None; a missing key raises ``KeyError`` and a bad value ``ValueError``,
-    an integer longer than ``guards.MAX_INT_CHARS`` characters included.
+    ``force=True`` lifts it, though not past ``REGENERATE_CEILINGS``.
+    Metadata that names no artifact kind gives None; a missing key raises
+    ``KeyError`` and a bad value ``ValueError``, an integer longer than
+    ``guards.MAX_INT_CHARS`` characters included.
     """
     kind = meta.get("kind")
     if kind == "dist":
-        return make_dist_doc(Family(meta["family"]), parse_int(meta["n"]), force)
+        return make_dist_doc(Family(meta["family"]), _size(meta, "n", force), force)
     if kind == "exact":
         from .probability import exact_counts
 
-        return make_exact_doc(exact_counts(Family(meta["family"]), parse_int(meta["n"]),
+        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n", force),
                                            force=force))
     if kind == "compare":
         families = [Family(v) for v in meta["families"].split(",")]
-        return make_compare_doc(families, parse_int(meta["n"]), parse_int(meta["grid"]),
-                                force)
+        return make_compare_doc(families, _size(meta, "n", force),
+                                _size(meta, "grid", force), force)
     return None

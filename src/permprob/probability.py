@@ -8,17 +8,17 @@ assignments of the K variable entries that land the permanent on the
 family's target value, and ``p_eval`` turns those counts into the exact
 probability sum_i N_i * r**i * (1-r)**(K-i).
 
-``exact_counts`` never visits the 2**K assignments.  For families B and C
-it counts digraphs through closed recurrences; for A it runs a dynamic
-program row by row.  That transfer covers every family, and ``validate``
-runs it on B and C as a second route.  The 2**K enumeration oracle lives
-in ``matrices``, and the test suite keeps a subset-sum oracle of its own.
+``exact_counts`` never visits the 2**K assignments: every family runs one
+recurrence, polynomial in n.  For B and C it counts digraphs; for A it
+counts bipartite graphs by their Hall deficiency.  The oracle routes, the
+row-by-row transfer over column subsets and the 2**K enumeration, live in
+``matrices``, where ``validate`` runs them; the test suite keeps a
+subset-sum oracle of its own.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from .families import Family
 from .guards import Record, check_guard
@@ -149,89 +149,65 @@ def _counts_b_recurrence(n: int) -> list[int]:
     return total
 
 
-_RECURRENCES = {Family.B: _counts_b_recurrence, Family.C: _counts_c_recurrence}
+def _counts_a_recurrence(n: int) -> list[int]:
+    """Family-A assignments with permanent 0, counted by number of ones.
 
+    A p x q matrix is a bipartite graph between its rows and its columns.
+    Split it at X, the largest row set of greatest deficiency |X| - |N(X)|
+    (the maximizers form a lattice, so X is unique), with i = |X| and
+    j = |N(X)| <= i: the block X x N(X) has a matching that saturates N(X),
+    counted by Sat(i, j); X has no other neighbour; the (p-i) x j block of
+    the other rows against N(X) is free; and on the rest every nonempty row
+    set W has |N(W)| > |W|, counted by Sur(p-i, q-j).  Over every split, with
+    x marking a one,
+    (1+x)**(pq) = sum_{j<=i<=p, j<=q} C(p,i) C(q,j) Sat(i,j) Sur(p-i,q-j)
+                  * (1+x)**((p-i)j),
+    where Sur(a, b) is 0 for b <= a, a >= 1, and Sat(0, 0) = Sur(0, 0) = 1.
 
-def _counts_transfer(family: Family, n: int) -> list[int]:
-    """Row-by-row transfer over column subsets, for any family.
-
-    After i rows the state records, for every i-element set T of columns,
-    min(perm, target + 1) of the submatrix on those rows and columns; the
-    final state holds the whole matrix's capped permanent.  A state is one
-    int: bit T of layer L (bit L * 2**n + T) is set when that capped value
-    exceeds L; the target is 0 or 1, so there are one or two layers.  Adding
-    a row with a one in column c lifts every set T without c to T | {c},
-    which is one mask and one shift of the state.
-
-    Each state carries the polynomial, in the number of ones, of the
-    assignments that reach it, packed into one int with ``width`` = K + 1
-    bits per coefficient: no coefficient exceeds 2**K, so none carries into
-    the next.
+    ``table[p, q]`` holds Sat(p, q) for q <= p and Sur(p, q) for p < q.
+    The identity at (p, q) holds it once, with coefficient 1: as Sat(i, j)
+    at (i, j) = (p, q), or as Sur(p-i, q-j) at (i, j) = (0, 0).  Every
+    other term has a smaller p + q, so the table fills in order of p + q.
+    The permanent is nonzero exactly when a matching saturates all n rows,
+    so A's counts are (1+x)**(n*n) - Sat(n, n).
     """
-    k_total = family.variable_count(n)
-    target = family.target_permanent
-    width = k_total + 1
-    size = 1 << n
-    layers = target + 1
-    keep = []
-    for c in range(n):
-        without_c = sum(1 << t for t in range(size) if not t >> c & 1)
-        keep.append(sum(without_c << (layer * size) for layer in range(layers)))
-    if layers == 1:
-        add = operator.or_
-    else:
-        low = (1 << size) - 1
+    table = {(0, 0): [1]}
+    for size in range(1, 2 * n + 1):
+        for p in range(max(0, size - n), min(n, size) + 1):
+            q = size - p
+            poly = _binomial_row(p * q)
+            for i in range(p + 1):
+                for j in range(min(i, q) + 1):
+                    a, b = p - i, q - j
+                    if a and b <= a or (p, q) in ((i, j), (a, b)):
+                        continue  # Sur(a, b) is 0, or the term holds table[p, q]
+                    term = _poly_mul(table[i, j], _poly_mul(table[a, b], _binomial_row(a * j)))
+                    _poly_add(poly, term, -math.comb(p, i) * math.comb(q, j))
+            table[p, q] = poly
+    counts = _binomial_row(n * n)
+    _poly_add(counts, table[n, n], -1)
+    return counts
 
-        def add(a: int, b: int) -> int:
-            """Capped sum of two states: both >= 1 makes >= 2."""
-            return a | b | ((a & b & low) << size)
 
-    states = {1: 1}  # the empty column set is matched once; polynomial 1
-    for i in range(n):
-        free = [j for j in range(n) if family.is_variable(i, j)]
-        pinned = [j for j in range(n) if not family.is_variable(i, j)]
-        monomial = [1 << (width * p.bit_count()) for p in range(1 << len(free))]
-        nxt: dict[int, int] = {}
-        for state, poly in states.items():
-            lifted = [(state & keep[c]) << (1 << c) for c in range(n)]
-            base = 0
-            for c in pinned:
-                base = add(base, lifted[c])
-            # after[p]: the state once a row with ones at the pinned columns
-            # and at the free columns picked by the bits of p is added
-            after = [base]
-            for p in range(1, 1 << len(free)):
-                column = free[(p & -p).bit_length() - 1]
-                after.append(add(after[p & (p - 1)], lifted[column]))
-            weights: dict[int, int] = {}
-            for p, new in enumerate(after):
-                weights[new] = weights.get(new, 0) + monomial[p]
-            for new, weight in weights.items():
-                nxt[new] = nxt.get(new, 0) + poly * weight
-        states = nxt
-    full = size - 1
-    total = sum(
-        poly
-        for state, poly in states.items()
-        if sum(state >> (full + layer * size) & 1 for layer in range(layers)) == target
-    )
-    mask = (1 << width) - 1
-    return [total >> (width * i) & mask for i in range(k_total + 1)]
+_RECURRENCES = {
+    Family.A: _counts_a_recurrence,
+    Family.B: _counts_b_recurrence,
+    Family.C: _counts_c_recurrence,
+}
 
 
 def exact_counts(family: Family, n: int, force: bool = False) -> ExactCounts:
     """Count, by number of ones, the assignments that hit the target permanent.
 
-    The engine follows from the family: closed recurrences over the digraph
-    the off-diagonal entries describe, polynomial in n, for B and C; the
-    row-by-row transfer over the capped permanents of column subsets for A.
+    Every family runs a recurrence, polynomial in n: over the digraph the
+    off-diagonal entries describe for B and C, and over the Hall deficiency
+    of the bipartite graph between rows and columns for A.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     k_total = family.variable_count(n)
     check_guard(k_total, EXACT_MAX_VARIABLES, "variable-entry count", force)
-    recurrence = _RECURRENCES.get(family)
-    counts = recurrence(n) if recurrence else _counts_transfer(family, n)
+    counts = _RECURRENCES[family](n)
     counts += [0] * (k_total + 1 - len(counts))
     return ExactCounts(family, n, tuple(counts))
 

@@ -12,9 +12,9 @@ import math
 
 from .families import Family
 from .guards import GuardError, Record, check_guard
-from .matrices import BinaryMatrix, exact_counts_direct, permanent_ryser
+from .matrices import BinaryMatrix, _counts_transfer, exact_counts_direct, permanent_ryser
 from .output import CsvDoc, regenerate
-from .probability import _counts_transfer, compare_grid, exact_counts, p_eval, q_eval
+from .probability import compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
 from .termoracles import (
@@ -161,14 +161,12 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
         ]
         add(name, not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={TABLE_N}")
 
-    # exact counts at n=3: the engine, the transfer on B and C (A's engine is
-    # the transfer) and the enumeration oracle
+    # exact counts at n=3: the engine, the transfer and the enumeration oracle
     bad_entries = []
     for family, expected in REFERENCE_EXACT_COUNTS_N3.items():
-        routes = [("exact_counts", exact_counts(family, 3).counts)]
-        if family is not Family.A:
-            routes.append(("_counts_transfer", tuple(_counts_transfer(family, 3))))
-        routes.append(("exact_counts_direct", exact_counts_direct(family, 3)))
+        routes = [("exact_counts", exact_counts(family, 3).counts),
+                  ("_counts_transfer", tuple(_counts_transfer(family, 3))),
+                  ("exact_counts_direct", exact_counts_direct(family, 3))]
         bad_entries += [
             (family.value, route, list(got)) for route, got in routes if got != expected
         ]
@@ -216,8 +214,9 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     The file is read with its line endings as they are, and at most
     ``MAX_ARTIFACT_CHARS`` of it.  ``output.regenerate`` rebuilds it from
     its metadata, so the guards of the command that emitted it apply.
-    ``force=True`` lifts every guard, the length one included; a guard hit
-    is a failed check naming the guard.
+    ``force=True`` lifts every guard, the length one included, but not the
+    ceilings of ``output.REGENERATE_CEILINGS``; a guard hit is a failed
+    check naming the guard.
     """
     name = f"artifact:{path}"
     try:

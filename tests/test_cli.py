@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -240,6 +241,21 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--n", "2", str(path))
         assert code == 1
         assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
+
+    def test_forced_header_past_its_ceiling_is_a_failed_check(self, isolated_cwd):
+        # A fresh interpreter under a timeout, so that unbounded work fails the
+        # test instead of hanging the suite.
+        path = isolated_cwd / "big20.csv"
+        path.write_text("# permprob dist family=C n=99999999999999999999\nn,m,count\n")
+        argv = ["validate", "--n", "2", "--force", str(path)]
+        start = time.perf_counter()
+        proc = run_fresh(f"import sys, permprob.cli as cli; sys.exit(cli.main({argv!r}))",
+                         timeout=20)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 1
+        assert (f"FAIL  artifact:{path}  (guard violation: dist artifact n "
+                "99999999999999999999 exceeds its ceiling of 200, which no --force "
+                "lifts)") in proc.stdout
 
     def test_n_past_walk_ceiling_is_usage_error(self, capsys, monkeypatch):
         def no_walk(iterable, r=None):
@@ -619,7 +635,7 @@ class TestPinnedReports:
         assert out.splitlines() == lines + (_OEIS_LINES if oeis else []) + [summary]
 
 
-def run_fresh(script, *options):
+def run_fresh(script, *options, timeout=120):
     """Run ``script`` in a fresh interpreter that imports permprob from this tree.
 
     ``options`` go to the interpreter, before ``-c``.
@@ -628,7 +644,7 @@ def run_fresh(script, *options):
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PERMPROB_CONFIG", None)
     return subprocess.run([sys.executable, *options, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 class TestImportDiet:

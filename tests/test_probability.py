@@ -16,8 +16,8 @@ from permprob import (
     p_eval,
     q_eval,
 )
-from permprob.matrices import exact_counts_direct
-from permprob.probability import _RECURRENCES, _counts_transfer
+from permprob.matrices import _counts_transfer, exact_counts_direct
+from permprob.probability import _RECURRENCES
 
 from oracles import (
     EXACT_N3,
@@ -27,18 +27,13 @@ from oracles import (
     subset_sum_counts,
 )
 
-# Every route to the exact counts, each called directly: the recurrences
-# (B and C), the transfer (every family) and the enumeration oracle.
+# Every route to the exact counts, each called directly and each covering
+# every family: the recurrences, the transfer and the enumeration oracle.
 ROUTES = {
     "recurrence": lambda family, n: _RECURRENCES[family](n),
     "transfer": _counts_transfer,
     "direct": exact_counts_direct,
 }
-
-
-def routes_for(family):
-    """The routes of ``ROUTES`` that cover ``family``."""
-    return [name for name in ROUTES if name != "recurrence" or family in _RECURRENCES]
 
 
 def route_counts(route, family, n):
@@ -201,7 +196,7 @@ class TestExactCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_engines_match_vectorized_oracle(self, family, n):
         oracle = subset_sum_counts(family, n)
-        for route in routes_for(family):
+        for route in ROUTES:
             if route != "direct":
                 assert route_counts(route, family, n) == oracle
         assert exact_counts(family, n).counts == oracle
@@ -213,7 +208,8 @@ class TestExactCounts:
             assert sum(route_counts("recurrence", Family.C, n)) == total
 
     @pytest.mark.parametrize(
-        "family, total", [(Family.B, 79_331_328), (Family.C, 3_781_503)]
+        "family, total",
+        [(Family.A, 13_906_734_081), (Family.B, 79_331_328), (Family.C, 3_781_503)],
     )
     def test_transfer_matches_recurrence_at_n6(self, family, total):
         transfer = route_counts("transfer", family, 6)
@@ -227,6 +223,25 @@ class TestExactCounts:
         assert got.counts[:7] == tuple(math.comb(36, i) for i in range(6)) + (
             math.comb(36, 6) - 720,
         )
+
+    @pytest.mark.parametrize("n, total", [
+        (7, 68_121_583_929_729),
+        (8, 1_256_511_813_403_160_577),
+    ])
+    def test_a_totals_past_the_transfer(self, n, total):
+        assert sum(exact_counts(Family.A, n, force=True).counts) == total
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_closed_form_coefficients(self, n):
+        counts = exact_counts(Family.A, n, force=True).counts
+        k_total = n * n
+        # fewer than n ones leave no nonzero term; n ones make one term only
+        # when they form a permutation
+        assert counts[:n] == tuple(math.comb(k_total, i) for i in range(n))
+        assert counts[n] == math.comb(k_total, n) - math.factorial(n)
+        # n zeros kill every term only as a whole row or a whole column
+        assert counts[k_total - n] == 2 * n
+        assert not any(counts[k_total - n + 1:])
 
     def test_c2_counts(self):
         assert exact_counts(Family.C, 2).counts == (1, 2, 0)
@@ -254,8 +269,8 @@ class TestExactCounts:
 
     def test_all_methods_return_equal_counts(self):
         for family in Family:
-            results = [route_counts(route, family, 3) for route in routes_for(family)]
-            assert len(results) == (2 if family is Family.A else 3)
+            results = [route_counts(route, family, 3) for route in ROUTES]
+            assert len(results) == 3
             assert all(r == results[0] for r in results)
             assert exact_counts(family, 3).counts == results[0]
 

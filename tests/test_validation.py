@@ -70,6 +70,7 @@ class TestOfflineChecks:
 
     @pytest.mark.parametrize("route, family", [
         ("exact_counts", Family.C),
+        ("_counts_transfer", Family.A),
         ("_counts_transfer", Family.B),
         ("exact_counts_direct", Family.A),
     ])
@@ -84,7 +85,7 @@ class TestOfflineChecks:
                 return probability.ExactCounts(f, n, wrong(got.counts, f))
         elif route == "_counts_transfer":
             def corrupted(f, n):
-                return list(wrong(probability._counts_transfer(f, n), f))
+                return list(wrong(matrices._counts_transfer(f, n), f))
         else:
             def corrupted(f, n):
                 return wrong(matrices.exact_counts_direct(f, n), f)
@@ -189,6 +190,28 @@ class TestArtifactVerification:
         assert not result.passed
         assert result.detail == ("malformed artifact: an integer may have at most 20 "
                                  f"characters, got {length}")
+
+    # The dist ceiling is tested through the command line, in a fresh
+    # interpreter under a timeout: past it, a forced run would not end.
+    @pytest.mark.parametrize("header, refused", [
+        ("# permprob exact family=A n=17\ni,count\n",
+         "exact artifact n 17 exceeds its ceiling of 16"),
+        ("# permprob compare n=13 grid=5 families=A\nr,Q_A,P_A\n",
+         "compare artifact n 13 exceeds its ceiling of 12"),
+        ("# permprob compare n=2 grid=20002 families=A\nr,Q_A,P_A\n",
+         "compare artifact grid 20002 exceeds its ceiling of 20001"),
+    ], ids=["exact-n", "compare-n", "compare-grid"])
+    def test_forced_header_past_its_ceiling_fails_fast(self, tmp_path, header, refused):
+        path = tmp_path / "big.csv"
+        path.write_text(header)
+        result = verify_artifact(str(path), force=True)
+        assert not result.passed
+        assert result.detail == f"guard violation: {refused}, which no --force lifts"
+
+    def test_forced_header_at_its_ceiling_is_verified(self, tmp_path):
+        path = tmp_path / "compare.csv"
+        path.write_text(make_compare_doc([Family.C], 2, 20_001, force=True).render())
+        assert verify_artifact(str(path), force=True).passed
 
     def test_force_lifts_dist_guard(self, tmp_path):
         path = tmp_path / "dist.csv"
