@@ -5,9 +5,18 @@ violation.  Defaults work without any configuration; a ``permprob.conf``
 key=value file (or the path in ``PERMPROB_CONFIG``) supplies defaults that
 command-line flags override.  Each subcommand parses only the flags it reads
 and resolves only the matching config keys, so a shared config file may hold
-keys that some subcommands ignore.  The parsed ``argparse.Namespace`` is the
-one options object: ``_resolve`` fills in and checks each option the
-subcommand reads, and the handler takes the namespace alone.
+keys that some subcommands ignore.
+
+One table drives the command line: ``_SUBCOMMANDS`` gives each subcommand's
+handler and options, and ``_FLAGS`` each flag's kind and help.  ``_parse``
+reads ``argv`` against it as the argparse parser the table describes would,
+with argparse's exit codes and error wording, without importing argparse,
+which brings ``gettext`` and ``locale`` with it.  ``_resolve`` then makes
+one pass over the table: each option the subcommand reads comes from its
+flag, else its ``permprob.conf`` key, else its default, and is checked.
+The resulting namespace is the one options object a handler takes.  The
+help and usage text, which only ``-h`` and a bad command line need, is
+rendered by ``usage``.
 
 At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
@@ -18,10 +27,9 @@ under ``validate``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Callable
+from types import SimpleNamespace
 
 from .guards import GuardError, Record, parse_int
 from .families import Family
@@ -65,72 +73,6 @@ def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict[str, str],
-             spec: _Subcommand) -> None:
-    """Fill in ``args`` each option ``spec`` reads that no flag set, and check it.
-
-    An unset option takes its ``permprob.conf`` key, or else its default;
-    options ``spec`` does not read stay absent.  ``family`` becomes a list of
-    :class:`Family`.  An ``n`` or ``grid`` key longer than
-    ``guards.MAX_INT_CHARS`` characters is refused before ``int()`` reads it.
-    ``oeis`` brings ``oeis_url`` and ``oeis_timeout``: the
-    timeout, from that key or else from ``PERMPROB_OEIS_TIMEOUT``, is checked
-    by :func:`permprob.sequences.oeis_timeout`.
-    """
-    def pick(attr: str, default, cast=str):
-        value = getattr(args, attr)
-        if value is None and attr in file_cfg:
-            try:
-                value = cast(file_cfg[attr])
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {attr}: {exc}") from exc
-        setattr(args, attr, default if value is None else value)
-        return getattr(args, attr)
-
-    def flag(attr: str) -> None:
-        setattr(args, attr, getattr(args, attr) or _parse_bool(file_cfg.get(attr, "")))
-
-    options = spec.options
-    if "family" in options:
-        names = pick("family", [], lambda raw: [raw])
-        args.family = []
-        for name in names:
-            try:
-                args.family.append(Family(name))
-            except ValueError:
-                raise UsageError(f"unknown family {name!r}; expected A, B, or C")
-    if "format" in options and pick("format", spec.formats[0]) not in spec.formats:
-        raise UsageError(
-            f"format {args.format!r} is not supported here "
-            f"(choose from {', '.join(spec.formats)})"
-        )
-    if "n" in options and pick("n", spec.default_n, parse_int) < 1:
-        raise UsageError(f"n must be >= 1, got {args.n}")
-    if "grid" in options:
-        from .probability import DEFAULT_GRID
-
-        if pick("grid", DEFAULT_GRID, parse_int) < 2:
-            raise UsageError(f"grid must be >= 2, got {args.grid}")
-    if "out" in options:
-        pick("out", None)
-    if "force" in options:
-        flag("force")
-    if "oeis" in options:
-        from .sequences import OEIS_TIMEOUT_ENV, oeis_timeout
-
-        flag("oeis")
-        args.oeis_url = file_cfg.get("oeis_url")
-        source = "oeis_timeout"
-        raw = file_cfg.get(source)
-        if not raw:
-            source = OEIS_TIMEOUT_ENV
-            raw = os.environ.get(source)
-        try:
-            args.oeis_timeout = oeis_timeout(raw, source) if raw else None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -139,13 +81,13 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_one_family(args: argparse.Namespace, command: str) -> Family:
+def _require_one_family(args: SimpleNamespace, command: str) -> Family:
     if len(args.family) != 1:
         raise UsageError(f"{command} needs exactly one --family (A, B, or C)")
     return args.family[0]
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
+def _cmd_dist(args: SimpleNamespace) -> int:
     from .output import make_dist_doc
 
     family = _require_one_family(args, "dist")
@@ -154,7 +96,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_exact(args: SimpleNamespace) -> int:
     from .output import make_exact_doc
     from .probability import bernstein_string, exact_counts
 
@@ -166,7 +108,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     from .output import compare_svg, make_compare_doc
 
     families = args.family or list(Family)
@@ -179,7 +121,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     from .termoracles import WALK_MAX_N
     from .validation import run_offline_checks, verify_artifact
 
@@ -200,41 +142,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _print_oeis_report(args: argparse.Namespace) -> None:
-    from datetime import datetime, timezone
+def _print_oeis_report(args: SimpleNamespace) -> None:
+    from .sequences import oeis_report
 
-    from .sequences import builtin_checks
-    from .termdist import v_closed_form
-
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    for check in builtin_checks():
-        prefix = check.expected[:8]
-        line = _lookup_line(prefix, args, expected_id=check.oeis_id)
-        print(f"OEIS  {check.oeis_id} [{check.slice_name}] {line} at {stamp}")
-    informational = [v_closed_form(n, 4) for n in range(4, 9)]
-    line = _lookup_line(informational, args, expected_id=None)
-    print(f"OEIS  V_n(4) column {line} at {stamp}")
+    for line in oeis_report(args.oeis_url, args.oeis_timeout):
+        print(line)
 
 
-def _lookup_line(prefix, args: argparse.Namespace, expected_id: str | None) -> str:
-    from .sequences import OEISFormatError, oeis_lookup
-
-    try:
-        result = oeis_lookup(prefix, base_url=args.oeis_url, timeout=args.oeis_timeout)
-    except OEISFormatError as exc:
-        return f"error: {exc}"
-    if result.status == "skipped":
-        return f"lookup skipped ({result.note})"
-    if expected_id is None:
-        if result.ids:
-            return f"candidates: {', '.join(result.ids[:5])}"
-        return "no listed sequence matches"
-    if expected_id in result.ids:
-        return "listed"
-    return f"not among {len(result.ids)} candidates"
-
-
-def _cmd_seq(args: argparse.Namespace) -> int:
+def _cmd_seq(args: SimpleNamespace) -> int:
     from .sequences import builtin_checks
 
     checks = builtin_checks()
@@ -256,23 +171,26 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 class _Subcommand(Record):
-    """A subcommand's handler and the options it reads.
+    """A subcommand's handler, which takes the options and returns the exit
+    code, and the options it reads.
 
     ``options`` names both the flags the subcommand parses and the
     ``permprob.conf`` keys it resolves; it parses and resolves no others.
+    ``paths``, when set, is the help of the file paths it takes as
+    positional arguments.
     """
 
-    __slots__ = ("handler", "help", "options", "formats", "default_n")
+    __slots__ = ("handler", "help", "options", "formats", "default_n", "paths")
 
-    def __init__(self, handler: Callable[[argparse.Namespace], int],
-                 help: str, options: tuple[str, ...],
-                 formats: tuple[str, ...] = ("csv",),
-                 default_n: int | None = None) -> None:
+    def __init__(self, handler, help: str, options: tuple[str, ...],
+                 formats: tuple[str, ...] = ("csv",), default_n: int | None = None,
+                 paths: str | None = None) -> None:
         self.handler = handler
         self.help = help
         self.options = options
         self.formats = formats
         self.default_n = default_n
+        self.paths = paths
 
 
 _ARTIFACT_OPTIONS = ("family", "n", "format", "out", "force")
@@ -287,55 +205,176 @@ _SUBCOMMANDS = {
     "exact": _Subcommand(_cmd_exact, "count assignments and emit exact hit counts",
                          _ARTIFACT_OPTIONS, ("csv", "json"), default_n=3),
     "validate": _Subcommand(_cmd_validate, "run all offline cross-checks",
-                            ("n", "force", "oeis"), default_n=8),
+                            ("n", "force", "oeis"), default_n=8,
+                            paths="previously emitted CSV artifacts to re-verify"),
     "seq": _Subcommand(_cmd_seq, "check generated slices against known sequences",
                        ("oeis",)),
 }
 
+# Each flag's kind and help, in the order ``_resolve`` resolves them.  The
+# kind says how the flag's text is read: ``int`` and ``str`` convert it, a
+# tuple names the values allowed (empty: the subcommand's formats), and
+# ``bool`` marks a switch, which takes no text.  Only ``--family`` may be
+# given more than once; ``--help`` is every subcommand's.
 _FLAGS = {
-    "family": dict(action="append", choices=["A", "B", "C"],
-                   help="matrix family (repeatable where a subset makes sense)"),
-    "n": dict(type=int, help="matrix dimension"),
-    "grid": dict(type=int, help="number of grid points on [0, 1]"),
-    "format": dict(help="output format"),
-    "out": dict(help="output path (default: stdout)"),
-    "force": dict(action="store_true",
-                  help="accept long runtimes past the size guards"),
-    "oeis": dict(action="store_true", help="also run remote sequence lookups"),
+    "help": (bool, "show this help message and exit"),
+    "family": (("A", "B", "C"), "matrix family (repeatable where a subset makes sense)"),
+    "format": ((), "output format"),
+    "n": (int, "matrix dimension"),
+    "grid": (int, "number of grid points on [0, 1]"),
+    "out": (str, "output path (default: stdout)"),
+    "force": (bool, "accept long runtimes past the size guards"),
+    "oeis": (bool, "also run remote sequence lookups"),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permprob",
-        description=(
-            "Term-count tables, approximate and exact probabilities that the "
-            "permanent of a random 0/1 matrix hits its target value"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        for option in spec.options:
-            kwargs = dict(_FLAGS[option])
-            if option == "format":
-                kwargs["choices"] = spec.formats
-            p.add_argument(f"--{option}", **kwargs)
-        if name == "validate":
-            p.add_argument("paths", nargs="*",
-                           help="previously emitted CSV artifacts to re-verify")
-    return parser
+def _exit(name: str | None, error: str | None = None):
+    """Exit as argparse does: 0 after the help of subcommand ``name``, or of
+    ``permprob`` when it is None, or 2 after its usage line and ``error``."""
+    from .usage import show
+
+    raise SystemExit(show(name, error))
+
+
+def _read(token: str, flags: tuple[str, ...], name: str):
+    """How argparse reads ``token`` where the flags are ``flags``.
+
+    None is a positional: ``-``, a negative number or a word.  Otherwise it
+    is ``(flag, explicit)``: ``flag`` is the flag that ``token`` or a unique
+    prefix of it names, or "" for an unknown option, and ``explicit`` is the
+    text after ``=``, or None.  An ambiguous prefix exits 2.
+    """
+    if token[:1] != "-" or token == "-" or (
+            token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."):
+        return None
+    if token[1] != "-":
+        return "help" if token == "-h" else "", None
+    key, eq, explicit = token[2:].partition("=")
+    hits = [flag for flag in flags if flag.startswith(key)]
+    if len(hits) > 1:
+        _exit(name, "ambiguous option: %s could match --%s" % (token, ", --".join(hits)))
+    return hits[0] if hits else "", explicit if eq else None
+
+
+def _parse(argv: list[str]) -> tuple[_Subcommand, SimpleNamespace]:
+    """The subcommand ``argv`` names, and the values of the flags it gives.
+
+    ``argv`` is read as by the argparse parser that ``_SUBCOMMANDS`` and
+    ``_FLAGS`` describe.  Every token is read first, so an ambiguous prefix
+    fails before anything else.  Then the options are taken in order, and
+    each flag's value is checked as it is met: ``-h`` prints the help and
+    exits 0 unless a bad value comes before it.  Unknown options and stray
+    positionals fail together at the end.  Only the first run of
+    positionals is ``validate``'s paths, and ``--`` makes every later token
+    a positional.  A flag not given is None, and ``family`` is the list of
+    names given.
+    """
+    name = argv[0] if argv else ""
+    spec = _SUBCOMMANDS.get(name)
+    if spec is None:  # -h, or no subcommand
+        from .usage import show_top
+
+        raise SystemExit(show_top(argv))
+    tokens = argv[1:]
+    end = (tokens + ["--"]).index("--")  # every token after the first -- is positional
+    reads = [_read(token, ("help",) + spec.options, name) if at < end else None
+             for at, token in enumerate(tokens)]
+    args = SimpleNamespace(paths=[], **dict.fromkeys(spec.options))
+    extras = []
+    closed = False  # the paths end at the first option after them
+    i = 0
+    while i < len(tokens):
+        token, (option, value) = tokens[i], reads[i] or (None, None)
+        i += 1
+        if option is None and spec.paths and not closed:
+            if i - 1 != end:  # the first -- is not a path
+                args.paths.append(token)
+            continue
+        closed = bool(args.paths)
+        if not option:
+            extras.append(token)
+            continue
+        kind = _FLAGS[option][0]
+        if kind is bool:
+            if value is not None:
+                _exit(name, f"argument --{option}: ignored explicit argument {value!r}")
+            if option == "help":
+                _exit(name)
+            value = True
+        elif value is None:
+            if i in (end, len(tokens)) or reads[i]:
+                _exit(name, f"argument --{option}: expected one argument")
+            value = tokens[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _exit(name, f"argument --{option}: invalid int value: {value!r}")
+        elif kind not in (bool, str) and value not in (kind or spec.formats):
+            _exit(name, f"argument --{option}: invalid choice: {value!r} (choose from "
+                        + ", ".join(map(repr, kind or spec.formats)) + ")")
+        if option == "family":
+            value = (args.family or []) + [value]
+        setattr(args, option, value)
+    if extras:
+        _exit(name, "unrecognized arguments: " + " ".join(extras))
+    return spec, args
+
+
+def _resolve(spec: _Subcommand, args: SimpleNamespace, file_cfg: dict[str, str]) -> None:
+    """Fill in each option ``spec`` reads, in one pass over ``_FLAGS``, and check it.
+
+    An option no flag gave takes its ``permprob.conf`` key, or else its
+    default; a switch is on when its flag or its key says so.  An ``n`` or
+    ``grid`` key longer than ``guards.MAX_INT_CHARS`` characters is refused
+    before ``int()`` reads it.  ``oeis`` brings ``oeis_url`` and
+    ``oeis_timeout``, from :func:`permprob.sequences.oeis_settings`.
+    """
+    for option, (kind, _) in _FLAGS.items():
+        if option not in spec.options:
+            continue
+        value, raw = getattr(args, option), file_cfg.get(option)
+        if kind is bool:
+            value = value or _parse_bool(raw or "")
+        elif value is None and raw is not None:
+            if option == "family" and raw not in kind:
+                raise UsageError(f"unknown family {raw!r}; expected A, B, or C")
+            try:  # a key names one family, where flags give a list
+                value = parse_int(raw) if kind is int else [raw] if option == "family" else raw
+            except ValueError as exc:
+                raise UsageError(f"bad config value for {option}: {exc}") from exc
+        if option == "family":
+            value = [Family(name) for name in value or ()]
+        elif option == "format":
+            value = spec.formats[0] if value is None else value
+            if value not in spec.formats:
+                raise UsageError(f"format {value!r} is not supported here "
+                                 f"(choose from {', '.join(spec.formats)})")
+        elif kind is int:
+            if value is None and option == "grid":
+                from .probability import DEFAULT_GRID as value
+            value = spec.default_n if value is None else value
+            least = 2 if option == "grid" else 1
+            if value < least:
+                raise UsageError(f"{option} must be >= {least}, got {value}")
+        elif option == "oeis":
+            from .sequences import oeis_settings
+
+            try:
+                args.oeis_url, args.oeis_timeout = oeis_settings(file_cfg)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+        setattr(args, option, value)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    spec = _SUBCOMMANDS[args.command]
+        spec, args = _parse(list(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # -h, or a command line that does not parse
+        return exc.code
     try:
-        _resolve(args, load_config_file(), spec)
+        _resolve(spec, args, load_config_file())
         return spec.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

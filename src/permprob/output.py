@@ -18,12 +18,11 @@ the same 12-digit values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .guards import GuardError, Record, check_guard, parse_int
 from .families import Family
 from .termdist import e_table
 
+TYPE_CHECKING = False  # type checkers read it as True; typing stays unimported
 if TYPE_CHECKING:
     from .probability import ExactCounts
 

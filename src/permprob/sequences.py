@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .guards import Record
 from .termdist import v_closed_form, w_closed_form
@@ -128,6 +128,21 @@ def oeis_timeout(raw: str | float, source: str) -> float:
     return seconds
 
 
+def oeis_settings(config: dict[str, str]) -> tuple[str | None, float | None]:
+    """The lookup URL and timeout that a ``permprob.conf`` mapping gives.
+
+    The URL is the ``oeis_url`` key, or None.  The timeout is the
+    ``oeis_timeout`` key, or else ``PERMPROB_OEIS_TIMEOUT``, or None; either
+    one is checked by :func:`oeis_timeout`, which raises ``ValueError``.
+    """
+    source = "oeis_timeout"
+    raw = config.get(source)
+    if not raw:
+        source = OEIS_TIMEOUT_ENV
+        raw = os.environ.get(source)
+    return config.get("oeis_url"), oeis_timeout(raw, source) if raw else None
+
+
 class LookupResult(Record):
     """Outcome of one remote lookup; ``skipped`` status is not a failure."""
 
@@ -226,3 +241,39 @@ def oeis_lookup(
     except OSError as exc:
         return LookupResult(status="skipped", ids=(), note=f"fetch failed: {exc}")
     return LookupResult(status="ok", ids=_parse_search_text(body))
+
+
+def oeis_report(base_url: str | None = None,
+                timeout: float | None = None) -> Iterator[str]:
+    """The lines of the ``--oeis`` report, each yielded after its lookup.
+
+    One line for each slice of :data:`REFERENCES`, saying whether the OEIS
+    lists its id among the sequences that start with its first 8 terms, and
+    one that names the candidates for the V_n(4) column, which has no
+    reference id.  Each line ends with the UTC time of the report.
+    """
+    from datetime import datetime, timezone
+
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    for check in builtin_checks():
+        line = _lookup_line(check.expected[:8], base_url, timeout, check.oeis_id)
+        yield f"OEIS  {check.oeis_id} [{check.slice_name}] {line} at {stamp}"
+    column = [v_closed_form(n, 4) for n in range(4, 9)]
+    yield f"OEIS  V_n(4) column {_lookup_line(column, base_url, timeout, None)} at {stamp}"
+
+
+def _lookup_line(prefix: list[int], base_url: str | None, timeout: float | None,
+                 expected_id: str | None) -> str:
+    try:
+        result = oeis_lookup(prefix, base_url=base_url, timeout=timeout)
+    except OEISFormatError as exc:
+        return f"error: {exc}"
+    if result.status == "skipped":
+        return f"lookup skipped ({result.note})"
+    if expected_id is None:
+        if result.ids:
+            return f"candidates: {', '.join(result.ids[:5])}"
+        return "no listed sequence matches"
+    if expected_id in result.ids:
+        return "listed"
+    return f"not among {len(result.ids)} candidates"

@@ -7,14 +7,17 @@ computes all 2**K permanents at once through a subset-sum transform.
 ``product_polynomial`` expands the paper's product form of Q(r) into integer
 coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
 sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
+``build_parser`` builds the argparse parser that the CLI's table describes,
+the oracle that the CLI's own parser is checked against.
 """
 
+import argparse
 import itertools
 import math
 
 import numpy as np
 
-from permprob import Family, variable_positions
+from permprob import Family, cli, usage, variable_positions
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
 NAIVE_MAX_N = 10
@@ -131,3 +134,29 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         value = value * x + c
     return value
+
+
+def build_parser():
+    """The argparse parser that ``cli._SUBCOMMANDS`` and ``cli._FLAGS`` describe.
+
+    It reads the command line as the CLI read it while it used argparse.
+    """
+    parser = argparse.ArgumentParser(prog="permprob", description=usage.DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, spec in cli._SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for option in spec.options:
+            kind, help = cli._FLAGS[option]
+            kwargs = {"help": help}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = list(kind or spec.formats)
+            if option == "family":
+                kwargs["action"] = "append"
+            p.add_argument(f"--{option}", **kwargs)
+        if spec.paths:
+            p.add_argument("paths", nargs="*", help=spec.paths)
+    return parser
