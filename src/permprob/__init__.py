@@ -28,10 +28,8 @@ _SOURCES = {
         "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
-    "sequences": (
-        "LookupResult", "OEISFormatError", "SequenceCheck", "builtin_checks",
-        "oeis_lookup",
-    ),
+    "oeis": ("LookupResult", "OEISFormatError", "oeis_lookup"),
+    "sequences": ("SequenceCheck", "builtin_checks"),
     "termdist": (
         "TermDistribution", "derangement", "e_table", "v_closed_form",
         "w_closed_form",

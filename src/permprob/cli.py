@@ -22,7 +22,11 @@ At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
 validation and sequence modules it needs itself, so a command loads only
 what it runs: the oracle modules ``matrices`` and ``termoracles`` load only
-under ``validate``.
+under ``validate``, and the OEIS client only under ``--oeis``.  The
+``validate`` and ``seq`` handlers hand their options to the ``report`` of
+``validation`` and ``sequences``, which print the reports, so this module,
+which every command compiles when bytecode is not written, holds only the
+parsing, the resolving and the artifact handlers.
 """
 
 from __future__ import annotations
@@ -109,65 +113,33 @@ def _cmd_exact(args: SimpleNamespace) -> int:
 
 
 def _cmd_compare(args: SimpleNamespace) -> int:
-    from .output import compare_svg, make_compare_doc
-
     families = args.family or list(Family)
     if args.format == "svg":
+        from .svgplot import compare_svg
+
         text = compare_svg(families, args.n, args.grid, args.force)
     else:
-        doc = make_compare_doc(families, args.n, args.grid, args.force)
-        text = doc.render(args.format)
+        from .output import make_compare_doc
+
+        text = make_compare_doc(families, args.n, args.grid, args.force).render(args.format)
     _emit(text, args.out)
     return 0
 
 
 def _cmd_validate(args: SimpleNamespace) -> int:
     from .termoracles import WALK_MAX_N
-    from .validation import run_offline_checks, verify_artifact
+    from .validation import report
 
     if args.n > WALK_MAX_N:  # --force cannot lift this one
         raise UsageError(f"n must be <= {WALK_MAX_N} for the symmetric-group "
                          f"walk, got {args.n}")
-    results = run_offline_checks(bruteforce_n=args.n, force=args.force)
-    for path in args.paths:
-        results.append(verify_artifact(path, force=args.force))
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        detail = f"  ({res.detail})" if res.detail else ""
-        print(f"{status}  {res.name}{detail}")
-    if args.oeis:
-        _print_oeis_report(args)
-    failed = sum(1 for res in results if not res.passed)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
-
-
-def _print_oeis_report(args: SimpleNamespace) -> None:
-    from .sequences import oeis_report
-
-    for line in oeis_report(args.oeis_url, args.oeis_timeout):
-        print(line)
+    return report(args.n, args.paths, args.force, args.oeis)
 
 
 def _cmd_seq(args: SimpleNamespace) -> int:
-    from .sequences import builtin_checks
+    from .sequences import report
 
-    checks = builtin_checks()
-    failed = 0
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        failed += 0 if check.passed else 1
-        note = ""
-        if check.self_ref_from is not None:
-            note = f"  (terms from n={check.self_ref_from} are self-referential)"
-        print(
-            f"{status}  {check.oeis_id}  {check.slice_name:<8}"
-            f"  {check.window}{note}"
-        )
-    if args.oeis:
-        _print_oeis_report(args)
-    print(f"{len(checks) - failed}/{len(checks)} sequence checks passed")
-    return 1 if failed else 0
+    return report(args.oeis)
 
 
 class _Subcommand(Record):
@@ -328,8 +300,10 @@ def _resolve(spec: _Subcommand, args: SimpleNamespace, file_cfg: dict[str, str])
     An option no flag gave takes its ``permprob.conf`` key, or else its
     default; a switch is on when its flag or its key says so.  An ``n`` or
     ``grid`` key longer than ``guards.MAX_INT_CHARS`` characters is refused
-    before ``int()`` reads it.  ``oeis`` brings ``oeis_url`` and
-    ``oeis_timeout``, from :func:`permprob.sequences.oeis_settings`.
+    before ``int()`` reads it.  The lookup settings of
+    :func:`permprob.sequences.oeis_settings` are checked whenever the
+    subcommand reads ``oeis``, and ``oeis`` becomes them when it is on, else
+    None.
     """
     for option, (kind, _) in _FLAGS.items():
         if option not in spec.options:
@@ -362,9 +336,10 @@ def _resolve(spec: _Subcommand, args: SimpleNamespace, file_cfg: dict[str, str])
             from .sequences import oeis_settings
 
             try:
-                args.oeis_url, args.oeis_timeout = oeis_settings(file_cfg)
+                settings = oeis_settings(file_cfg)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
+            value = settings if value else None
         setattr(args, option, value)
 
 

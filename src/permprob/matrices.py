@@ -8,20 +8,23 @@ imports it, so ``matrices.Family`` is the same object.
 column subsets with Gray-code updates (Ryser, in the order of Nijenhuis and
 Wilf).  It keeps its n row sums as byte lanes of one int, so a Gray-code
 step is one int add or subtract and a term is ``math.prod`` of that int's
-bytes.  ``exact_counts_direct`` calls it on every assignment's matrix, an
-oracle for ``probability.exact_counts``; the tests check the kernel against
-a factorial-time sum of their own.  ``_counts_transfer``, the second
-oracle, runs a dynamic program row by row over the capped permanents of
-column subsets, in time exponential in n.  Only ``validate`` and the tests
-load this module; no other command imports it.
+bytes; the tests check it against a factorial-time sum of their own.
+``exact_counts_direct``, an oracle for ``probability.exact_counts``, runs
+its kernel on every one of the 2^K assignments.  It reads each
+assignment's rows from per-row lookup tables, built once from
+``build_family_matrix``, so it builds no ``BinaryMatrix`` per assignment.
+``_counts_transfer``, the second oracle, runs a dynamic program row by row
+over the capped permanents of column subsets, in time exponential in n.
+Only ``validate`` and the tests load this module; no other command
+imports it, and it imports no ``typing``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .families import Family
 from .guards import GuardError, Record
@@ -142,11 +145,16 @@ def permanent_ryser(matrix: BinaryMatrix) -> int:
     if n > RYSER_MAX_N:
         raise GuardError(
             f"dimension {n} exceeds RYSER_MAX_N = {RYSER_MAX_N} of the subset-sum permanent")
+    return _ryser(n, matrix.rows)
+
+
+def _ryser(n: int, rows: Sequence[int]) -> int:
+    """The kernel of :func:`permanent_ryser`, on the n row bitmasks ``rows``."""
     # Byte i of columns[b] is entry (i, b), packed in one pass over each
     # row's set bits.  A row sum counts at most n <= RYSER_MAX_N < 256
     # columns, so no lane carries into the next or borrows from it.
     columns = [0] * n
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(rows):
         lane = 1 << 8 * i
         while row:
             low = row & -row
@@ -169,11 +177,41 @@ def permanent_ryser(matrix: BinaryMatrix) -> int:
     return total if n % 2 == 0 else -total
 
 
+def _row_tables(family: Family, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """How each row of an assignment's matrix follows from the assignment.
+
+    Row i's variable entries are consecutive pairs of
+    :func:`variable_positions`, so they take the consecutive bits
+    ``shift, ..., shift + w - 1`` of an assignment ``x``, and row i of
+    ``build_family_matrix`` on ``x`` is ``table[x >> shift & mask]`` with
+    ``mask = 2**w - 1``.  Each row's ``table`` is built once, from
+    ``build_family_matrix`` on the assignments whose ones all fall in that
+    row's bits.
+    """
+    positions = variable_positions(family, n)
+    k_total = len(positions)
+    tables = []
+    shift = 0
+    for i in range(n):
+        width = sum(1 for row, _ in positions if row == i)
+        table = tuple(
+            build_family_matrix(
+                family, n, [(low << shift) >> k & 1 for k in range(k_total)]
+            ).rows[i]
+            for low in range(1 << width)
+        )
+        tables.append((shift, (1 << width) - 1, table))
+        shift += width
+    return tables
+
+
 def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
     """Oracle for ``exact_counts``: enumerate all 2**K assignments.
 
-    Builds every assignment's matrix and counts, by number of ones, those
-    whose ``permanent_ryser`` equals the family target.  Refuses K past
+    Counts, by number of ones, the assignments whose matrix has a permanent
+    equal to the family target.  Each assignment's rows come from the
+    lookup tables of :func:`_row_tables` and go straight to the Ryser
+    kernel, so no matrix object is built per assignment.  Refuses K past
     ``EXACT_MAX_VARIABLES``, the bound ``exact_counts`` keeps unforced.
     """
     k_total = len(variable_positions(family, n))
@@ -181,10 +219,10 @@ def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
         raise GuardError(f"variable-entry count {k_total} exceeds EXACT_MAX_VARIABLES = "
                          f"{EXACT_MAX_VARIABLES} of the enumeration")
     target = family.target_permanent
+    tables = _row_tables(family, n)
     counts = [0] * (k_total + 1)
     for x in range(1 << k_total):
-        bits = [(x >> k) & 1 for k in range(k_total)]
-        if permanent_ryser(build_family_matrix(family, n, bits)) == target:
+        if _ryser(n, [table[x >> shift & mask] for shift, mask, table in tables]) == target:
             counts[x.bit_count()] += 1
     return tuple(counts)
 

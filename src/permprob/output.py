@@ -3,11 +3,12 @@
 Each artifact kind has one builder that computes its values and checks its
 size guard: ``make_dist_doc``, ``make_exact_doc`` and ``make_compare_doc``.
 A builder returns a :class:`CsvDoc`, and ``CsvDoc.render`` renders it as CSV
-or, from the same rows, as JSON.  ``compare_svg`` plots the compare grid.
-``regenerate`` rebuilds the document a previously emitted artifact's
-metadata describes, which is how ``validate`` re-verifies it.  Only the
-builders that compute probabilities import ``probability``, so ``dist``
-never loads it.
+or, from the same rows, as JSON.  Only the builders that compute
+probabilities import ``probability``, so ``dist`` never loads it.  What
+only some commands run lives where only they load it:
+``svgplot.compare_svg`` plots the compare grid, and
+``validation.regenerate`` rebuilds the document that a previously emitted
+artifact's metadata describes, which is how ``validate`` re-verifies it.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  Leading ``#`` comment lines carry artifact metadata so
@@ -18,34 +19,19 @@ the same 12-digit values.
 
 from __future__ import annotations
 
-from .guards import GuardError, Record, check_guard, parse_int
-from .families import Family
+from .guards import Record, check_guard
 from .termdist import e_table
 
 TYPE_CHECKING = False  # type checkers read it as True; typing stays unimported
 if TYPE_CHECKING:
+    from .families import Family
     from .probability import ExactCounts
 
 # Largest dimension of an emitted term-count table (``dist``, and ``validate``
 # re-running a dist artifact) unless forced.
 DIST_MAX_N = 30
 
-# Hard ceilings on the sizes an artifact's metadata may ask ``regenerate``
-# for, keyed by artifact kind and metadata key; no ``force`` lifts them.  At
-# them a forced regeneration takes at most about 5 s on two cores: 0.4 s for
-# dist at n=200, 1.6 s for exact A at n=16 (B and C are faster) and 4.8 s
-# for a three-family compare at n=12 on 20,001 points.  Every builder's own
-# guard is lower, so unforced it refuses first.
-REGENERATE_CEILINGS = {
-    ("dist", "n"): 200,
-    ("exact", "n"): 16,
-    ("compare", "n"): 12,
-    ("compare", "grid"): 20_001,
-}
-
 _POLYNOMIAL = "# polynomial: "
-
-_FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
 
 
 def format_float(x: float) -> str:
@@ -194,57 +180,3 @@ def make_compare_doc(families: list[Family], n: int, grid_points: int,
         header=header,
         rows=rows,
     )
-
-
-def compare_svg(families: list[Family], n: int, grid_points: int,
-                force: bool = False) -> str:
-    """One figure of Q (solid) and P (dashed) against r for each family."""
-    from .svgplot import Series, line_chart
-
-    grids = _compare_grids(families, n, grid_points, force)
-    series = []
-    for fam in families:
-        rows = grids[fam]
-        color = _FAMILY_COLORS[fam]
-        series.append(Series(label=f"Q ({fam.value})",
-                             points=tuple((r, q) for r, q, _, _ in rows), color=color))
-        series.append(Series(label=f"P ({fam.value})",
-                             points=tuple((r, p) for r, _, p, _ in rows), color=color,
-                             dashed=True))
-    return line_chart(
-        series, title=f"Probability that the permanent hits its target (n={n})"
-    )
-
-
-def _size(meta: dict[str, str], key: str, force: bool) -> int:
-    """``meta[key]`` as an int; forced, a size past its ceiling raises ``GuardError``."""
-    value = parse_int(meta[key])
-    ceiling = REGENERATE_CEILINGS[meta["kind"], key]
-    if force and value > ceiling:
-        raise GuardError(f"{meta['kind']} artifact {key} {value} exceeds its ceiling of "
-                         f"{ceiling}, which no --force lifts")
-    return value
-
-
-def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
-    """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
-
-    The metadata sizes the run, so each builder's guard applies and
-    ``force=True`` lifts it, though not past ``REGENERATE_CEILINGS``.
-    Metadata that names no artifact kind gives None; a missing key raises
-    ``KeyError`` and a bad value ``ValueError``, an integer longer than
-    ``guards.MAX_INT_CHARS`` characters included.
-    """
-    kind = meta.get("kind")
-    if kind == "dist":
-        return make_dist_doc(Family(meta["family"]), _size(meta, "n", force), force)
-    if kind == "exact":
-        from .probability import exact_counts
-
-        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n", force),
-                                           force=force))
-    if kind == "compare":
-        families = [Family(v) for v in meta["families"].split(",")]
-        return make_compare_doc(families, _size(meta, "n", force),
-                                _size(meta, "grid", force), force)
-    return None

@@ -1,14 +1,17 @@
-"""Minimal self-contained SVG line charts.
+"""Minimal self-contained SVG line charts, and the ``compare --format svg`` figure.
 
 Hand-rolled rather than delegated to a plotting library so the output is a
 single dependency-free file, byte-identical for identical inputs, and easy
 to diff.  The axes are fixed to the unit square because every curve plotted
-here is a probability against a probability parameter.
+here is a probability against a probability parameter.  Only
+``compare --format svg`` loads this module.
 """
 
 from __future__ import annotations
 
+from .families import Family
 from .guards import Record
+from .output import _compare_grids
 
 WIDTH = 640
 HEIGHT = 440
@@ -16,6 +19,8 @@ MARGIN_LEFT = 62
 MARGIN_RIGHT = 150
 MARGIN_TOP = 46
 MARGIN_BOTTOM = 54
+
+_FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
 
 
 class Series(Record):
@@ -109,3 +114,21 @@ def line_chart(series: list[Series], title: str) -> str:
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def compare_svg(families: list[Family], n: int, grid_points: int,
+                force: bool = False) -> str:
+    """One figure of Q (solid) and P (dashed) against r for each family."""
+    grids = _compare_grids(families, n, grid_points, force)
+    series = []
+    for fam in families:
+        rows = grids[fam]
+        color = _FAMILY_COLORS[fam]
+        series.append(Series(label=f"Q ({fam.value})",
+                             points=tuple((r, q) for r, q, _, _ in rows), color=color))
+        series.append(Series(label=f"P ({fam.value})",
+                             points=tuple((r, p) for r, _, p, _ in rows), color=color,
+                             dashed=True))
+    return line_chart(
+        series, title=f"Probability that the permanent hits its target (n={n})"
+    )

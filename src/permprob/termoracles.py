@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .families import Family
 from .guards import check_guard

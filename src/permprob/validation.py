@@ -4,6 +4,10 @@ Each check pits at least two independent computations against each other
 (closed form vs recurrence vs cycle sum vs enumeration, product form vs
 exhaustive counts, generated slices vs vendored reference terms), so a
 regression in any single route surfaces as a named failure.
+``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
+rebuilds the document its metadata describes, within
+``REGENERATE_CEILINGS``.  ``report`` prints the ``validate`` command's
+report.  Only ``validate`` and the tests load this module.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from __future__ import annotations
 import math
 
 from .families import Family
-from .guards import GuardError, Record, check_guard
+from .guards import GuardError, Record, check_guard, parse_int
 from .matrices import BinaryMatrix, _counts_transfer, exact_counts_direct, permanent_ryser
-from .output import CsvDoc, regenerate
+from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
@@ -57,6 +61,19 @@ TABLE_N = 12
 # the largest one an unforced command writes, ``compare --n 5 --grid 10001``,
 # is about 1 MiB.
 MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
+
+# Hard ceilings on the sizes an artifact's metadata may ask ``regenerate``
+# for, keyed by artifact kind and metadata key; no ``force`` lifts them.  At
+# them a forced regeneration takes at most about 5 s on two cores: 0.4 s for
+# dist at n=200, 1.6 s for exact A at n=16 (B and C are faster) and 4.8 s
+# for a three-family compare at n=12 on 20,001 points.  Every builder's own
+# guard is lower, so unforced it refuses first.
+REGENERATE_CEILINGS = {
+    ("dist", "n"): 200,
+    ("exact", "n"): 16,
+    ("compare", "n"): 12,
+    ("compare", "grid"): 20_001,
+}
 
 
 class CheckResult(Record):
@@ -208,15 +225,71 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
     return results
 
 
+def report(bruteforce_n: int, paths: list[str], force: bool = False,
+           oeis: tuple[str | None, float | None] | None = None) -> int:
+    """Print the ``validate`` report and return its exit code, 1 when a check fails.
+
+    One line per check of :func:`run_offline_checks`, then one per artifact
+    in ``paths``, then the ``--oeis`` lines when ``oeis`` holds the lookup
+    URL and timeout, then a summary.
+    """
+    results = run_offline_checks(bruteforce_n=bruteforce_n, force=force)
+    for path in paths:
+        results.append(verify_artifact(path, force=force))
+    for res in results:
+        status = "PASS" if res.passed else "FAIL"
+        detail = f"  ({res.detail})" if res.detail else ""
+        print(f"{status}  {res.name}{detail}")
+    if oeis:
+        from .oeis import oeis_report
+
+        oeis_report(*oeis)
+    failed = sum(1 for res in results if not res.passed)
+    print(f"{len(results) - failed}/{len(results)} checks passed")
+    return 1 if failed else 0
+
+
+def _size(meta: dict[str, str], key: str, force: bool) -> int:
+    """``meta[key]`` as an int; forced, a size past its ceiling raises ``GuardError``."""
+    value = parse_int(meta[key])
+    ceiling = REGENERATE_CEILINGS[meta["kind"], key]
+    if force and value > ceiling:
+        raise GuardError(f"{meta['kind']} artifact {key} {value} exceeds its ceiling of "
+                         f"{ceiling}, which no --force lifts")
+    return value
+
+
+def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
+    """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
+
+    The metadata sizes the run, so each builder's guard applies and
+    ``force=True`` lifts it, though not past ``REGENERATE_CEILINGS``.
+    Metadata that names no artifact kind gives None; a missing key raises
+    ``KeyError`` and a bad value ``ValueError``, an integer longer than
+    ``guards.MAX_INT_CHARS`` characters included.
+    """
+    kind = meta.get("kind")
+    if kind == "dist":
+        return make_dist_doc(Family(meta["family"]), _size(meta, "n", force), force)
+    if kind == "exact":
+        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n", force),
+                                           force=force))
+    if kind == "compare":
+        families = [Family(v) for v in meta["families"].split(",")]
+        return make_compare_doc(families, _size(meta, "n", force),
+                                _size(meta, "grid", force), force)
+    return None
+
+
 def verify_artifact(path: str, force: bool = False) -> CheckResult:
     """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
 
     The file is read with its line endings as they are, and at most
-    ``MAX_ARTIFACT_CHARS`` of it.  ``output.regenerate`` rebuilds it from
-    its metadata, so the guards of the command that emitted it apply.
-    ``force=True`` lifts every guard, the length one included, but not the
-    ceilings of ``output.REGENERATE_CEILINGS``; a guard hit is a failed
-    check naming the guard.
+    ``MAX_ARTIFACT_CHARS`` of it.  :func:`regenerate` rebuilds it from its
+    metadata, so the guards of the command that emitted it apply.
+    ``force=True`` lifts every guard, the length one included, but not
+    ``REGENERATE_CEILINGS``; a guard hit is a failed check naming the
+    guard.
     """
     name = f"artifact:{path}"
     try:

@@ -7,6 +7,10 @@ computes all 2**K permanents at once through a subset-sum transform.
 ``product_polynomial`` expands the paper's product form of Q(r) into integer
 coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
 sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
+``counts_by_matrices`` enumerates the 2**K assignments as
+``matrices.exact_counts_direct`` does, but through a ``BinaryMatrix`` and
+its ``permanent_ryser`` for each, where the library reads rows from
+lookup tables.
 ``build_parser`` builds the argparse parser that the CLI's table describes,
 the oracle that the CLI's own parser is checked against.
 """
@@ -17,7 +21,9 @@ import math
 
 import numpy as np
 
-from permprob import Family, cli, usage, variable_positions
+from permprob import (
+    Family, build_family_matrix, cli, permanent_ryser, usage, variable_positions,
+)
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
 NAIVE_MAX_N = 10
@@ -63,6 +69,21 @@ def permanent_naive(matrix):
                 break
         total += term
     return total
+
+
+def counts_by_matrices(family, n):
+    """Counts, by number of ones, of the assignments that hit the target.
+
+    Builds each of the 2**K assignments' matrices with ``build_family_matrix``
+    and takes its ``permanent_ryser``, so keep K small.
+    """
+    k_total = family.variable_count(n)
+    counts = [0] * (k_total + 1)
+    for x in range(1 << k_total):
+        bits = [(x >> k) & 1 for k in range(k_total)]
+        if permanent_ryser(build_family_matrix(family, n, bits)) == family.target_permanent:
+            counts[x.bit_count()] += 1
+    return tuple(counts)
 
 
 def _permanent_table(family, n):

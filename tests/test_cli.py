@@ -849,7 +849,7 @@ class TestImportDiet:
         ]
 
     @pytest.mark.parametrize(
-        "module", ["probability", "output", "termdist", "sequences", "svgplot"]
+        "module", ["probability", "output", "termdist", "sequences", "svgplot", "oeis"]
     )
     def test_command_path_module_imports_no_oracle(self, module):
         # Every import statement counts, a lazy one inside a function too.
@@ -886,7 +886,7 @@ class TestImportDiet:
 
     def test_no_command_loads_argparse_gettext_or_locale(self):
         # -S skips site, which may import typing, re or shutil on its own and
-        # so hide an import that a command makes
+        # so hide an import that a command makes; typing imports re
         script = textwrap.dedent("""
             import contextlib, io, sys
             import permprob.cli as cli
@@ -901,7 +901,8 @@ class TestImportDiet:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
                 print(argv[0], sorted(m for m in ("argparse", "gettext", "locale", "typing",
-                                                  "permprob.termdist", "permprob.usage")
+                                                  "re", "permprob.termdist",
+                                                  "permprob.usage")
                                       if m in sys.modules))
         """)
         proc = run_fresh(script, "-S")
@@ -910,15 +911,70 @@ class TestImportDiet:
             "exact ['permprob.termdist']",
             "compare ['permprob.termdist']",
             "dist ['permprob.termdist']",
-            "seq ['permprob.termdist', 'typing']",
-            "validate ['permprob.termdist', 'typing']",
+            "seq ['permprob.termdist']",
+            "validate ['permprob.termdist']",
         ]
 
     def test_cli_module_stays_small(self):
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 2400
+        assert sum(1 for _ in ast.walk(tree)) <= 2117
+
+    @pytest.mark.parametrize("argv, most", [
+        (("dist", "--family", "C", "--n", "5"), 4450),
+        (("exact", "--family", "A", "--n", "3"), 6200),
+        (("compare", "--n", "3"), 6200),
+        (("compare", "--n", "3", "--format", "svg"), 7250),
+        (("seq",), 4100),
+        (("validate", "--n", "3"), 12300),
+    ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
+    def test_command_compiles_few_nodes(self, argv, most):
+        # Without bytecode a command compiles every permprob module it loads,
+        # at about 2.4 us per syntax-tree node on two cores.
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main({list(argv)!r}) == 0
+            for name, module in sys.modules.items():
+                if name == "permprob" or name.startswith("permprob."):
+                    print(module.__file__)
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        nodes = sum(
+            sum(1 for _ in ast.walk(ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))))
+            for path in proc.stdout.splitlines()
+        )
+        assert nodes <= most
+
+    def test_only_oeis_loads_the_client(self):
+        script = textwrap.dedent("""
+            import contextlib, io, os, sys
+            import permprob.cli as cli
+
+            os.environ["PERMPROB_OEIS_URL"] = "http://127.0.0.1:9"
+            os.environ["PERMPROB_OEIS_TIMEOUT"] = "0.5"
+            for argv in (
+                ["exact", "--family", "A", "--n", "3"],
+                ["compare", "--n", "3", "--format", "svg"],
+                ["dist", "--family", "B", "--n", "5"],
+                ["seq"],
+                ["validate", "--n", "3"],
+                ["seq", "--oeis"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+                print(argv[0], "permprob.oeis" in sys.modules)
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "exact False", "compare False", "dist False", "seq False", "validate False",
+            "seq True",
+        ]
 
     def test_seq_loads_no_probability_module(self):
         script = textwrap.dedent("""

@@ -15,7 +15,7 @@ from permprob import (
 )
 from permprob import matrices
 
-from oracles import permanent_naive
+from oracles import counts_by_matrices, permanent_naive
 
 
 def ones_minus_identity(n):
@@ -152,6 +152,42 @@ class TestPermanentProperties:
             [[entries[perm[i]][perm[j]] for j in range(m.n)] for i in range(m.n)]
         )
         assert permanent_ryser(m) == permanent_ryser(shuffled)
+
+
+class TestEnumerationOracle:
+    """``exact_counts_direct`` reads each assignment's rows from lookup tables."""
+
+    @pytest.mark.parametrize("family, n", [
+        *((family, n) for family in Family for n in (1, 2, 3)),
+        (Family.B, 4), (Family.C, 4),
+    ])
+    def test_equals_a_matrix_per_assignment(self, family, n):
+        assert matrices.exact_counts_direct(family, n) == counts_by_matrices(family, n)
+
+    @given(st.sampled_from(list(Family)), st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_row_tables_rebuild_each_matrix(self, family, n, data):
+        k_total = family.variable_count(n)
+        x = data.draw(st.integers(0, (1 << k_total) - 1))
+        rows = tuple(table[x >> shift & mask]
+                     for shift, mask, table in matrices._row_tables(family, n))
+        # bit k of x is the entry at the k-th variable position
+        bits = [(x >> k) & 1 for k in range(k_total)]
+        assert rows == build_family_matrix(family, n, bits).rows
+        for k, (i, j) in enumerate(variable_positions(family, n)):
+            assert rows[i] >> j & 1 == bits[k]
+
+    def test_visits_every_assignment(self, monkeypatch):
+        seen = []
+        kernel = matrices._ryser
+
+        def counted(n, rows):
+            seen.append(tuple(rows))
+            return kernel(n, rows)
+
+        monkeypatch.setattr(matrices, "_ryser", counted)
+        assert matrices.exact_counts_direct(Family.B, 3) == (1, 6, 13, 10, 2, 0, 0, 0)
+        assert len(seen) == len(set(seen)) == 2**7
 
 
 class TestGuards:

@@ -12,7 +12,8 @@ from permprob import (
     builtin_checks,
     oeis_lookup,
 )
-from permprob.sequences import MAX_OEIS_BODY_BYTES, REFERENCES, _http_fetch
+from permprob.oeis import MAX_OEIS_BODY_BYTES, _http_fetch
+from permprob.sequences import REFERENCES
 
 SAMPLE_RESPONSE = """\
 # Greetings from The On-Line Encyclopedia of Integer Sequences!
