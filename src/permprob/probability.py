@@ -10,7 +10,12 @@ probability sum_i N_i * r**i * (1-r)**(K-i).
 
 ``exact_counts`` never visits the 2**K assignments: every family runs one
 recurrence, polynomial in n.  For B and C it counts digraphs; for A it
-counts bipartite graphs by their Hall deficiency.  The oracle routes, the
+counts bipartite graphs by their Hall deficiency.  Each recurrence runs on
+coefficient lists in powers of y = 1 + x, where x marks a one: a free entry
+is a factor y, a shift of the list by one, so B and C multiply no
+polynomials.  One Taylor shift then turns the coefficients c_k of y**k into
+the counts N_i = sum_k c_k C(k, i).  The same c_k give the probability
+directly, P(r) = sum_k c_k (1-r)**(K-k).  The oracle routes, the
 row-by-row transfer over column subsets and the 2**K enumeration, live in
 ``matrices``, where ``validate`` runs them; the test suite keeps a
 subset-sum oracle of its own.
@@ -19,6 +24,7 @@ subset-sum oracle of its own.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .families import Family
 from .guards import Record, check_guard
@@ -81,11 +87,6 @@ class ExactCounts(Record):
             raise ValueError("counts must have length variable_count + 1")
 
 
-def _binomial_row(m: int) -> list[int]:
-    """Coefficients of (1 + x)**m, constant term first."""
-    return [math.comb(m, i) for i in range(m + 1)]
-
-
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -95,34 +96,46 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_add(acc: list[int], p: list[int], scale: int) -> None:
-    """acc += scale * p, in place, growing acc as needed."""
-    if len(acc) < len(p):
-        acc.extend([0] * (len(p) - len(acc)))
-    for i, c in enumerate(p):
-        acc[i] += scale * c
+def _add_shifted(acc: list[int], p: list[int], scale: int, shift: int) -> None:
+    """acc += scale * y**shift * p, in place; acc is long enough to hold it."""
+    for i, c in enumerate(p, shift):
+        if c:
+            acc[i] += scale * c
+
+
+def _taylor_shift(coeffs: list[int]) -> list[int]:
+    """Coefficients in x of sum_k coeffs[k] * (1+x)**k, constant term first.
+
+    Entry i is sum_k coeffs[k] * C(k, i).  Each pass turns a prefix of the
+    reversed list into its running sums: the classic shift of p(y) to
+    p(x + 1), with additions only.
+    """
+    rev = coeffs[::-1]
+    for end in range(len(rev), 1, -1):
+        rev[:end] = accumulate(rev[:end])
+    return rev[::-1]
 
 
 def _counts_c_recurrence(n: int) -> list[int]:
-    """Labelled acyclic digraphs on n vertices, counted by number of arcs.
+    """Labelled acyclic digraphs on n vertices, by arcs, in powers of y = 1+x.
 
     A family-C matrix is I plus the adjacency matrix of a digraph, and its
     permanent is 1 exactly when the digraph is acyclic.  Robinson's
-    recurrence splits off the k sources of the DAG:
-    A_m(x) = sum_k (-1)**(k+1) C(m, k) (1+x)**(k(m-k)) A_{m-k}(x).
+    recurrence splits off the k sources of the DAG; each of the k(m-k) arcs
+    from a source to the rest is free, a factor y:
+    A_m(y) = sum_k (-1)**(k+1) C(m, k) y**(k(m-k)) A_{m-k}(y).
     """
     dags = [[1]]
     for m in range(1, n + 1):
-        total = [0]
+        total = [0] * (m * (m - 1) + 1)
         for k in range(1, m + 1):
-            term = _poly_mul(_binomial_row(k * (m - k)), dags[m - k])
-            _poly_add(total, term, (-1) ** (k + 1) * math.comb(m, k))
+            _add_shifted(total, dags[m - k], (-1) ** (k + 1) * math.comb(m, k), k * (m - k))
         dags.append(total)
     return dags[n]
 
 
 def _counts_b_recurrence(n: int) -> list[int]:
-    """Family-B assignments with permanent 0, counted by number of ones.
+    """Family-B assignments with permanent 0, in powers of y = 1+x.
 
     Off the diagonal the matrix is the adjacency matrix of a digraph; the
     permanent is 0 exactly when the loop at vertex 0 is absent and vertex 0
@@ -130,27 +143,26 @@ def _counts_b_recurrence(n: int) -> list[int]:
     that reach vertex 0, with s = |S| and the t = n-1-s others outside:
     arcs from vertex 0 into S and from outside into S or vertex 0 are
     absent; the t arcs from vertex 0 outward, the st arcs from S outward and
-    the t(t-1) arcs outside are free; and R_s counts the s*s arcs inside S
-    and from S to vertex 0 under which every vertex of S reaches vertex 0.
-    R_s is all of them minus those under which only j < s vertices do.
+    the t(t-1) arcs outside, t(n-1) in all, are free, a factor y each; and
+    R_s counts the s*s arcs inside S and from S to vertex 0 under which
+    every vertex of S reaches vertex 0.  R_s is all of them, y**(s*s),
+    minus those under which only j < s vertices do, each with its
+    (s-j)(s-1) free arcs.
     """
     reach = []
     for s in range(n):
-        poly = _binomial_row(s * s)
+        poly = [0] * (s * s) + [1]
         for j in range(s):
-            free = (s - j) * (s - j - 1) + j * (s - j)
-            _poly_add(poly, _poly_mul(reach[j], _binomial_row(free)), -math.comb(s, j))
+            _add_shifted(poly, reach[j], -math.comb(s, j), (s - j) * (s - 1))
         reach.append(poly)
-    total = [0]
+    total = [0] * (n * n - n + 2)  # K + 1; every term has degree <= (n-1)**2
     for s in range(n):
-        t = n - 1 - s
-        free = t + s * t + t * (t - 1)
-        _poly_add(total, _poly_mul(reach[s], _binomial_row(free)), math.comb(n - 1, s))
+        _add_shifted(total, reach[s], math.comb(n - 1, s), (n - 1 - s) * (n - 1))
     return total
 
 
 def _counts_a_recurrence(n: int) -> list[int]:
-    """Family-A assignments with permanent 0, counted by number of ones.
+    """Family-A assignments with permanent 0, in powers of y = 1+x.
 
     A p x q matrix is a bipartite graph between its rows and its columns.
     Split it at X, the largest row set of greatest deficiency |X| - |N(X)|
@@ -158,10 +170,10 @@ def _counts_a_recurrence(n: int) -> list[int]:
     j = |N(X)| <= i: the block X x N(X) has a matching that saturates N(X),
     counted by Sat(i, j); X has no other neighbour; the (p-i) x j block of
     the other rows against N(X) is free; and on the rest every nonempty row
-    set W has |N(W)| > |W|, counted by Sur(p-i, q-j).  Over every split, with
-    x marking a one,
-    (1+x)**(pq) = sum_{j<=i<=p, j<=q} C(p,i) C(q,j) Sat(i,j) Sur(p-i,q-j)
-                  * (1+x)**((p-i)j),
+    set W has |N(W)| > |W|, counted by Sur(p-i, q-j).  Over every split,
+    with y = 1+x for a free entry,
+    y**(pq) = sum_{j<=i<=p, j<=q} C(p,i) C(q,j) Sat(i,j) Sur(p-i,q-j)
+              * y**((p-i)j),
     where Sur(a, b) is 0 for b <= a, a >= 1, and Sat(0, 0) = Sur(0, 0) = 1.
 
     ``table[p, q]`` holds Sat(p, q) for q <= p and Sur(p, q) for p < q.
@@ -169,23 +181,23 @@ def _counts_a_recurrence(n: int) -> list[int]:
     at (i, j) = (p, q), or as Sur(p-i, q-j) at (i, j) = (0, 0).  Every
     other term has a smaller p + q, so the table fills in order of p + q.
     The permanent is nonzero exactly when a matching saturates all n rows,
-    so A's counts are (1+x)**(n*n) - Sat(n, n).
+    so A's counts are y**(n*n) - Sat(n, n).
     """
     table = {(0, 0): [1]}
     for size in range(1, 2 * n + 1):
         for p in range(max(0, size - n), min(n, size) + 1):
             q = size - p
-            poly = _binomial_row(p * q)
+            poly = [0] * (p * q) + [1]
             for i in range(p + 1):
                 for j in range(min(i, q) + 1):
                     a, b = p - i, q - j
                     if a and b <= a or (p, q) in ((i, j), (a, b)):
                         continue  # Sur(a, b) is 0, or the term holds table[p, q]
-                    term = _poly_mul(table[i, j], _poly_mul(table[a, b], _binomial_row(a * j)))
-                    _poly_add(poly, term, -math.comb(p, i) * math.comb(q, j))
+                    term = _poly_mul(table[i, j], table[a, b])
+                    _add_shifted(poly, term, -math.comb(p, i) * math.comb(q, j), a * j)
             table[p, q] = poly
-    counts = _binomial_row(n * n)
-    _poly_add(counts, table[n, n], -1)
+    counts = [0] * (n * n) + [1]
+    _add_shifted(counts, table[n, n], -1, 0)
     return counts
 
 
@@ -199,17 +211,16 @@ _RECURRENCES = {
 def exact_counts(family: Family, n: int, force: bool = False) -> ExactCounts:
     """Count, by number of ones, the assignments that hit the target permanent.
 
-    Every family runs a recurrence, polynomial in n: over the digraph the
-    off-diagonal entries describe for B and C, and over the Hall deficiency
-    of the bipartite graph between rows and columns for A.
+    Every family runs a recurrence, polynomial in n, in powers of y = 1+x:
+    over the digraph the off-diagonal entries describe for B and C, and over
+    the Hall deficiency of the bipartite graph between rows and columns for
+    A.  A Taylor shift turns its coefficients into the counts.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     k_total = family.variable_count(n)
     check_guard(k_total, EXACT_MAX_VARIABLES, "variable-entry count", force)
-    counts = _RECURRENCES[family](n)
-    counts += [0] * (k_total + 1 - len(counts))
-    return ExactCounts(family, n, tuple(counts))
+    return ExactCounts(family, n, tuple(_taylor_shift(_RECURRENCES[family](n))))
 
 
 def p_eval(counts: ExactCounts, r: float) -> float:

@@ -65,7 +65,7 @@ MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
 # Hard ceilings on the sizes an artifact's metadata may ask ``regenerate``
 # for, keyed by artifact kind and metadata key; no ``force`` lifts them.  At
 # them a forced regeneration takes at most about 5 s on two cores: 0.4 s for
-# dist at n=200, 1.6 s for exact A at n=16 (B and C are faster) and 4.8 s
+# dist at n=200, 0.5 s for exact A at n=16 (B and C take a few ms) and 4.4 s
 # for a three-family compare at n=12 on 20,001 points.  Every builder's own
 # guard is lower, so unforced it refuses first.
 REGENERATE_CEILINGS = {

@@ -11,6 +11,10 @@ sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
 ``matrices.exact_counts_direct`` does, but through a ``BinaryMatrix`` and
 its ``permanent_ryser`` for each, where the library reads rows from
 lookup tables.
+``recurrence_counts`` runs the recurrences of ``exact_counts`` in powers of
+x, each block of free entries a schoolbook product by the binomial row of
+(1+x)**k: a reference with no change of basis, at sizes past every
+enumeration.
 ``build_parser`` builds the argparse parser that the CLI's table describes,
 the oracle that the CLI's own parser is checked against.
 """
@@ -131,6 +135,127 @@ def subset_sum_counts(family, n):
         popcounts = np.concatenate([popcounts, popcounts + 1])
     counts = np.bincount(popcounts[hits], minlength=k_total + 1)
     return tuple(int(c) for c in counts)
+
+
+def _binomial_row(m: int) -> list[int]:
+    """Coefficients of (1 + x)**m, constant term first."""
+    return [math.comb(m, i) for i in range(m + 1)]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_add(acc: list[int], p: list[int], scale: int) -> None:
+    """acc += scale * p, in place, growing acc as needed."""
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, c in enumerate(p):
+        acc[i] += scale * c
+
+
+def _counts_c_recurrence(n: int) -> list[int]:
+    """Labelled acyclic digraphs on n vertices, counted by number of arcs.
+
+    A family-C matrix is I plus the adjacency matrix of a digraph, and its
+    permanent is 1 exactly when the digraph is acyclic.  Robinson's
+    recurrence splits off the k sources of the DAG:
+    A_m(x) = sum_k (-1)**(k+1) C(m, k) (1+x)**(k(m-k)) A_{m-k}(x).
+    """
+    dags = [[1]]
+    for m in range(1, n + 1):
+        total = [0]
+        for k in range(1, m + 1):
+            term = _poly_mul(_binomial_row(k * (m - k)), dags[m - k])
+            _poly_add(total, term, (-1) ** (k + 1) * math.comb(m, k))
+        dags.append(total)
+    return dags[n]
+
+
+def _counts_b_recurrence(n: int) -> list[int]:
+    """Family-B assignments with permanent 0, counted by number of ones.
+
+    Off the diagonal the matrix is the adjacency matrix of a digraph; the
+    permanent is 0 exactly when the loop at vertex 0 is absent and vertex 0
+    lies on no directed cycle.  Split on the set S of the other vertices
+    that reach vertex 0, with s = |S| and the t = n-1-s others outside:
+    arcs from vertex 0 into S and from outside into S or vertex 0 are
+    absent; the t arcs from vertex 0 outward, the st arcs from S outward and
+    the t(t-1) arcs outside are free; and R_s counts the s*s arcs inside S
+    and from S to vertex 0 under which every vertex of S reaches vertex 0.
+    R_s is all of them minus those under which only j < s vertices do.
+    """
+    reach = []
+    for s in range(n):
+        poly = _binomial_row(s * s)
+        for j in range(s):
+            free = (s - j) * (s - j - 1) + j * (s - j)
+            _poly_add(poly, _poly_mul(reach[j], _binomial_row(free)), -math.comb(s, j))
+        reach.append(poly)
+    total = [0]
+    for s in range(n):
+        t = n - 1 - s
+        free = t + s * t + t * (t - 1)
+        _poly_add(total, _poly_mul(reach[s], _binomial_row(free)), math.comb(n - 1, s))
+    return total
+
+
+def _counts_a_recurrence(n: int) -> list[int]:
+    """Family-A assignments with permanent 0, counted by number of ones.
+
+    A p x q matrix is a bipartite graph between its rows and its columns.
+    Split it at X, the largest row set of greatest deficiency |X| - |N(X)|
+    (the maximizers form a lattice, so X is unique), with i = |X| and
+    j = |N(X)| <= i: the block X x N(X) has a matching that saturates N(X),
+    counted by Sat(i, j); X has no other neighbour; the (p-i) x j block of
+    the other rows against N(X) is free; and on the rest every nonempty row
+    set W has |N(W)| > |W|, counted by Sur(p-i, q-j).  Over every split, with
+    x marking a one,
+    (1+x)**(pq) = sum_{j<=i<=p, j<=q} C(p,i) C(q,j) Sat(i,j) Sur(p-i,q-j)
+                  * (1+x)**((p-i)j),
+    where Sur(a, b) is 0 for b <= a, a >= 1, and Sat(0, 0) = Sur(0, 0) = 1.
+
+    ``table[p, q]`` holds Sat(p, q) for q <= p and Sur(p, q) for p < q.
+    The identity at (p, q) holds it once, with coefficient 1: as Sat(i, j)
+    at (i, j) = (p, q), or as Sur(p-i, q-j) at (i, j) = (0, 0).  Every
+    other term has a smaller p + q, so the table fills in order of p + q.
+    The permanent is nonzero exactly when a matching saturates all n rows,
+    so A's counts are (1+x)**(n*n) - Sat(n, n).
+    """
+    table = {(0, 0): [1]}
+    for size in range(1, 2 * n + 1):
+        for p in range(max(0, size - n), min(n, size) + 1):
+            q = size - p
+            poly = _binomial_row(p * q)
+            for i in range(p + 1):
+                for j in range(min(i, q) + 1):
+                    a, b = p - i, q - j
+                    if a and b <= a or (p, q) in ((i, j), (a, b)):
+                        continue  # Sur(a, b) is 0, or the term holds table[p, q]
+                    term = _poly_mul(table[i, j], _poly_mul(table[a, b], _binomial_row(a * j)))
+                    _poly_add(poly, term, -math.comb(p, i) * math.comb(q, j))
+            table[p, q] = poly
+    counts = _binomial_row(n * n)
+    _poly_add(counts, table[n, n], -1)
+    return counts
+
+
+_X_RECURRENCES = {
+    Family.A: _counts_a_recurrence,
+    Family.B: _counts_b_recurrence,
+    Family.C: _counts_c_recurrence,
+}
+
+
+def recurrence_counts(family, n):
+    """Counts from the x-basis recurrence, padded with zeros to K + 1 entries."""
+    counts = _X_RECURRENCES[family](n)
+    return tuple(counts) + (0,) * (family.variable_count(n) + 1 - len(counts))
 
 
 def product_polynomial(counts):

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permprob import (
     MAX_GRID,
@@ -17,20 +19,21 @@ from permprob import (
     q_eval,
 )
 from permprob.matrices import _counts_transfer, exact_counts_direct
-from permprob.probability import _RECURRENCES
+from permprob.probability import _RECURRENCES, _taylor_shift
 
 from oracles import (
     EXACT_N3,
     horner,
     permanent_naive,
     product_polynomial,
+    recurrence_counts,
     subset_sum_counts,
 )
 
-# Every route to the exact counts, each called directly and each covering
-# every family: the recurrences, the transfer and the enumeration oracle.
+# Every route to the exact counts, each covering every family: the
+# recurrences through ``exact_counts``, the transfer and the enumeration oracle.
 ROUTES = {
-    "recurrence": lambda family, n: _RECURRENCES[family](n),
+    "recurrence": lambda family, n: exact_counts(family, n, force=True).counts,
     "transfer": _counts_transfer,
     "direct": exact_counts_direct,
 }
@@ -40,6 +43,15 @@ def route_counts(route, family, n):
     """Counts from one route, padded with zeros to K + 1 entries."""
     counts = tuple(ROUTES[route](family, n))
     return counts + (0,) * (family.variable_count(n) + 1 - len(counts))
+
+
+def a003024(n):
+    """Labelled acyclic digraphs on n vertices, by Robinson's recurrence on integers."""
+    dags = [1]
+    for m in range(1, n + 1):
+        dags.append(sum((-1) ** (k + 1) * math.comb(m, k) * 2 ** (k * (m - k)) * dags[m - k]
+                        for k in range(1, m + 1)))
+    return dags[n]
 
 
 def exact_counts_oracle(family, n):
@@ -203,9 +215,9 @@ class TestExactCounts:
 
     def test_c_recurrence_totals_are_labelled_dags(self):
         # OEIS A003024: labelled acyclic digraphs on n vertices
-        a003024 = [1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]
-        for n, total in enumerate(a003024, start=1):
-            assert sum(route_counts("recurrence", Family.C, n)) == total
+        a003024_terms = [1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]
+        for n, total in enumerate(a003024_terms, start=1):
+            assert sum(route_counts("recurrence", Family.C, n)) == total == a003024(n)
 
     @pytest.mark.parametrize(
         "family, total",
@@ -279,6 +291,61 @@ class TestExactCounts:
             exact_counts(Family.C, 6)  # K = 30
         with pytest.raises(GuardError):
             exact_counts(Family.A, 6)  # K = 36
+
+
+class TestXBasisReference:
+    # the recurrences in powers of x, multiplied out by schoolbook products
+    @pytest.mark.parametrize("family, n", [(Family.A, n) for n in range(1, 9)] + [
+        (family, n) for family in (Family.B, Family.C) for n in range(1, 13)])
+    def test_counts_match_coefficient_by_coefficient(self, family, n):
+        assert exact_counts(family, n, force=True).counts == recurrence_counts(family, n)
+
+
+class TestTaylorShift:
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-10**40, 10**40), max_size=40))
+    def test_maps_to_the_binomial_sums(self, coeffs):
+        direct = [sum(c * math.comb(k, i) for k, c in enumerate(coeffs))
+                  for i in range(len(coeffs))]
+        assert _taylor_shift(coeffs) == direct
+
+    @given(st.integers(0, 300))
+    def test_power_of_y_is_its_binomial_row(self, k):
+        assert _taylor_shift([0] * k + [1]) == [math.comb(k, i) for i in range(k + 1)]
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_y_coefficients_give_the_probability(self, family, n):
+        # with y = 1/(1-r), P(r) = sum_k c_k (1-r)**(K-k)
+        r = Fraction(2, 7)
+        got = exact_counts(family, n)
+        k_total = got.variable_count
+        assert sum(c * (1 - r) ** (k_total - k)
+                   for k, c in enumerate(_RECURRENCES[family](n))) == sum(
+            c * r**i * (1 - r) ** (k_total - i) for i, c in enumerate(got.counts))
+
+
+class TestAtN30:
+    # identities that share no polynomial code with the recurrences
+    def test_c_total_is_a003024(self):
+        assert sum(exact_counts(Family.C, 30, force=True).counts) == a003024(30)
+
+    def test_c_coefficients_by_hand(self):
+        counts = exact_counts(Family.C, 30, force=True).counts
+        k_total = 30 * 29
+        # one arc is acyclic; two arcs make a cycle only as i->j and j->i
+        assert counts[1] == k_total
+        assert counts[2] == math.comb(k_total, 2) - math.comb(30, 2)
+        assert counts[k_total] == 0
+
+    def test_b_coefficients_by_hand(self):
+        counts = exact_counts(Family.B, 30, force=True).counts
+        k_total = 30 * 29 + 1
+        # a one at (0, 0) completes the identity; two off-diagonal ones make
+        # a nonzero term only as i->0 and 0->i, one pair per vertex i != 0
+        assert counts[1] == k_total - 1
+        assert counts[2] == math.comb(k_total, 2) - (k_total - 1) - 29
+        assert counts[k_total] == 0
 
 
 class TestPEval:
