@@ -21,13 +21,13 @@ _SOURCES = {
     "families": ("Family",),
     "guards": ("GuardError",),
     "matrices": (
-        "MAX_DIMENSION", "RYSER_MAX_N", "BinaryMatrix", "build_family_matrix",
-        "permanent_ryser", "variable_positions",
+        "MAX_DIMENSION", "BinaryMatrix", "build_family_matrix", "variable_positions",
     ),
     "probability": (
         "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
+    "ryser": ("RYSER_MAX_N", "permanent_ryser"),
     "oeis": ("LookupResult", "OEISFormatError", "oeis_lookup"),
     "sequences": ("SequenceCheck", "builtin_checks"),
     "termdist": (
@@ -50,8 +50,7 @@ def __getattr__(name: str):
     module = _SUBMODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    globals()[name] = value = getattr(importlib.import_module(f".{module}", __name__), name)
     return value
 
 

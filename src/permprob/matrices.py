@@ -1,36 +1,36 @@
-"""Bit-packed 0/1 matrices, a permanent kernel and the two oracle routes to the exact counts.
+"""Bit-packed 0/1 matrices and the oracle routes that check the exact counts.
 
 ``build_family_matrix`` sets a family's fixed entries to 1 and its variable
 entries from an assignment.  ``Family`` lives in ``families``; this module
 imports it, so ``matrices.Family`` is the same object.
 
-``permanent_ryser`` computes the permanent by inclusion-exclusion over
-column subsets with Gray-code updates (Ryser, in the order of Nijenhuis and
-Wilf).  It keeps its n row sums as byte lanes of one int, so a Gray-code
-step is one int add or subtract and a term is ``math.prod`` of that int's
-bytes; the tests check it against a factorial-time sum of their own.
-``exact_counts_direct``, an oracle for ``probability.exact_counts``, runs
-its kernel on every one of the 2^K assignments.  It reads each
-assignment's rows from per-row lookup tables, built once from
-``build_family_matrix``, so it builds no ``BinaryMatrix`` per assignment.
+``exact_counts_direct``, an oracle for ``probability.exact_counts``,
+evaluates the 2^K assignments bit-sliced, one bit per assignment: each
+entry becomes the int whose bit t is that entry under assignment t, a
+permutation's term is the AND of its n entries, and two accumulators record
+where at least one and at least two terms are 1, which tells permanent 0 or
+exactly 1, the only targets, from the rest.  Its lane ints grow as K * 2^K
+bits, so it refuses a K whose ints would pass ``ENUMERATION_MAX_BYTES``.
 ``_counts_transfer``, the second oracle, runs a dynamic program row by row
 over the capped permanents of column subsets, in time exponential in n.
-Only ``validate`` and the tests load this module; no other command
-imports it, and it imports no ``typing``.
+``leading_permanents`` gives the permanents of every leading k x k block of
+one matrix from a single row-by-row pass over column subsets, for the
+diagonal checks of ``validate``.  The Ryser kernel ``permanent_ryser`` lives
+in ``ryser``, which no command loads.  Only ``validate`` and the tests load
+this module; no other command imports it, and it imports no ``typing``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .families import Family
 from .guards import GuardError, Record
-from .probability import EXACT_MAX_VARIABLES
 
-RYSER_MAX_N = 30
 MAX_DIMENSION = 64
 
 
@@ -132,99 +132,88 @@ def build_family_matrix(
     return BinaryMatrix(n, tuple(rows))
 
 
-def permanent_ryser(matrix: BinaryMatrix) -> int:
-    """Permanent by inclusion-exclusion over column subsets, O(2^n * n).
+# Most bytes the lane ints of ``exact_counts_direct`` may take.  It holds at
+# most about 3 * K ints of 2**K bits: 15.75 MiB for family B at n=5 (K = 21;
+# tracemalloc peaks at 13.7 MiB), and 300 MiB at K = 25, the next K of any
+# family.
+ENUMERATION_MAX_BYTES = 32 << 20
 
-    Column subsets are visited in Gray-code order so each step adjusts the
-    per-row sums by a single column.  The n row sums live in one int, one
-    byte lane per row (byte i is the sum of row i), and each column is
-    packed the same way, so a step is one int add or subtract and a term is
-    the product of the bytes of that int.
+# Largest dimension ``leading_permanents`` takes: its state at 16 is 2**16
+# lanes of 6 bytes, 384 KiB per int.
+LEADING_MAX_N = 16
+
+
+def _entry_lanes(family: Family, n: int) -> tuple[list[list[int]], list[int]]:
+    """Every entry under all 2**K assignments t at once, bit t for assignment t.
+
+    Returns the n x n entry ints and the lane masks.  Bit t of the k-th
+    variable entry is bit k of t, and a fixed entry is -1, whose every bit
+    is 1.  Bit t of ``masks[i]`` is set when t has i ones, so the masks
+    partition the lanes.  Each variable doubles the lanes: the old ones are
+    copied above themselves, where the new variable is 1.
     """
-    n = matrix.n
-    if n > RYSER_MAX_N:
-        raise GuardError(
-            f"dimension {n} exceeds RYSER_MAX_N = {RYSER_MAX_N} of the subset-sum permanent")
-    return _ryser(n, matrix.rows)
-
-
-def _ryser(n: int, rows: Sequence[int]) -> int:
-    """The kernel of :func:`permanent_ryser`, on the n row bitmasks ``rows``."""
-    # Byte i of columns[b] is entry (i, b), packed in one pass over each
-    # row's set bits.  A row sum counts at most n <= RYSER_MAX_N < 256
-    # columns, so no lane carries into the next or borrows from it.
-    columns = [0] * n
-    for i, row in enumerate(rows):
-        lane = 1 << 8 * i
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] += lane
-            row ^= low
-    sums = 0
-    subset = 0
-    parity = 1  # sign (-1)**|subset|
-    total = 0
-    for k in range(1, 1 << n):
-        b = (k & -k).bit_length() - 1
-        bit = 1 << b
-        if subset & bit:
-            sums -= columns[b]
-        else:
-            sums += columns[b]
-        subset ^= bit
-        parity = -parity
-        total += parity * math.prod(sums.to_bytes(n, "little"))
-    return total if n % 2 == 0 else -total
-
-
-def _row_tables(family: Family, n: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """How each row of an assignment's matrix follows from the assignment.
-
-    Row i's variable entries are consecutive pairs of
-    :func:`variable_positions`, so they take the consecutive bits
-    ``shift, ..., shift + w - 1`` of an assignment ``x``, and row i of
-    ``build_family_matrix`` on ``x`` is ``table[x >> shift & mask]`` with
-    ``mask = 2**w - 1``.  Each row's ``table`` is built once, from
-    ``build_family_matrix`` on the assignments whose ones all fall in that
-    row's bits.
-    """
-    positions = variable_positions(family, n)
-    k_total = len(positions)
-    tables = []
-    shift = 0
-    for i in range(n):
-        width = sum(1 for row, _ in positions if row == i)
-        table = tuple(
-            build_family_matrix(
-                family, n, [(low << shift) >> k & 1 for k in range(k_total)]
-            ).rows[i]
-            for low in range(1 << width)
-        )
-        tables.append((shift, (1 << width) - 1, table))
-        shift += width
-    return tables
+    patterns: list[int] = []
+    masks = [1]
+    for k in range(family.variable_count(n)):
+        lanes = 1 << k
+        patterns = [p | p << lanes for p in patterns] + [((1 << lanes) - 1) << lanes]
+        masks = [a | b << lanes for a, b in zip(masks + [0], [0] + masks)]
+    entries = [[-1] * n for _ in range(n)]
+    for (i, j), pattern in zip(variable_positions(family, n), patterns):
+        entries[i][j] = pattern
+    return entries, masks
 
 
 def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
-    """Oracle for ``exact_counts``: enumerate all 2**K assignments.
+    """Oracle for ``exact_counts``: evaluate all 2**K assignments, one bit each.
 
     Counts, by number of ones, the assignments whose matrix has a permanent
-    equal to the family target.  Each assignment's rows come from the
-    lookup tables of :func:`_row_tables` and go straight to the Ryser
-    kernel, so no matrix object is built per assignment.  Refuses K past
-    ``EXACT_MAX_VARIABLES``, the bound ``exact_counts`` keeps unforced.
+    equal to the family target, 0 or 1.  A permutation's term is the AND of
+    its n entries of :func:`_entry_lanes`; ``once`` collects the lanes
+    where some term is 1 and ``twice`` those where two are, and the
+    popcounts of the lanes on target against the lane masks give the
+    counts.  Refuses a K whose lane ints would pass
+    ``ENUMERATION_MAX_BYTES``.
     """
     k_total = len(variable_positions(family, n))
-    if k_total > EXACT_MAX_VARIABLES:
-        raise GuardError(f"variable-entry count {k_total} exceeds EXACT_MAX_VARIABLES = "
-                         f"{EXACT_MAX_VARIABLES} of the enumeration")
-    target = family.target_permanent
-    tables = _row_tables(family, n)
-    counts = [0] * (k_total + 1)
-    for x in range(1 << k_total):
-        if _ryser(n, [table[x >> shift & mask] for shift, mask, table in tables]) == target:
-            counts[x.bit_count()] += 1
-    return tuple(counts)
+    need = 3 * k_total << k_total >> 3
+    if need > ENUMERATION_MAX_BYTES:
+        raise GuardError(f"enumerating {k_total} variable entries takes up to {need} bytes, "
+                         f"past ENUMERATION_MAX_BYTES = {ENUMERATION_MAX_BYTES}")
+    entries, masks = _entry_lanes(family, n)
+    once = twice = 0
+    for sigma in itertools.permutations(range(n)):
+        term = reduce(operator.and_, [row[j] for row, j in zip(entries, sigma)])
+        twice |= once & term
+        once |= term
+    hit = once & ~twice if family.target_permanent else ~once
+    return tuple((hit & mask).bit_count() for mask in masks)
+
+
+def leading_permanents(rows: Sequence[int]) -> list[int]:
+    """Permanents of the leading k x k blocks of a 0/1 matrix, k = 1..n, in one pass.
+
+    Bit j of ``rows[i]`` is entry (i, j) of the n x n matrix.  Row by row,
+    lane S of one int counts the ways the rows so far fill exactly the
+    columns in S, each row taking a column where it has a 1; after k rows,
+    lane {0, ..., k-1} holds the leading k x k permanent.  Adding a row
+    with a one in column c moves every lane S without c to S | {c}, one
+    mask and one shift.  A lane is ``size`` bytes, enough for n!, the
+    largest count.
+    """
+    n = len(rows)
+    if n > LEADING_MAX_N:
+        raise GuardError(f"dimension {n} exceeds LEADING_MAX_N = {LEADING_MAX_N}")
+    size = math.factorial(n).bit_length() // 8 + 1
+    # keep[c] is all ones on the lanes S without column c.
+    keep = [int.from_bytes((b"\xff" * (size << c) + bytes(size << c)) * (1 << n - c - 1),
+                           "little") for c in range(n)]
+    state = 1  # the empty set of columns is filled once
+    out = []
+    for k, row in enumerate(rows):
+        state = sum((state & keep[c]) << (8 * size << c) for c in range(n) if row >> c & 1)
+        out.append(state >> 8 * size * ((2 << k) - 1) & (1 << 8 * size) - 1)
+    return out
 
 
 def _counts_transfer(family: Family, n: int) -> list[int]:
@@ -248,10 +237,9 @@ def _counts_transfer(family: Family, n: int) -> list[int]:
     width = k_total + 1
     size = 1 << n
     layers = target + 1
-    keep = []
-    for c in range(n):
-        without_c = sum(1 << t for t in range(size) if not t >> c & 1)
-        keep.append(sum(without_c << (layer * size) for layer in range(layers)))
+    # keep[c] has bit T of every layer set for the sets T without c.
+    keep = [sum(1 << (layer * size + t) for layer in range(layers) for t in range(size)
+                if not t >> c & 1) for c in range(n)]
     if layers == 1:
         add = operator.or_
     else:

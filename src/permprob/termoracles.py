@@ -13,9 +13,9 @@ variable entries another way than the closed form of the same family:
   it fixes 0 decide its variable-entry count in every family).  The walk
   takes S_n as blocks, one prefix followed by one S_7 column table
   relabelled onto the values the prefix leaves, and counts a block's fixed
-  points with whole-buffer ``bytes`` and ``int`` operations.  The table
-  itself is built the same way, S_k from S_{k-1} relabelled, so the walk
-  builds no tuple per permutation.
+  points with whole-buffer ``bytes`` and ``int`` operations on flag ints
+  built once per walk.  The table itself is built the same way, S_k from
+  S_{k-1} relabelled, so the walk builds no tuple per permutation.
 
 These are oracles: only ``validate`` and the tests load this module, so no
 other command compiles it.  All arithmetic is exact (Python integers).
@@ -174,13 +174,16 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
 
     The walk visits S_n in blocks, each one prefix followed by S_m
     (m = min(n, ``WALK_BLOCK``)) relabelled onto the values it leaves.
-    A prefix's fixed points are the same for its whole block, and one
-    ``bytes.translate`` of an S_m column flags where the block fixes that
-    column's position, so the block's m! permutations are counted with
-    ``bytes`` and ``int`` operations and no tuple per permutation.  The
-    S_m table is itself built by relabelling (:func:`_column_table`), so
-    memory is bounded by the 7 columns of 5040 bytes and the walk stays
-    under 1 MiB (about 115 KiB at n=10, by ``tracemalloc``) whatever n is.
+    A prefix's fixed points are the same for its whole block.  Once per
+    walk, one ``bytes.translate`` per column j of the S_m table and index i
+    flags, as an int with one byte per permutation, where column j holds i;
+    a block fixes position offset + j where column j holds the index of
+    that position's value among the values the prefix leaves, so each
+    block sums the flag ints of its fixable positions and counts the bytes
+    of the sum, with no tuple per permutation.  The S_m table is itself
+    built by relabelling (:func:`_column_table`), so memory is bounded by
+    its 7 columns and 49 flag ints of 5040 bytes each, and the walk stays
+    under 1 MiB (about 290 KiB at n=10, by ``tracemalloc``) whatever n is.
     n above ``WALK_MAX_N`` raises ``ValueError`` even when forced, before
     the guard and before any walk.
     """
@@ -197,22 +200,24 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     # Keys 2 * fp + fixes_0 one block can hold: only a block without a prefix
     # holds position 0, so only then can it fix 0.
     block_keys = range(0, 2 * m + 2, 2 if offset else 1)
-    # bytes.translate tables: select[i] maps byte i to 1 and any other to 0.
-    select = [bytes(i) + b"\x01" + bytes(255 - i) for i in range(m)]
+    flags: list[list[int]] = []
     for prefix, rest, columns in _walk_blocks(n):
+        # flags[j][i] has byte t set where column j holds i, by a
+        # bytes.translate table that maps byte i to 1 and any other to 0.
+        # Every block shares the S_m table, so the first block builds them.
+        flags = flags or [
+            [int.from_bytes(col.translate(bytes(i) + b"\x01" + bytes(255 - i)), "little")
+             for i in range(m)]
+            for col in columns
+        ]
         # The prefix's part of the key, the same for its whole block.
         base = 2 * sum(v == j for j, v in enumerate(prefix)) + (prefix[:1] == (0,))
         # Position p = offset + j holds rest[columns[j][t]], so it is fixed
         # where column j holds the index i of p in rest.  A value p < offset
-        # belongs to a prefix position, so the block never fixes it.
-        flags = [
-            int.from_bytes(columns[p - offset].translate(select[i]), "little")
-            for i, p in enumerate(rest)
-            if p >= offset
-        ]
-        # Each byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
-        keys = 2 * sum(flags) + (0 if offset else flags[0])
-        block = keys.to_bytes(len(columns[0]), "little")
+        # belongs to a prefix position, so the block never fixes it.  Each
+        # byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
+        keys = 2 * sum(flags[p - offset][i] for i, p in enumerate(rest) if p >= offset)
+        block = (keys + (0 if offset else flags[0][0])).to_bytes(len(columns[0]), "little")
         for key in block_keys:
             keyed[base + key] += block.count(key)
     # joint[fp][fixes_0] counts the permutations with fp fixed points.

@@ -9,8 +9,8 @@ coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
 sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
 ``counts_by_matrices`` enumerates the 2**K assignments as
 ``matrices.exact_counts_direct`` does, but through a ``BinaryMatrix`` and
-its ``permanent_ryser`` for each, where the library reads rows from
-lookup tables.
+its ``permanent_ryser`` for each, where the library evaluates every
+assignment at once, one bit per assignment.
 ``recurrence_counts`` runs the recurrences of ``exact_counts`` in powers of
 x, each block of free entries a schoolbook product by the binomial row of
 (1+x)**k: a reference with no change of basis, at sizes past every

@@ -837,7 +837,7 @@ class TestImportDiet:
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
-                print(argv[0], sorted(m for m in ("permprob.matrices",
+                print(argv[0], sorted(m for m in ("permprob.matrices", "permprob.ryser",
                                                   "permprob.termoracles")
                                       if m in sys.modules))
         """)
@@ -853,7 +853,7 @@ class TestImportDiet:
     )
     def test_command_path_module_imports_no_oracle(self, module):
         # Every import statement counts, a lazy one inside a function too.
-        oracles = {"matrices", "termoracles", "validation"}
+        oracles = {"matrices", "ryser", "termoracles", "validation"}
         path = pathlib.Path(permprob.__file__).parent / f"{module}.py"
         imported = []
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

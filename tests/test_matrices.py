@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from permprob import (
     permanent_ryser,
     variable_positions,
 )
-from permprob import matrices
+from permprob import exact_counts, matrices, ryser
+from permprob.matrices import _entry_lanes
 
 from oracles import counts_by_matrices, permanent_naive
 
@@ -120,7 +123,7 @@ class TestByteLanes:
 
     def test_a_row_sum_fits_in_a_byte(self):
         # A row sum is at most n <= RYSER_MAX_N <= MAX_DIMENSION.
-        assert matrices.RYSER_MAX_N <= matrices.MAX_DIMENSION < 256
+        assert ryser.RYSER_MAX_N <= matrices.MAX_DIMENSION < 256
 
 
 class TestPermanentProperties:
@@ -154,8 +157,12 @@ class TestPermanentProperties:
         assert permanent_ryser(m) == permanent_ryser(shuffled)
 
 
+# One build per family and n, for the properties that draw many assignments.
+cached_entry_lanes = functools.lru_cache(maxsize=None)(_entry_lanes)
+
+
 class TestEnumerationOracle:
-    """``exact_counts_direct`` reads each assignment's rows from lookup tables."""
+    """``exact_counts_direct`` evaluates every assignment at once, one bit each."""
 
     @pytest.mark.parametrize("family, n", [
         *((family, n) for family in Family for n in (1, 2, 3)),
@@ -164,30 +171,67 @@ class TestEnumerationOracle:
     def test_equals_a_matrix_per_assignment(self, family, n):
         assert matrices.exact_counts_direct(family, n) == counts_by_matrices(family, n)
 
-    @given(st.sampled_from(list(Family)), st.integers(1, 5), st.data())
+    @given(st.sampled_from([(family, n) for family in Family for n in range(1, 6)
+                            if family.variable_count(n) <= 21]), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_row_tables_rebuild_each_matrix(self, family, n, data):
+    def test_entry_lanes_rebuild_each_matrix(self, case, data):
+        family, n = case
         k_total = family.variable_count(n)
-        x = data.draw(st.integers(0, (1 << k_total) - 1))
-        rows = tuple(table[x >> shift & mask]
-                     for shift, mask, table in matrices._row_tables(family, n))
-        # bit k of x is the entry at the k-th variable position
-        bits = [(x >> k) & 1 for k in range(k_total)]
-        assert rows == build_family_matrix(family, n, bits).rows
-        for k, (i, j) in enumerate(variable_positions(family, n)):
-            assert rows[i] >> j & 1 == bits[k]
+        t = data.draw(st.integers(0, (1 << k_total) - 1))
+        entries, _ = cached_entry_lanes(family, n)
+        # bit k of t is the entry at the k-th variable position
+        bits = [(t >> k) & 1 for k in range(k_total)]
+        assert [[entry >> t & 1 for entry in row] for row in entries] == (
+            build_family_matrix(family, n, bits).to_lists())
 
-    def test_visits_every_assignment(self, monkeypatch):
-        seen = []
-        kernel = matrices._ryser
+    def test_visits_every_assignment(self):
+        # The popcount masks partition the 2**K lanes, one per assignment.
+        for family, n in [*((family, n) for family in Family for n in (1, 2, 3, 4)),
+                          (Family.B, 5), (Family.C, 5)]:
+            k_total = family.variable_count(n)
+            _, masks = _entry_lanes(family, n)
+            assert len(masks) == k_total + 1
+            assert [mask.bit_count() for mask in masks] == [
+                math.comb(k_total, i) for i in range(k_total + 1)]
+            assert sum(masks) == (1 << (1 << k_total)) - 1
+            if k_total <= 12:
+                for t in range(1 << k_total):
+                    assert masks[t.bit_count()] >> t & 1, (family, n, t)
 
-        def counted(n, rows):
-            seen.append(tuple(rows))
-            return kernel(n, rows)
+    def test_memory_stays_under_32_mib_at_the_largest_k(self):
+        # B at n=5, K = 21, is the largest K of any family under the guard.
+        tracemalloc.start()
+        try:
+            counts = matrices.exact_counts_direct(Family.B, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert peak <= 3 * 21 << 21 >> 3  # the bound the guard assumes
+        assert counts == exact_counts(Family.B, 5).counts
 
-        monkeypatch.setattr(matrices, "_ryser", counted)
-        assert matrices.exact_counts_direct(Family.B, 3) == (1, 6, 13, 10, 2, 0, 0, 0)
-        assert len(seen) == len(set(seen)) == 2**7
+
+class TestLeadingPermanents:
+    """``leading_permanents`` takes every leading block's permanent in one pass."""
+
+    @given(binary_matrices(max_n=8))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_ryser_on_every_leading_block(self, m):
+        blocks = [
+            BinaryMatrix(k, tuple(row & (1 << k) - 1 for row in m.rows[:k]))
+            for k in range(1, m.n + 1)
+        ]
+        assert matrices.leading_permanents(m.rows) == [permanent_ryser(b) for b in blocks]
+
+    def test_lanes_hold_factorials(self):
+        # All ones fills every lane to its largest count, k! after k rows.
+        n = matrices.LEADING_MAX_N
+        assert matrices.leading_permanents([(1 << n) - 1] * n) == [
+            math.factorial(k) for k in range(1, n + 1)]
+
+    def test_guard(self):
+        with pytest.raises(GuardError, match="dimension 17 exceeds LEADING_MAX_N = 16"):
+            matrices.leading_permanents([1] * 17)
 
 
 class TestGuards:
@@ -196,11 +240,18 @@ class TestGuards:
             permanent_ryser(BinaryMatrix.identity(31))
 
     def test_enumeration_guard(self, monkeypatch):
-        with pytest.raises(GuardError, match="count 30 exceeds EXACT_MAX_VARIABLES = 26"):
+        # C at n=6 has K = 30: 3 * 30 ints of 2**30 bits.
+        with pytest.raises(GuardError, match="enumerating 30 variable entries takes up to "
+                           "12079595520 bytes, past ENUMERATION_MAX_BYTES = 33554432"):
             matrices.exact_counts_direct(Family.C, 6)
-        monkeypatch.setattr(matrices, "EXACT_MAX_VARIABLES", 5)
-        with pytest.raises(GuardError, match="count 6 exceeds EXACT_MAX_VARIABLES = 5"):
+        with pytest.raises(GuardError, match="enumerating 25 variable entries"):
+            matrices.exact_counts_direct(Family.A, 5)
+        monkeypatch.setattr(matrices, "ENUMERATION_MAX_BYTES", 143)
+        with pytest.raises(GuardError, match="6 variable entries takes up to 144 bytes, "
+                           "past ENUMERATION_MAX_BYTES = 143"):
             matrices.exact_counts_direct(Family.C, 3)
+        monkeypatch.setattr(matrices, "ENUMERATION_MAX_BYTES", 144)
+        assert matrices.exact_counts_direct(Family.C, 3) == (1, 6, 12, 6, 0, 0, 0)
 
     def test_enumeration_refuses_dimension_zero(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):

@@ -124,8 +124,10 @@ class TestRecords:
 
 
 # Public names that only the tests call; the oracles that only tests call
-# live in ``tests/oracles.py``.
-_TEST_ONLY = set()
+# live in ``tests/oracles.py``.  ``build_family_matrix`` and
+# ``permanent_ryser`` are library functions that no command runs: the tests
+# check ``leading_permanents`` and the enumeration oracle against them.
+_TEST_ONLY = {"build_family_matrix", "permanent_ryser"}
 
 
 def _referenced(node):

@@ -213,6 +213,18 @@ class TestExactCounts:
                 assert route_counts(route, family, n) == oracle
         assert exact_counts(family, n).counts == oracle
 
+    @pytest.mark.parametrize("family, n", [
+        *((Family.A, n) for n in range(1, 5)),
+        *((family, n) for family in (Family.B, Family.C) for n in range(1, 6)),
+    ])
+    def test_every_engine_equals_enumeration_up_to_k21(self, family, n):
+        # Every family and n with K <= 21: the recurrence, the transfer and
+        # the enumeration of all 2**K assignments, coefficient by coefficient.
+        assert family.variable_count(n) <= 21
+        direct = route_counts("direct", family, n)
+        assert route_counts("recurrence", family, n) == direct
+        assert route_counts("transfer", family, n) == direct
+
     def test_c_recurrence_totals_are_labelled_dags(self):
         # OEIS A003024: labelled acyclic digraphs on n vertices
         a003024_terms = [1, 3, 25, 543, 29281, 3781503, 1138779265, 783702329343]

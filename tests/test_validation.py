@@ -96,6 +96,23 @@ class TestOfflineChecks:
         expected = [2] + list(validation.REFERENCE_EXACT_COUNTS_N3[family][1:])
         assert check.detail == f"mismatch: [({family.value!r}, {route!r}, {expected})]"
 
+    @pytest.mark.parametrize("bad_n", [1, 7, 12])
+    @pytest.mark.parametrize("name, closed_form", [
+        ("w-diagonal-vs-permanent", "w_closed_form"),
+        ("v-diagonal-vs-permanent", "v_closed_form"),
+    ])
+    def test_a_wrong_diagonal_is_named(self, monkeypatch, bad_n, name, closed_form):
+        # The closed form is off by one on the diagonal at n = bad_n only.
+        right = getattr(validation, closed_form)
+
+        def wrong(n, m):
+            return right(n, m) + (n == m == bad_n)
+
+        monkeypatch.setattr(validation, closed_form, wrong)
+        results = {r.name: r for r in run_offline_checks(bruteforce_n=2)}
+        assert not results[name].passed
+        assert results[name].detail == f"mismatch at n=[{bad_n}]"
+
 
 class TestArtifactVerification:
     def test_dist_artifact_roundtrip(self, tmp_path):
