@@ -20,14 +20,15 @@ import importlib
 _SOURCES = {
     "families": ("Family",),
     "guards": ("GuardError",),
-    "matrices": (
-        "MAX_DIMENSION", "BinaryMatrix", "build_family_matrix", "variable_positions",
-    ),
+    "matrices": ("variable_positions",),
     "probability": (
         "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
-    "ryser": ("RYSER_MAX_N", "permanent_ryser"),
+    "ryser": (
+        "MAX_DIMENSION", "RYSER_MAX_N", "BinaryMatrix", "build_family_matrix",
+        "permanent_ryser",
+    ),
     "oeis": ("LookupResult", "OEISFormatError", "oeis_lookup"),
     "sequences": ("SequenceCheck", "builtin_checks"),
     "termdist": (

@@ -1,8 +1,8 @@
-"""Bit-packed 0/1 matrices and the oracle routes that check the exact counts.
+"""The oracle routes that check the exact counts.
 
-``build_family_matrix`` sets a family's fixed entries to 1 and its variable
-entries from an assignment.  ``Family`` lives in ``families``; this module
-imports it, so ``matrices.Family`` is the same object.
+``variable_positions`` fixes the order of a family's variable entries, the
+bit order of every assignment.  ``Family`` lives in ``families``; this
+module imports it, so ``matrices.Family`` is the same object.
 
 ``exact_counts_direct``, an oracle for ``probability.exact_counts``,
 evaluates the 2^K assignments bit-sliced, one bit per assignment: each
@@ -15,8 +15,9 @@ bits, so it refuses a K whose ints would pass ``ENUMERATION_MAX_BYTES``.
 over the capped permanents of column subsets, in time exponential in n.
 ``leading_permanents`` gives the permanents of every leading k x k block of
 one matrix from a single row-by-row pass over column subsets, for the
-diagonal checks of ``validate``.  The Ryser kernel ``permanent_ryser`` lives
-in ``ryser``, which no command loads.  Only ``validate`` and the tests load
+diagonal checks of ``validate``.  The matrix type ``BinaryMatrix``,
+``build_family_matrix`` and the Ryser kernel ``permanent_ryser`` live in
+``ryser``, which no command loads.  Only ``validate`` and the tests load
 this module; no other command imports it, and it imports no ``typing``.
 """
 
@@ -29,9 +30,7 @@ from collections.abc import Sequence
 from functools import lru_cache, reduce
 
 from .families import Family
-from .guards import GuardError, Record
-
-MAX_DIMENSION = 64
+from .guards import GuardError
 
 
 @lru_cache(maxsize=None)
@@ -46,90 +45,6 @@ def variable_positions(family: Family, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(
         (i, j) for i in range(n) for j in range(n) if family.is_variable(i, j)
     )
-
-
-class BinaryMatrix(Record):
-    """Square 0/1 matrix with each row packed into an integer bitmask.
-
-    Bit j of ``rows[i]`` is the entry at row i, column j.
-    """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
-        self.n = n
-        self.rows = rows
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for r in self.rows:
-            if not isinstance(r, int) or not 0 <= r <= full:
-                raise ValueError(f"row value {r!r} out of range for n={self.n}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryMatrix":
-        """Build from nested 0/1 sequences."""
-        n = len(rows)
-        packed = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            bits = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {v!r}")
-                bits |= v << j
-            packed.append(bits)
-        return cls(n, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def ones(cls, n: int) -> "BinaryMatrix":
-        full = (1 << n) - 1
-        return cls(n, (full,) * n)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of bounds for n={self.n}")
-        return (self.rows[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
-    def transpose(self) -> "BinaryMatrix":
-        cols = []
-        for j in range(self.n):
-            bits = 0
-            for i in range(self.n):
-                bits |= ((self.rows[i] >> j) & 1) << i
-            cols.append(bits)
-        return BinaryMatrix(self.n, tuple(cols))
-
-
-def build_family_matrix(
-    family: Family, n: int, assignment: Sequence[int]
-) -> BinaryMatrix:
-    """Matrix with fixed positions at 1 and ``assignment`` bits on the variable mask.
-
-    ``assignment[k]`` lands on the k-th pair of :func:`variable_positions`.
-    """
-    positions = variable_positions(family, n)
-    if len(assignment) != len(positions):
-        raise ValueError(
-            f"assignment length {len(assignment)} does not match the "
-            f"{len(positions)} variable positions of family {family.value} at n={n}"
-        )
-    rows = [0 if family.is_variable(i, i) else 1 << i for i in range(n)]
-    for (i, j), bit in zip(positions, assignment):
-        if bit not in (0, 1):
-            raise ValueError(f"assignment bits must be 0 or 1, got {bit!r}")
-        rows[i] |= bit << j
-    return BinaryMatrix(n, tuple(rows))
 
 
 # Most bytes the lane ints of ``exact_counts_direct`` may take.  It holds at

@@ -6,7 +6,8 @@ that the term vanishes, treating terms as independent: one factor
 independence assumption entirely: it counts, by number of ones, the
 assignments of the K variable entries that land the permanent on the
 family's target value, and ``p_eval`` turns those counts into the exact
-probability sum_i N_i * r**i * (1-r)**(K-i).
+probability sum_i N_i * r**i * (1-r)**(K-i), in integers rounded once
+(``compare_grid`` at each grid point's own rational r = i/(g-1)).
 
 ``exact_counts`` never visits the 2**K assignments: every family runs one
 recurrence, polynomial in n.  For B and C it counts digraphs; for A it
@@ -223,34 +224,26 @@ def exact_counts(family: Family, n: int, force: bool = False) -> ExactCounts:
     return ExactCounts(family, n, tuple(_taylor_shift(_RECURRENCES[family](n))))
 
 
+def _p_at(counts: ExactCounts, a: int, d: int) -> float:
+    """P at r = a/d: sum_i N_i * a**i * (d-a)**(K-i) by Horner, over d**K, rounded once."""
+    numerator = 0
+    a_power = 1  # a**i
+    for c in counts.counts:
+        numerator = numerator * (d - a) + c * a_power
+        a_power *= a
+    return numerator / d**counts.variable_count
+
+
 def p_eval(counts: ExactCounts, r: float) -> float:
     """Exact probability that the permanent equals the family target.
 
-    Kept in the Bernstein-style basis r**i * (1-r)**(K-i) to avoid the
-    cancellation a monomial expansion would suffer; summed with fsum.  When
-    a count exceeds the float range, P is instead evaluated exactly at the
-    float r = a / 2**e, as the integer sum_i N_i * a**i * (2**e - a)**(K-i)
-    over 2**(e*K), and rounded once.
+    The Bernstein-style sum sum_i N_i * r**i * (1-r)**(K-i) is evaluated in
+    integers at the float's exact value r = a/d and rounded once, so the
+    result is the correctly rounded double at every K, tiny values included.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    k_total = counts.variable_count
-    s = 1.0 - r
-    try:
-        total = math.fsum(
-            float(c) * r**i * s ** (k_total - i)
-            for i, c in enumerate(counts.counts)
-            if c
-        )
-    except OverflowError:  # a count past 2**1024
-        a, d = r.as_integer_ratio()
-        numerator = 0
-        a_power = 1  # a**i
-        for c in counts.counts:
-            numerator = numerator * (d - a) + c * a_power
-            a_power *= a
-        return numerator / d**k_total  # int / int rounds correctly
-    return min(1.0, max(0.0, total))
+    return _p_at(counts, *r.as_integer_ratio())
 
 
 def compare_grid(
@@ -259,7 +252,10 @@ def compare_grid(
     grid_points: int = DEFAULT_GRID,
     force: bool = False,
 ) -> list[tuple[float, float, float, float]]:
-    """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1]."""
+    """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1].
+
+    P is taken at the grid's rational r = i/(g-1), not at the float r.
+    """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     check_guard(grid_points, MAX_GRID, "grid point count", force)
@@ -269,7 +265,7 @@ def compare_grid(
     for i in range(grid_points):
         r = i / (grid_points - 1)
         q = q_eval(dist, r)
-        p = p_eval(counts, r)
+        p = _p_at(counts, i, grid_points - 1)
         rows.append((r, q, p, q - p))
     return rows
 

@@ -199,16 +199,16 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
             worst = max(worst, abs(diff))
     add("n2-exactness", worst <= 1e-12, f"max |Q-P| = {worst:.3g}")
 
-    # endpoint behaviour at n=3
+    # endpoint behaviour at n=3: both routes are exact there
     ok = True
     detail = ""
     for family in Family:
         dist = e_table(family, 3)
         counts = exact_counts(family, 3)
-        if abs(q_eval(dist, 0.0) - 1.0) > 1e-12 or abs(p_eval(counts, 0.0) - 1.0) > 1e-12:
+        if not q_eval(dist, 0.0) == p_eval(counts, 0.0) == 1.0:
             ok, detail = False, f"{family.value}: r=0 endpoint"
         if family in (Family.A, Family.B):
-            if q_eval(dist, 1.0) > 1e-12 or p_eval(counts, 1.0) > 1e-12:
+            if not q_eval(dist, 1.0) == p_eval(counts, 1.0) == 0.0:
                 ok, detail = False, f"{family.value}: r=1 endpoint"
     add("probability-endpoints-n3", ok, detail)
 
@@ -288,7 +288,9 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     metadata, so the guards of the command that emitted it apply.
     ``force=True`` lifts every guard, the length one included, but not
     ``REGENERATE_CEILINGS``; a guard hit is a failed check naming the
-    guard.
+    guard.  A mismatch reports how many lines differ and quotes the first
+    of them, as written and as regenerated, so an artifact whose values
+    have since moved shows which row moved and how.
     """
     name = f"artifact:{path}"
     try:
@@ -310,9 +312,17 @@ def verify_artifact(path: str, force: bool = False) -> CheckResult:
     expected = doc.render()
     if text == expected:
         return CheckResult(name, True, f"{meta['kind']} artifact matches regenerated values")
-    for lineno, (got, want) in enumerate(
-        zip(text.split("\n"), expected.split("\n")), start=1
-    ):
-        if got != want:
-            return CheckResult(name, False, f"line {lineno} differs from regenerated value")
-    return CheckResult(name, False, "length differs from regenerated artifact")
+    got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    common = min(len(got), len(want))
+    differ = [i for i in range(common) if got[i] != want[i]]
+    count = len(differ) + len(got) + len(want) - 2 * common
+    first = differ[0] if differ else common
+    old, new = (_clip(lines[first]) if first < len(lines) else "(none)" for lines in (got, want))
+    verb = "line differs" if count == 1 else "lines differ"
+    return CheckResult(name, False, f"{count} {verb} from regenerated values, "
+                                    f"first line {first + 1}: {old} -> {new}")
+
+
+def _clip(line: str) -> str:
+    """``repr`` of a line, cut after 80 characters so a report stays one short line."""
+    return repr(line) if len(line) <= 80 else repr(line[:80]) + "..."

@@ -741,7 +741,7 @@ _VALIDATE_LINES = [
     "PASS  w-diagonal-vs-permanent  (n<=12)",
     "PASS  v-diagonal-vs-permanent  (n<=12)",
     "PASS  exact-counts-n3-reference  (A/B/C, all methods)",
-    "PASS  n2-exactness  (max |Q-P| = 3.33e-16)",
+    "PASS  n2-exactness  (max |Q-P| = 1.11e-16)",
     "PASS  probability-endpoints-n3",
     "PASS  sequence-references  (7 slices)",
 ]
@@ -923,11 +923,11 @@ class TestImportDiet:
 
     @pytest.mark.parametrize("argv, most", [
         (("dist", "--family", "C", "--n", "5"), 4450),
-        (("exact", "--family", "A", "--n", "3"), 6200),
-        (("compare", "--n", "3"), 6200),
-        (("compare", "--n", "3", "--format", "svg"), 7250),
+        (("exact", "--family", "A", "--n", "3"), 6079),
+        (("compare", "--n", "3"), 6079),
+        (("compare", "--n", "3", "--format", "svg"), 7018),
         (("seq",), 4100),
-        (("validate", "--n", "3"), 12300),
+        (("validate", "--n", "3"), 11683),
     ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
     def test_command_compiles_few_nodes(self, argv, most):
         # Without bytecode a command compiles every permprob module it loads,

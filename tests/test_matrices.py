@@ -123,7 +123,7 @@ class TestByteLanes:
 
     def test_a_row_sum_fits_in_a_byte(self):
         # A row sum is at most n <= RYSER_MAX_N <= MAX_DIMENSION.
-        assert ryser.RYSER_MAX_N <= matrices.MAX_DIMENSION < 256
+        assert ryser.RYSER_MAX_N <= ryser.MAX_DIMENSION < 256
 
 
 class TestPermanentProperties:

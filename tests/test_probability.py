@@ -400,7 +400,46 @@ class TestPEval:
         assert p_eval(even, r) == float(exact)
 
 
+def bernstein_fraction(counts, r):
+    """sum_j N_j r**j (1-r)**(K-j) at a Fraction r, exactly."""
+    k_total = len(counts) - 1
+    return sum(c * r**j * (1 - r) ** (k_total - j) for j, c in enumerate(counts) if c)
+
+
+class TestPEvalOracle:
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_p_eval_is_the_rounded_fraction_sum(self, r):
+        counts = exact_counts(Family.B, 4)
+        assert p_eval(counts, r) == float(bernstein_fraction(counts.counts, Fraction(r)))
+
+    def test_tiny_values_keep_their_digits(self):
+        # r**i * (1-r)**(K-i) alone underflows here; the sum does not
+        counts = exact_counts(Family.C, 30, force=True)
+        assert f"{p_eval(counts, 0.8):.12g}" == "7.92324078173e-274"
+
+
 class TestCompareGrid:
+    @pytest.mark.parametrize("grid", [101, 1001])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_every_p_is_the_rounded_fraction_sum(self, family, grid):
+        d = grid - 1
+        for n in range(1, 6):
+            counts = exact_counts(family, n).counts
+            rows = compare_grid(family, n, grid)
+            assert [p for _, _, p, _ in rows] == [
+                float(bernstein_fraction(counts, Fraction(i, d))) for i in range(grid)]
+
+    @pytest.mark.parametrize("n, grid, i, text", [
+        (30, 11, 8, "7.92324078173e-274"),
+        (20, 51, 49, "3.14845818015e-305"),
+    ])
+    def test_underflow_rows(self, n, grid, i, text):
+        # the float terms r**j * (1-r)**(K-j) of these rows underflow
+        r, _, p, _ = compare_grid(Family.C, n, grid, force=True)[i]
+        assert r == i / (grid - 1)
+        assert f"{p:.12g}" == text
+
     @pytest.mark.parametrize("family", list(Family))
     def test_n2_exactness(self, family):
         rows = compare_grid(family, 2)

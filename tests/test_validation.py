@@ -96,6 +96,20 @@ class TestOfflineChecks:
         expected = [2] + list(validation.REFERENCE_EXACT_COUNTS_N3[family][1:])
         assert check.detail == f"mismatch: [({family.value!r}, {route!r}, {expected})]"
 
+    @pytest.mark.parametrize("r, off, detail", [
+        (0.0, -2.0**-53, "C: r=0 endpoint"),
+        (1.0, 2.0**-1074, "B: r=1 endpoint"),
+    ])
+    def test_an_endpoint_one_ulp_off_fails(self, monkeypatch, r, off, detail):
+        # P is exact at both endpoints, so the check allows no tolerance
+        def nudged(counts, at):
+            return probability.p_eval(counts, at) + off * (at == r)
+
+        monkeypatch.setattr(validation, "p_eval", nudged)
+        results = {res.name: res for res in run_offline_checks(bruteforce_n=2)}
+        check = results["probability-endpoints-n3"]
+        assert (check.passed, check.detail) == (False, detail)
+
     @pytest.mark.parametrize("bad_n", [1, 7, 12])
     @pytest.mark.parametrize("name, closed_form", [
         ("w-diagonal-vs-permanent", "w_closed_form"),
@@ -143,7 +157,39 @@ class TestArtifactVerification:
         crlf.write_bytes(text.replace("\n", "\r\n").encode())
         result = verify_artifact(str(crlf))
         assert not result.passed
-        assert result.detail == "line 1 differs from regenerated value"
+        assert result.detail == (
+            "10 lines differ from regenerated values, first line 1: "
+            "'# permprob exact family=C n=3 variables=6 target=1\\r\\n' -> "
+            "'# permprob exact family=C n=3 variables=6 target=1\\n'")
+
+    def test_a_changed_row_is_quoted(self, tmp_path):
+        # the float sum that P once took wrote ...505 here; the exact value rounds to ...506
+        old = "0.046,0.947080056916,0.947431585505"
+        text = make_compare_doc([Family.B], 4, 1001).render()
+        assert text.count(old[:-1] + "6\n") == 1
+        path = tmp_path / "compare.csv"
+        path.write_text(text.replace(old[:-1] + "6", old))
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail == (f"1 line differs from regenerated values, first line 49: "
+                                 f"'{old}\\n' -> '{old[:-1]}6\\n'")
+
+    def test_missing_and_extra_lines_are_counted(self, tmp_path):
+        text = make_exact_doc(exact_counts(Family.C, 3)).render()
+        path = tmp_path / "e.csv"
+        path.write_text(text + "x\ny\n")
+        assert verify_artifact(str(path)).detail == (
+            "2 lines differ from regenerated values, first line 11: 'x\\n' -> (none)")
+        path.write_text(text[:-6])
+        assert verify_artifact(str(path)).detail == (
+            "2 lines differ from regenerated values, first line 9: '5,' -> '5,0\\n'")
+        path.write_text(text[:-4])
+        assert verify_artifact(str(path)).detail == (
+            "1 line differs from regenerated values, first line 10: (none) -> '6,0\\n'")
+        # a long line is quoted only up to its 80th character
+        path.write_text(text + "z" * 100)
+        assert verify_artifact(str(path)).detail == (
+            f"1 line differs from regenerated values, first line 11: '{'z' * 80}'... -> (none)")
 
     def test_length_guard(self, tmp_path, monkeypatch):
         # shrink the limit first, so /dev/zero is never read without a bound
