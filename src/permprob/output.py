@@ -27,8 +27,8 @@ if TYPE_CHECKING:
     from .families import Family
     from .probability import ExactCounts
 
-# Largest dimension of an emitted term-count table (``dist``, and ``validate``
-# re-running a dist artifact) unless forced.
+# Largest dimension of a term-count table that ``dist`` emits unless forced;
+# ``validate`` re-runs a dist artifact forced, up to its own ceiling.
 DIST_MAX_N = 30
 
 _POLYNOMIAL = "# polynomial: "

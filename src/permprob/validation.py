@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .families import Family
-from .guards import GuardError, Record, check_guard, parse_int
+from .guards import GuardError, Record, parse_int
 from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
 from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import compare_grid, exact_counts, p_eval, q_eval
@@ -62,22 +62,27 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 
 # Largest dimension of the closed-form, recurrence and permanent checks.
 TABLE_N = 12
-# Longest artifact, in characters, that ``verify_artifact`` reads unforced;
-# the largest one an unforced command writes, ``compare --n 5 --grid 10001``,
-# is about 1 MiB.
+# Longest artifact, in characters, that ``verify_artifact`` reads; a longer
+# file is a failed check, which no ``--force`` lifts.  Every artifact that the
+# ceilings below admit is far shorter: dist B at n=200 is 2,781,459
+# characters, exact A at n=16 30,028, and a compare at n=12 on 20,001 points
+# 1,517,757 for A,B,C and 5,624,226 for twelve families, whose cells bound it
+# by 20,001 x 25 x 19 = 9,500,475.
 MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
 
-# Hard ceilings on the sizes an artifact's metadata may ask ``regenerate``
-# for, keyed by artifact kind and metadata key; no ``force`` lifts them.  At
-# them a forced regeneration takes at most about 5 s on two cores: 0.4 s for
-# dist at n=200, 0.5 s for exact A at n=16 (B and C take a few ms) and 4.4 s
-# for a three-family compare at n=12 on 20,001 points.  Every builder's own
-# guard is lower, so unforced it refuses first.
+# The sizes an artifact's metadata may ask ``regenerate`` for, keyed by
+# artifact kind and metadata key: each key has this one limit, and no
+# ``--force`` lifts it.  Within them ``regenerate`` runs every builder forced,
+# in at most about 6 s on two cores: 0.38 s for dist B at n=200, 0.3 s for
+# exact A at n=16 (B and C take a few ms), and 4-6 s for a compare at n=12 on
+# 20,001 points, whether it names A,B,C or twelve families, since each
+# distinct family is computed once.
 REGENERATE_CEILINGS = {
     ("dist", "n"): 200,
     ("exact", "n"): 16,
     ("compare", "n"): 12,
     ("compare", "grid"): 20_001,
+    ("compare", "families"): 12,
 }
 
 
@@ -230,11 +235,11 @@ def report(bruteforce_n: int, paths: list[str], force: bool = False,
 
     One line per check of :func:`run_offline_checks`, then one per artifact
     in ``paths``, then the ``--oeis`` lines when ``oeis`` holds the lookup
-    URL and timeout, then a summary.
+    URL and timeout, then a summary.  ``force`` only widens the S_n walk;
+    an artifact is verified the same way with it or without.
     """
-    results = run_offline_checks(bruteforce_n=bruteforce_n, force=force)
-    for path in paths:
-        results.append(verify_artifact(path, force=force))
+    results = run_offline_checks(bruteforce_n, force)
+    results += map(verify_artifact, paths)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         detail = f"  ({res.detail})" if res.detail else ""
@@ -248,61 +253,63 @@ def report(bruteforce_n: int, paths: list[str], force: bool = False,
     return 1 if failed else 0
 
 
-def _size(meta: dict[str, str], key: str, force: bool) -> int:
-    """``meta[key]`` as an int; forced, a size past its ceiling raises ``GuardError``."""
-    value = parse_int(meta[key])
+def _size(meta: dict[str, str], key: str) -> int:
+    """``meta[key]`` as an int, or the number of names it lists for ``families``;
+    past its ceiling it raises ``GuardError``."""
+    text = meta[key]
+    value = text.count(",") + 1 if key == "families" else parse_int(text)
     ceiling = REGENERATE_CEILINGS[meta["kind"], key]
-    if force and value > ceiling:
+    if value > ceiling:
         raise GuardError(f"{meta['kind']} artifact {key} {value} exceeds its ceiling of "
                          f"{ceiling}, which no --force lifts")
     return value
 
 
-def regenerate(meta: dict[str, str], force: bool = False) -> CsvDoc | None:
+def regenerate(meta: dict[str, str]) -> CsvDoc | None:
     """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
 
-    The metadata sizes the run, so each builder's guard applies and
-    ``force=True`` lifts it, though not past ``REGENERATE_CEILINGS``.
-    Metadata that names no artifact kind gives None; a missing key raises
+    The metadata sizes the run, so each size is first held to its
+    ``REGENERATE_CEILINGS`` entry, and the builder then runs forced: an
+    artifact a forced command wrote re-verifies like any other.  Metadata
+    that names no artifact kind gives None; a missing key raises
     ``KeyError`` and a bad value ``ValueError``, an integer longer than
     ``guards.MAX_INT_CHARS`` characters included.
     """
     kind = meta.get("kind")
     if kind == "dist":
-        return make_dist_doc(Family(meta["family"]), _size(meta, "n", force), force)
+        return make_dist_doc(Family(meta["family"]), _size(meta, "n"), True)
     if kind == "exact":
-        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n", force),
-                                           force=force))
+        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n"), True))
     if kind == "compare":
+        _size(meta, "families")
         families = [Family(v) for v in meta["families"].split(",")]
-        return make_compare_doc(families, _size(meta, "n", force),
-                                _size(meta, "grid", force), force)
+        return make_compare_doc(families, _size(meta, "n"), _size(meta, "grid"), True)
     return None
 
 
-def verify_artifact(path: str, force: bool = False) -> CheckResult:
+def verify_artifact(path: str) -> CheckResult:
     """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
 
     The file is read with its line endings as they are, and at most
-    ``MAX_ARTIFACT_CHARS`` of it.  :func:`regenerate` rebuilds it from its
-    metadata, so the guards of the command that emitted it apply.
-    ``force=True`` lifts every guard, the length one included, but not
-    ``REGENERATE_CEILINGS``; a guard hit is a failed check naming the
-    guard.  A mismatch reports how many lines differ and quotes the first
+    ``MAX_ARTIFACT_CHARS`` of it: a longer file fails, with or without ``--force``.
+    :func:`regenerate` rebuilds it from its metadata within
+    ``REGENERATE_CEILINGS``; a size past one is a failed check naming the
+    ceiling.  A mismatch reports how many lines differ and quotes the first
     of them, as written and as regenerated, so an artifact whose values
     have since moved shows which row moved and how.
     """
     name = f"artifact:{path}"
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read(-1 if force else MAX_ARTIFACT_CHARS + 1)
+            text = fh.read(MAX_ARTIFACT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         return CheckResult(name, False, f"cannot read: {exc}")
     try:
-        check_guard(len(text), MAX_ARTIFACT_CHARS, "artifact length in characters",
-                    force)
+        if len(text) > MAX_ARTIFACT_CHARS:
+            raise GuardError(f"artifact longer than its ceiling of {MAX_ARTIFACT_CHARS} "
+                             "characters, which no --force lifts")
         meta = CsvDoc.parse(text).metadata()
-        doc = regenerate(meta, force)
+        doc = regenerate(meta)
     except GuardError as exc:
         return CheckResult(name, False, f"guard violation: {exc}")
     except (KeyError, ValueError) as exc:

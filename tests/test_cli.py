@@ -244,7 +244,8 @@ class TestValidate:
         path.write_text("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n")
         code, out, _ = run(capsys, "validate", "--n", "2", str(path))
         assert code == 1
-        assert f"FAIL  artifact:{path}  (guard violation: grid point count" in out
+        assert (f"FAIL  artifact:{path}  (guard violation: compare artifact grid 5000000 "
+                "exceeds its ceiling of 20001, which no --force lifts)") in out
 
     def test_forced_header_past_its_ceiling_is_a_failed_check(self, isolated_cwd):
         # A fresh interpreter under a timeout, so that unbounded work fails the
@@ -299,8 +300,18 @@ class TestValidate:
         monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 1024)
         code, out, err = run(capsys, "validate", "--n", "2", "/dev/zero")
         assert (code, err) == (1, "")
-        assert ("FAIL  artifact:/dev/zero  (guard violation: artifact length in "
-                "characters 1025 exceeds the default guard of 1024") in out
+        assert ("FAIL  artifact:/dev/zero  (guard violation: artifact longer than its "
+                "ceiling of 1024 characters, which no --force lifts)") in out
+
+    def test_forced_run_keeps_the_length_limit(self, capsys, monkeypatch, isolated_cwd):
+        path = isolated_cwd / "dist.csv"
+        assert run(capsys, "dist", "--family", "C", "--n", "8", "--out", str(path))[0] == 0
+        assert len(path.read_text()) > 256
+        monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 256)
+        code, out, err = run(capsys, "validate", "--n", "2", "--force", str(path))
+        assert (code, err) == (1, "")
+        assert (f"FAIL  artifact:{path}  (guard violation: artifact longer than its "
+                "ceiling of 256 characters, which no --force lifts)") in out
 
     def test_undecodable_artifact_is_a_failed_check(self, capsys, isolated_cwd):
         path = isolated_cwd / "bad.csv"
@@ -927,7 +938,7 @@ class TestImportDiet:
         (("compare", "--n", "3"), 6079),
         (("compare", "--n", "3", "--format", "svg"), 7018),
         (("seq",), 4100),
-        (("validate", "--n", "3"), 11683),
+        (("validate", "--n", "3"), 11675),
     ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
     def test_command_compiles_few_nodes(self, argv, most):
         # Without bytecode a command compiles every permprob module it loads,

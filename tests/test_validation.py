@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from permprob import Family, matrices, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
-from permprob.probability import MAX_GRID, exact_counts
+from permprob.probability import exact_counts
 from permprob.termdist import TermDistribution, e_table
 from permprob.validation import CheckResult, run_offline_checks, verify_artifact
 
@@ -16,8 +16,10 @@ _HEADER_VALUES = {
     "family": _FAMILY_TEXT,
     "families": st.lists(_FAMILY_TEXT, max_size=4).map(",".join),
     "n": number_text(st.one_of(st.integers(-3, 6), HUGE)),
-    # a grid inside the guard stays small, so each example runs in milliseconds
-    "grid": number_text(st.one_of(st.integers(-3, 50), st.integers(MAX_GRID + 1, 10**40))),
+    # a grid inside the ceiling stays small, so each example runs in milliseconds
+    "grid": number_text(st.one_of(
+        st.integers(-3, 50),
+        st.integers(validation.REGENERATE_CEILINGS["compare", "grid"] + 1, 10**40))),
 }
 # ``# permprob <kind> key=value ...`` with every key but at most one
 _HEADERS = st.builds(
@@ -194,15 +196,20 @@ class TestArtifactVerification:
     def test_length_guard(self, tmp_path, monkeypatch):
         # shrink the limit first, so /dev/zero is never read without a bound
         monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 64)
-        guard = ("guard violation: artifact length in characters 65 exceeds the "
-                 "default guard of 64")
-        assert verify_artifact("/dev/zero").detail.startswith(guard)
+        guard = ("guard violation: artifact longer than its ceiling of 64 characters, "
+                 "which no --force lifts")
+        assert verify_artifact("/dev/zero").detail == guard
+        text = make_dist_doc(Family.C, 4).render()
         path = tmp_path / "dist.csv"
-        path.write_text(make_dist_doc(Family.C, 4).render())
+        path.write_text(text)
         result = verify_artifact(str(path))
         assert not result.passed
-        assert result.detail.startswith(guard)
-        assert verify_artifact(str(path), force=True).passed
+        assert result.detail == guard
+        # one character past the limit fails; at the limit the file is read whole
+        path.write_text(text[:65])
+        assert verify_artifact(str(path)).detail == guard
+        path.write_text(text[:64])
+        assert "differ" in verify_artifact(str(path)).detail
 
     def test_missing_file(self, tmp_path):
         result = verify_artifact(str(tmp_path / "nope.csv"))
@@ -220,10 +227,13 @@ class TestArtifactVerification:
     @pytest.mark.parametrize(
         "header, guard",
         [
-            ("# permprob dist family=C n=400\nn,m,count\n", "table dimension 400"),
+            ("# permprob dist family=C n=400\nn,m,count\n",
+             "dist artifact n 400 exceeds its ceiling of 200"),
             ("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n",
-             "grid point count 5000000"),
-            ("# permprob exact family=A n=9\ni,count\n", "variable-entry count 81"),
+             "compare artifact grid 5000000 exceeds its ceiling of 20001"),
+            # B at n=40 counts in milliseconds, but the exact ceiling holds for every family
+            ("# permprob exact family=B n=40\ni,count\n",
+             "exact artifact n 40 exceeds its ceiling of 16"),
         ],
     )
     def test_metadata_beyond_guards_fails_fast(self, tmp_path, header, guard):
@@ -231,7 +241,7 @@ class TestArtifactVerification:
         path.write_text(header)
         result = verify_artifact(str(path))
         assert not result.passed
-        assert result.detail.startswith("guard violation: " + guard)
+        assert result.detail == f"guard violation: {guard}, which no --force lifts"
 
     @pytest.mark.parametrize("n", [-3, 0])
     def test_dist_dimension_below_one_is_malformed(self, tmp_path, n):
@@ -245,11 +255,10 @@ class TestArtifactVerification:
         ("# permprob exact family=C n=" + "1" * 21, 21),
         ("# permprob compare n=2 grid=" + "9" * 5000 + " families=A", 5000),
     ], ids=["exact-n", "compare-grid"])
-    @pytest.mark.parametrize("force", [False, True])
-    def test_integer_too_long_is_malformed(self, tmp_path, header, length, force):
+    def test_integer_too_long_is_malformed(self, tmp_path, header, length):
         path = tmp_path / "long.csv"
         path.write_text(header + "\ni,count\n")
-        result = verify_artifact(str(path), force=force)
+        result = verify_artifact(str(path))
         assert not result.passed
         assert result.detail == ("malformed artifact: an integer may have at most 20 "
                                  f"characters, got {length}")
@@ -263,24 +272,41 @@ class TestArtifactVerification:
          "compare artifact n 13 exceeds its ceiling of 12"),
         ("# permprob compare n=2 grid=20002 families=A\nr,Q_A,P_A\n",
          "compare artifact grid 20002 exceeds its ceiling of 20001"),
-    ], ids=["exact-n", "compare-n", "compare-grid"])
+        ("# permprob compare n=2 grid=5 families=" + ",".join(["A"] * 13) + "\nr\n",
+         "compare artifact families 13 exceeds its ceiling of 12"),
+    ], ids=["exact-n", "compare-n", "compare-grid", "compare-families"])
     def test_forced_header_past_its_ceiling_fails_fast(self, tmp_path, header, refused):
         path = tmp_path / "big.csv"
         path.write_text(header)
-        result = verify_artifact(str(path), force=True)
+        result = verify_artifact(str(path))
         assert not result.passed
         assert result.detail == f"guard violation: {refused}, which no --force lifts"
 
     def test_forced_header_at_its_ceiling_is_verified(self, tmp_path):
         path = tmp_path / "compare.csv"
         path.write_text(make_compare_doc([Family.C], 2, 20_001, force=True).render())
-        assert verify_artifact(str(path), force=True).passed
+        assert verify_artifact(str(path)).passed
 
-    def test_force_lifts_dist_guard(self, tmp_path):
+    def test_forced_artifact_verifies_unforced(self, tmp_path):
         path = tmp_path / "dist.csv"
         path.write_text(make_dist_doc(Family.C, 31, force=True).render())
-        assert "table dimension" in verify_artifact(str(path)).detail
-        assert verify_artifact(str(path), force=True).passed
+        assert verify_artifact(str(path)).passed
+        # K = 64 variable entries, past the unforced guard of 26
+        path = tmp_path / "exact.csv"
+        path.write_text(make_exact_doc(exact_counts(Family.A, 8, force=True)).render())
+        assert verify_artifact(str(path)).passed
+
+    def test_artifacts_at_the_ceilings_fit_the_length_limit(self):
+        ceilings = validation.REGENERATE_CEILINGS
+        dist = make_dist_doc(Family.B, ceilings["dist", "n"], force=True).render()
+        exact = make_exact_doc(
+            exact_counts(Family.A, ceilings["exact", "n"], force=True)).render()
+        assert max(len(dist), len(exact)) <= validation.MAX_ARTIFACT_CHARS
+        # a compare row is r, then Q and P for each family: each cell is at most
+        # 18 characters, as in 1.23456789012e-300, and one separator follows it
+        compare = (ceilings["compare", "grid"] * (1 + 2 * ceilings["compare", "families"])
+                   * 19)
+        assert compare <= validation.MAX_ARTIFACT_CHARS
 
     def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "compare.csv"
