@@ -255,13 +255,18 @@ class TestArtifactVerification:
         ("# permprob exact family=C n=" + "1" * 21, 21),
         ("# permprob compare n=2 grid=" + "9" * 5000 + " families=A", 5000),
     ], ids=["exact-n", "compare-grid"])
-    def test_integer_too_long_is_malformed(self, tmp_path, header, length):
+    @pytest.mark.parametrize("force", [False, True])
+    def test_integer_too_long_is_malformed(self, tmp_path, capsys, header, length, force):
         path = tmp_path / "long.csv"
         path.write_text(header + "\ni,count\n")
         result = verify_artifact(str(path))
         assert not result.passed
-        assert result.detail == ("malformed artifact: an integer may have at most 20 "
-                                 f"characters, got {length}")
+        detail = ("malformed artifact: an integer may have at most 20 "
+                  f"characters, got {length}")
+        assert result.detail == detail
+        # validate --force widens only the S_n walk: the artifact fails the same way
+        assert validation.report(1, [str(path)], force) == 1
+        assert f"FAIL  artifact:{path}  ({detail})" in capsys.readouterr().out.splitlines()
 
     # The dist ceiling is tested through the command line, in a fresh
     # interpreter under a timeout: past it, a forced run would not end.
