@@ -22,7 +22,7 @@ _SOURCES = {
     "guards": ("GuardError",),
     "matrices": ("variable_positions",),
     "probability": (
-        "EXACT_MAX_VARIABLES", "MAX_GRID", "ExactCounts", "bernstein_string",
+        "EXACT_MAX_N", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
     "ryser": (

@@ -46,13 +46,14 @@ class UsageError(ValueError):
     pass
 
 
-def load_config_file(path: str | None = None) -> dict[str, str]:
-    """Read key=value lines; a missing file is an empty configuration.
+def load_config_file() -> dict[str, str]:
+    """Read the key=value lines of ``PERMPROB_CONFIG``, else of ``permprob.conf``.
 
-    A path that cannot be read, a file that is not UTF-8 text, or one longer
-    than ``MAX_CONFIG_CHARS`` is a :class:`UsageError`.
+    A missing file is an empty configuration.  A path that cannot be read,
+    a file that is not UTF-8 text, or one longer than ``MAX_CONFIG_CHARS``
+    is a :class:`UsageError`.
     """
-    path = path or os.environ.get("PERMPROB_CONFIG", "permprob.conf")
+    path = os.environ.get("PERMPROB_CONFIG", "permprob.conf")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read(MAX_CONFIG_CHARS + 1)
@@ -355,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
-        print(f"guard violation: {exc}", file=sys.stderr)
+        print(f"guard violation: {exc}; pass --force to accept the runtime", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -13,13 +13,12 @@ class GuardError(ValueError):
 def check_guard(value: int, limit: int, what: str, force: bool = False) -> None:
     """Raise :class:`GuardError` when ``value`` exceeds ``limit``.
 
-    ``force=True`` opts in to long runtimes and skips the check.
+    ``force=True`` opts in to long runtimes and skips the check.  The
+    message names ``what`` and the limit only: the command line adds how to
+    lift it, and ``validate``, which never forces, that nothing does.
     """
     if value > limit and not force:
-        raise GuardError(
-            f"{what} {value} exceeds the default guard of {limit}; "
-            "pass force=True (or --force on the command line) to accept the runtime"
-        )
+        raise GuardError(f"{what} {value} exceeds its ceiling of {limit}")
 
 
 # Longest integer text, in characters, that ``parse_int`` reads: a signed

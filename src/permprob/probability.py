@@ -31,8 +31,14 @@ from .families import Family
 from .guards import Record, check_guard
 from .termdist import TermDistribution, e_table
 
-EXACT_MAX_VARIABLES = 26
-MAX_GRID = 10_001
+# The size limits of ``exact`` and ``compare``, which only ``force`` lifts.
+# ``validate`` rebuilds an artifact within them, never forced.  Unforced,
+# the slowest runs take about 0.3 s for exact A at n=16 (B and C take a few
+# ms) and 4-6 s for a compare of A,B,C at n=12 on 20,001 points, on two
+# cores.
+EXACT_MAX_N = 16
+COMPARE_MAX_N = 12
+MAX_GRID = 20_001
 DEFAULT_GRID = 101
 
 
@@ -215,12 +221,13 @@ def exact_counts(family: Family, n: int, force: bool = False) -> ExactCounts:
     Every family runs a recurrence, polynomial in n, in powers of y = 1+x:
     over the digraph the off-diagonal entries describe for B and C, and over
     the Hall deficiency of the bipartite graph between rows and columns for
-    A.  A Taylor shift turns its coefficients into the counts.
+    A.  A Taylor shift turns its coefficients into the counts.  ``n`` above
+    ``EXACT_MAX_N`` raises :class:`GuardError` unless forced; the bound is
+    on n for every family, though B and C count to n=40 in about 0.1 s.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    k_total = family.variable_count(n)
-    check_guard(k_total, EXACT_MAX_VARIABLES, "variable-entry count", force)
+    check_guard(n, EXACT_MAX_N, "exact n", force)
     return ExactCounts(family, n, tuple(_taylor_shift(_RECURRENCES[family](n))))
 
 
@@ -255,10 +262,13 @@ def compare_grid(
     """Rows (r, approximate, exact, difference) on a uniform grid over [0, 1].
 
     P is taken at the grid's rational r = i/(g-1), not at the float r.
+    ``n`` above ``COMPARE_MAX_N`` or ``grid_points`` above ``MAX_GRID``
+    raises :class:`GuardError` unless forced.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    check_guard(grid_points, MAX_GRID, "grid point count", force)
+    check_guard(n, COMPARE_MAX_N, "compare n", force)
+    check_guard(grid_points, MAX_GRID, "compare grid point count", force)
     counts = exact_counts(family, n, force=force)
     dist = e_table(family, n)
     rows = []

@@ -10,17 +10,21 @@ permanents that the diagonal checks need (``matrices.leading_permanents``
 on the ``TABLE_N`` mask), and the n=3 enumeration evaluates all 2^K
 assignments of a family at once (``matrices.exact_counts_direct``).
 ``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
-rebuilds the document its metadata describes, within
-``REGENERATE_CEILINGS``.  ``report`` prints the ``validate`` command's
-report.  Only ``validate`` and the tests load this module.
+rebuilds the document its metadata describes with the builder that wrote
+it, unforced, so each size the metadata asks for is held to that builder's
+one limit (``output.DIST_MAX_N``, ``probability.EXACT_MAX_N``,
+``COMPARE_MAX_N`` and ``MAX_GRID``, and ``MAX_FAMILIES`` here), which no
+``--force`` lifts.  ``report`` prints the ``validate`` command's report.
+Only ``validate`` and the tests load this module.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 from .families import Family
-from .guards import GuardError, Record, parse_int
+from .guards import GuardError, Record, check_guard, parse_int
 from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
 from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import compare_grid, exact_counts, p_eval, q_eval
@@ -64,26 +68,15 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 TABLE_N = 12
 # Longest artifact, in characters, that ``verify_artifact`` reads; a longer
 # file is a failed check, which no ``--force`` lifts.  Every artifact that the
-# ceilings below admit is far shorter: dist B at n=200 is 2,781,459
+# builders' limits admit is far shorter: dist B at n=200 is 2,781,459
 # characters, exact A at n=16 30,028, and a compare at n=12 on 20,001 points
 # 1,517,757 for A,B,C and 5,624,226 for twelve families, whose cells bound it
 # by 20,001 x 25 x 19 = 9,500,475.
 MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
-
-# The sizes an artifact's metadata may ask ``regenerate`` for, keyed by
-# artifact kind and metadata key: each key has this one limit, and no
-# ``--force`` lifts it.  Within them ``regenerate`` runs every builder forced,
-# in at most about 6 s on two cores: 0.38 s for dist B at n=200, 0.3 s for
-# exact A at n=16 (B and C take a few ms), and 4-6 s for a compare at n=12 on
-# 20,001 points, whether it names A,B,C or twelve families, since each
-# distinct family is computed once.
-REGENERATE_CEILINGS = {
-    ("dist", "n"): 200,
-    ("exact", "n"): 16,
-    ("compare", "n"): 12,
-    ("compare", "grid"): 20_001,
-    ("compare", "families"): 12,
-}
+# Most families a compare artifact may name, counted from the header text
+# before any name is parsed.  Each distinct family is computed once, so the
+# count bounds the row width, not the work.
+MAX_FAMILIES = 12
 
 
 class CheckResult(Record):
@@ -235,8 +228,9 @@ def report(bruteforce_n: int, paths: list[str], force: bool = False,
 
     One line per check of :func:`run_offline_checks`, then one per artifact
     in ``paths``, then the ``--oeis`` lines when ``oeis`` holds the lookup
-    URL and timeout, then a summary.  ``force`` only widens the S_n walk;
-    an artifact is verified the same way with it or without.
+    URL and timeout, then a summary.  ``force`` only widens the S_n walk:
+    no builder runs forced, so an artifact is verified the same way with it
+    or without.
     """
     results = run_offline_checks(bruteforce_n, force)
     results += map(verify_artifact, paths)
@@ -253,50 +247,61 @@ def report(bruteforce_n: int, paths: list[str], force: bool = False,
     return 1 if failed else 0
 
 
-def _size(meta: dict[str, str], key: str) -> int:
-    """``meta[key]`` as an int, or the number of names it lists for ``families``;
-    past its ceiling it raises ``GuardError``."""
-    text = meta[key]
-    value = text.count(",") + 1 if key == "families" else parse_int(text)
-    ceiling = REGENERATE_CEILINGS[meta["kind"], key]
-    if value > ceiling:
-        raise GuardError(f"{meta['kind']} artifact {key} {value} exceeds its ceiling of "
-                         f"{ceiling}, which no --force lifts")
-    return value
-
-
 def regenerate(meta: dict[str, str]) -> CsvDoc | None:
     """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
 
-    The metadata sizes the run, so each size is first held to its
-    ``REGENERATE_CEILINGS`` entry, and the builder then runs forced: an
-    artifact a forced command wrote re-verifies like any other.  Metadata
-    that names no artifact kind gives None; a missing key raises
+    The metadata sizes the run, and the builder runs unforced, so a size
+    past the builder's limit raises ``GuardError``: an artifact that a
+    forced command wrote within the limits re-verifies like any other.
+    Metadata that names no artifact kind gives None; a missing key raises
     ``KeyError`` and a bad value ``ValueError``, an integer longer than
     ``guards.MAX_INT_CHARS`` characters included.
     """
     kind = meta.get("kind")
     if kind == "dist":
-        return make_dist_doc(Family(meta["family"]), _size(meta, "n"), True)
+        return make_dist_doc(Family(meta["family"]), parse_int(meta["n"]))
     if kind == "exact":
-        return make_exact_doc(exact_counts(Family(meta["family"]), _size(meta, "n"), True))
+        return make_exact_doc(exact_counts(Family(meta["family"]), parse_int(meta["n"])))
     if kind == "compare":
-        _size(meta, "families")
+        check_guard(meta["families"].count(",") + 1, MAX_FAMILIES, "compare families")
         families = [Family(v) for v in meta["families"].split(",")]
-        return make_compare_doc(families, _size(meta, "n"), _size(meta, "grid"), True)
+        return make_compare_doc(families, parse_int(meta["n"]), parse_int(meta["grid"]))
     return None
+
+
+def _lines(text: str):
+    """``text.splitlines(keepends=True)``, one line at a time, with no list of
+    every line: each piece of about 64 Ki characters, up to a newline, is
+    split on its own."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        yield from text[start:end].splitlines(True)
+        start = end
+
+
+def _metadata(text: str) -> dict[str, str]:
+    """``CsvDoc.parse(text).metadata()``, read from the leading ``#`` lines only."""
+    comments = []
+    for line in _lines(text):
+        if not line.startswith("#"):
+            return CsvDoc(comments).metadata()
+        comments.append(line)
+    raise ValueError("missing header row")
 
 
 def verify_artifact(path: str) -> CheckResult:
     """Re-generate a previously emitted CSV artifact and compare byte-for-byte.
 
     The file is read with its line endings as they are, and at most
-    ``MAX_ARTIFACT_CHARS`` of it: a longer file fails, with or without ``--force``.
-    :func:`regenerate` rebuilds it from its metadata within
-    ``REGENERATE_CEILINGS``; a size past one is a failed check naming the
-    ceiling.  A mismatch reports how many lines differ and quotes the first
-    of them, as written and as regenerated, so an artifact whose values
-    have since moved shows which row moved and how.
+    ``MAX_ARTIFACT_CHARS`` of it.  :func:`regenerate` rebuilds it from the
+    metadata in its leading ``#`` lines.  A file past the length limit, or
+    metadata past a builder's limit, is a failed check whose detail ends
+    "which no --force lifts".  A mismatch reports how many lines differ and
+    quotes the first of them, as written and as regenerated, so an artifact
+    whose values have since moved shows which row moved and how; the lines
+    are compared one pair at a time, so the check holds little more than
+    the file and the regenerated text in memory.
     """
     name = f"artifact:{path}"
     try:
@@ -307,11 +312,11 @@ def verify_artifact(path: str) -> CheckResult:
     try:
         if len(text) > MAX_ARTIFACT_CHARS:
             raise GuardError(f"artifact longer than its ceiling of {MAX_ARTIFACT_CHARS} "
-                             "characters, which no --force lifts")
-        meta = CsvDoc.parse(text).metadata()
+                             "characters")
+        meta = _metadata(text)
         doc = regenerate(meta)
     except GuardError as exc:
-        return CheckResult(name, False, f"guard violation: {exc}")
+        return CheckResult(name, False, f"guard violation: {exc}, which no --force lifts")
     except (KeyError, ValueError) as exc:
         return CheckResult(name, False, f"malformed artifact: {exc}")
     if doc is None:
@@ -319,15 +324,16 @@ def verify_artifact(path: str) -> CheckResult:
     expected = doc.render()
     if text == expected:
         return CheckResult(name, True, f"{meta['kind']} artifact matches regenerated values")
-    got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
-    common = min(len(got), len(want))
-    differ = [i for i in range(common) if got[i] != want[i]]
-    count = len(differ) + len(got) + len(want) - 2 * common
-    first = differ[0] if differ else common
-    old, new = (_clip(lines[first]) if first < len(lines) else "(none)" for lines in (got, want))
+    count, first = 0, None
+    for i, pair in enumerate(zip_longest(_lines(text), _lines(expected))):
+        if pair[0] != pair[1]:
+            count += 1
+            first = first or (i, pair)
+    i, pair = first
+    old, new = ("(none)" if line is None else _clip(line) for line in pair)
     verb = "line differs" if count == 1 else "lines differ"
     return CheckResult(name, False, f"{count} {verb} from regenerated values, "
-                                    f"first line {first + 1}: {old} -> {new}")
+                                    f"first line {i + 1}: {old} -> {new}")
 
 
 def _clip(line: str) -> str:

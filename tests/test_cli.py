@@ -85,7 +85,7 @@ class TestDist:
         assert code == 2
 
     def test_guard_violation_exit_code(self, capsys):
-        code, _, err = run(capsys, "dist", "--family", "C", "--n", "31")
+        code, _, err = run(capsys, "dist", "--family", "C", "--n", "201")
         assert code == 3
         assert "--force" in err
 
@@ -130,8 +130,15 @@ class TestExact:
         assert doc["polynomial"].startswith("(1-r)^7")
 
     def test_guard_violation(self, capsys):
-        code, _, _ = run(capsys, "exact", "--family", "A", "--n", "6")
-        assert code == 3
+        assert run(capsys, "exact", "--family", "A", "--n", "17") == (
+            3, "", "guard violation: exact n 17 exceeds its ceiling of 16; "
+                   "pass --force to accept the runtime\n")
+
+    def test_guard_is_on_n_not_on_k(self, capsys):
+        # A at n=16 has K = 256 variable entries and counts in well under a second
+        code, out, _ = run(capsys, "exact", "--family", "A", "--n", "16")
+        assert code == 0
+        assert CsvDoc.parse(out).metadata()["variables"] == "256"
 
 
 class TestCompare:
@@ -202,6 +209,11 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "1")
         assert code == 2
 
+    def test_n_guard(self, capsys):
+        assert run(capsys, "compare", "--n", "13") == (
+            3, "", "guard violation: compare n 13 exceeds its ceiling of 12; "
+                   "pass --force to accept the runtime\n")
+
     def test_grid_guard(self, capsys):
         code, _, err = run(capsys, "compare", "--n", "2", "--grid", str(MAX_GRID + 1))
         assert code == 3
@@ -244,8 +256,8 @@ class TestValidate:
         path.write_text("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n")
         code, out, _ = run(capsys, "validate", "--n", "2", str(path))
         assert code == 1
-        assert (f"FAIL  artifact:{path}  (guard violation: compare artifact grid 5000000 "
-                "exceeds its ceiling of 20001, which no --force lifts)") in out
+        assert (f"FAIL  artifact:{path}  (guard violation: compare grid point count "
+                "5000000 exceeds its ceiling of 20001, which no --force lifts)") in out
 
     def test_forced_header_past_its_ceiling_is_a_failed_check(self, isolated_cwd):
         # A fresh interpreter under a timeout, so that unbounded work fails the
@@ -258,7 +270,7 @@ class TestValidate:
                          timeout=20)
         assert time.perf_counter() - start < 10
         assert proc.returncode == 1
-        assert (f"FAIL  artifact:{path}  (guard violation: dist artifact n "
+        assert (f"FAIL  artifact:{path}  (guard violation: dist n "
                 "99999999999999999999 exceeds its ceiling of 200, which no --force "
                 "lifts)") in proc.stdout
 
@@ -930,15 +942,15 @@ class TestImportDiet:
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 2117
+        assert sum(1 for _ in ast.walk(tree)) <= 2107
 
     @pytest.mark.parametrize("argv, most", [
-        (("dist", "--family", "C", "--n", "5"), 4450),
-        (("exact", "--family", "A", "--n", "3"), 6079),
-        (("compare", "--n", "3"), 6079),
-        (("compare", "--n", "3", "--format", "svg"), 7018),
-        (("seq",), 4100),
-        (("validate", "--n", "3"), 11675),
+        (("dist", "--family", "C", "--n", "5"), 4437),
+        (("exact", "--family", "A", "--n", "3"), 6073),
+        (("compare", "--n", "3"), 6073),
+        (("compare", "--n", "3", "--format", "svg"), 7012),
+        (("seq",), 4061),
+        (("validate", "--n", "3"), 11637),
     ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
     def test_command_compiles_few_nodes(self, argv, most):
         # Without bytecode a command compiles every permprob module it loads,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permprob import (
+    EXACT_MAX_N,
     MAX_GRID,
     ExactCounts,
     Family,
@@ -299,10 +300,12 @@ class TestExactCounts:
             assert exact_counts(family, 3).counts == results[0]
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            exact_counts(Family.C, 6)  # K = 30
-        with pytest.raises(GuardError):
-            exact_counts(Family.A, 6)  # K = 36
+        # the guard is on n for every family, whatever K is
+        for family in Family:
+            with pytest.raises(GuardError, match=f"exact n {EXACT_MAX_N + 1} exceeds its "
+                                                 f"ceiling of {EXACT_MAX_N}"):
+                exact_counts(family, EXACT_MAX_N + 1)
+        assert exact_counts(Family.A, 6).variable_count == 36
 
 
 class TestXBasisReference:

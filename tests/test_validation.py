@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import Family, matrices, probability, validation
+from permprob import Family, matrices, output, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
 from permprob.termdist import TermDistribution, e_table
@@ -19,7 +21,7 @@ _HEADER_VALUES = {
     # a grid inside the ceiling stays small, so each example runs in milliseconds
     "grid": number_text(st.one_of(
         st.integers(-3, 50),
-        st.integers(validation.REGENERATE_CEILINGS["compare", "grid"] + 1, 10**40))),
+        st.integers(probability.MAX_GRID + 1, 10**40))),
 }
 # ``# permprob <kind> key=value ...`` with every key but at most one
 _HEADERS = st.builds(
@@ -211,6 +213,29 @@ class TestArtifactVerification:
         path.write_text(text[:64])
         assert "differ" in verify_artifact(str(path)).detail
 
+    def test_memory_stays_near_the_file_size(self, tmp_path):
+        # a valid header, then 200,000 short rows: a list of every line, or of
+        # every row's cells, takes more than 20 times the file's size
+        path = tmp_path / "rows.csv"
+        path.write_text("# permprob dist family=C n=2\nn,m,count\n" + ",,,,,,,,,\n" * 200_000)
+        size = path.stat().st_size
+        assert size == 2_000_039
+        tracemalloc.start()
+        try:
+            result = verify_artifact(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.detail == ("200000 lines differ from regenerated values, first line 3: "
+                                 "',,,,,,,,,\\n' -> '1,0,1\\n'")
+        assert peak < 20 * size
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "#", ",", "\n", "\r", "\r\n", "\x0c", "\x1e",
+                                     "\x85", "\u2028", "a" * 65_530])).map("".join))
+    def test_lines_are_splitlines(self, text):
+        assert list(validation._lines(text)) == text.splitlines(True)
+
     def test_missing_file(self, tmp_path):
         result = verify_artifact(str(tmp_path / "nope.csv"))
         assert not result.passed
@@ -228,12 +253,12 @@ class TestArtifactVerification:
         "header, guard",
         [
             ("# permprob dist family=C n=400\nn,m,count\n",
-             "dist artifact n 400 exceeds its ceiling of 200"),
+             "dist n 400 exceeds its ceiling of 200"),
             ("# permprob compare n=2 grid=5000000 families=A\nr,Q_A,P_A\n",
-             "compare artifact grid 5000000 exceeds its ceiling of 20001"),
+             "compare grid point count 5000000 exceeds its ceiling of 20001"),
             # B at n=40 counts in milliseconds, but the exact ceiling holds for every family
             ("# permprob exact family=B n=40\ni,count\n",
-             "exact artifact n 40 exceeds its ceiling of 16"),
+             "exact n 40 exceeds its ceiling of 16"),
         ],
     )
     def test_metadata_beyond_guards_fails_fast(self, tmp_path, header, guard):
@@ -272,13 +297,13 @@ class TestArtifactVerification:
     # interpreter under a timeout: past it, a forced run would not end.
     @pytest.mark.parametrize("header, refused", [
         ("# permprob exact family=A n=17\ni,count\n",
-         "exact artifact n 17 exceeds its ceiling of 16"),
+         "exact n 17 exceeds its ceiling of 16"),
         ("# permprob compare n=13 grid=5 families=A\nr,Q_A,P_A\n",
-         "compare artifact n 13 exceeds its ceiling of 12"),
+         "compare n 13 exceeds its ceiling of 12"),
         ("# permprob compare n=2 grid=20002 families=A\nr,Q_A,P_A\n",
-         "compare artifact grid 20002 exceeds its ceiling of 20001"),
+         "compare grid point count 20002 exceeds its ceiling of 20001"),
         ("# permprob compare n=2 grid=5 families=" + ",".join(["A"] * 13) + "\nr\n",
-         "compare artifact families 13 exceeds its ceiling of 12"),
+         "compare families 13 exceeds its ceiling of 12"),
     ], ids=["exact-n", "compare-n", "compare-grid", "compare-families"])
     def test_forced_header_past_its_ceiling_fails_fast(self, tmp_path, header, refused):
         path = tmp_path / "big.csv"
@@ -296,21 +321,18 @@ class TestArtifactVerification:
         path = tmp_path / "dist.csv"
         path.write_text(make_dist_doc(Family.C, 31, force=True).render())
         assert verify_artifact(str(path)).passed
-        # K = 64 variable entries, past the unforced guard of 26
+        # a forced run within the limits writes what an unforced one would
         path = tmp_path / "exact.csv"
         path.write_text(make_exact_doc(exact_counts(Family.A, 8, force=True)).render())
         assert verify_artifact(str(path)).passed
 
     def test_artifacts_at_the_ceilings_fit_the_length_limit(self):
-        ceilings = validation.REGENERATE_CEILINGS
-        dist = make_dist_doc(Family.B, ceilings["dist", "n"], force=True).render()
-        exact = make_exact_doc(
-            exact_counts(Family.A, ceilings["exact", "n"], force=True)).render()
+        dist = make_dist_doc(Family.B, output.DIST_MAX_N).render()
+        exact = make_exact_doc(exact_counts(Family.A, probability.EXACT_MAX_N)).render()
         assert max(len(dist), len(exact)) <= validation.MAX_ARTIFACT_CHARS
         # a compare row is r, then Q and P for each family: each cell is at most
         # 18 characters, as in 1.23456789012e-300, and one separator follows it
-        compare = (ceilings["compare", "grid"] * (1 + 2 * ceilings["compare", "families"])
-                   * 19)
+        compare = probability.MAX_GRID * (1 + 2 * validation.MAX_FAMILIES) * 19
         assert compare <= validation.MAX_ARTIFACT_CHARS
 
     def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
@@ -345,6 +367,48 @@ class TestArtifactVerification:
         result = verify_artifact(str(path))
         assert not result.passed
         assert "metadata" in result.detail
+
+
+# Each size limit, read from the builder that checks it: a header one past it,
+# and the failure it gives
+_PAST_THE_LIMITS = [
+    (f"dist family=B n={output.DIST_MAX_N + 1}",
+     f"dist n {output.DIST_MAX_N + 1} exceeds its ceiling of {output.DIST_MAX_N}"),
+    (f"exact family=B n={probability.EXACT_MAX_N + 1}",
+     f"exact n {probability.EXACT_MAX_N + 1} exceeds its ceiling of {probability.EXACT_MAX_N}"),
+    (f"compare n={probability.COMPARE_MAX_N + 1} grid=5 families=C",
+     f"compare n {probability.COMPARE_MAX_N + 1} exceeds its ceiling of "
+     f"{probability.COMPARE_MAX_N}"),
+    (f"compare n=2 grid={probability.MAX_GRID + 1} families=C",
+     f"compare grid point count {probability.MAX_GRID + 1} exceeds its ceiling of "
+     f"{probability.MAX_GRID}"),
+    ("compare n=2 grid=5 families=" + ",".join("C" * (validation.MAX_FAMILIES + 1)),
+     f"compare families {validation.MAX_FAMILIES + 1} exceeds its ceiling of "
+     f"{validation.MAX_FAMILIES}"),
+]
+
+
+class TestOneLimitPerSize:
+    @pytest.mark.parametrize("header, refused", _PAST_THE_LIMITS,
+                             ids=["dist-n", "exact-n", "compare-n", "compare-grid",
+                                  "compare-families"])
+    def test_header_past_a_limit_fails_fast(self, tmp_path, header, refused):
+        path = tmp_path / "big.csv"
+        path.write_text(f"# permprob {header}\nr\n")
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail == f"guard violation: {refused}, which no --force lifts"
+
+    @pytest.mark.parametrize("doc", [
+        lambda: make_dist_doc(Family.B, output.DIST_MAX_N),
+        lambda: make_exact_doc(exact_counts(Family.A, probability.EXACT_MAX_N)),
+        lambda: make_compare_doc(list(Family), 2, probability.MAX_GRID),
+        lambda: make_compare_doc(list(Family), probability.COMPARE_MAX_N, 5),
+    ], ids=["dist-n", "exact-n", "compare-grid", "compare-n"])
+    def test_unforced_artifact_at_the_limits_verifies(self, tmp_path, doc):
+        path = tmp_path / "at.csv"
+        path.write_text(doc().render())
+        assert verify_artifact(str(path)).passed
 
 
 class TestCsvDoc:
