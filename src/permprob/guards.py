@@ -15,7 +15,8 @@ def check_guard(value: int, limit: int, what: str, force: bool = False) -> None:
 
     ``force=True`` opts in to long runtimes and skips the check.  The
     message names ``what`` and the limit only: the command line adds how to
-    lift it, and ``validate``, which never forces, that nothing does.
+    lift it, or, under a subcommand without ``--force``, that nothing does,
+    as ``validate`` does for an artifact it re-verifies.
     """
     if value > limit and not force:
         raise GuardError(f"{what} {value} exceeds its ceiling of {limit}")

@@ -9,6 +9,8 @@ only some commands run lives where only they load it:
 ``svgplot.compare_svg`` plots the compare grid, and
 ``validation.regenerate`` rebuilds the document that a previously emitted
 artifact's metadata describes, which is how ``validate`` re-verifies it.
+The compare grids of both ``compare`` routes come from ``_compare_grids``,
+which holds the family count to ``MAX_FAMILIES``.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  Leading ``#`` comment lines carry artifact metadata so
@@ -31,6 +33,11 @@ if TYPE_CHECKING:
 # and that ``validate``, which never forces, rebuilds: B at n=200 takes about
 # 0.3 s on two cores.
 DIST_MAX_N = 200
+# Most families a compare may name, repeats included, unless forced.  Each
+# distinct family is computed once, so the count bounds the row width, not
+# the work; ``validate`` counts them from an artifact's header text before
+# any name is parsed.
+MAX_FAMILIES = 12
 
 _POLYNOMIAL = "# polynomial: "
 
@@ -154,9 +161,15 @@ def make_exact_doc(counts: ExactCounts) -> CsvDoc:
 
 def _compare_grids(families: list[Family], n: int, grid_points: int,
                    force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
-    """``compare_grid`` rows for each distinct family, each computed once."""
+    """``compare_grid`` rows for each distinct family, each computed once.
+
+    More than ``MAX_FAMILIES`` families, repeats included, raise
+    :class:`GuardError` unless forced.  The CSV, JSON and SVG routes of
+    ``compare`` all come through here, so they share the limit.
+    """
     from .probability import compare_grid
 
+    check_guard(len(families), MAX_FAMILIES, "compare families", force)
     return {
         fam: compare_grid(fam, n, grid_points=grid_points, force=force)
         for fam in dict.fromkeys(families)

@@ -14,8 +14,10 @@ variable entries another way than the closed form of the same family:
   takes S_n as blocks, one prefix followed by one S_7 column table
   relabelled onto the values the prefix leaves, and counts a block's fixed
   points with whole-buffer ``bytes`` and ``int`` operations on flag ints
-  built once per walk.  The table itself is built the same way, S_k from
-  S_{k-1} relabelled, so the walk builds no tuple per permutation.
+  built once per walk, one per position and value that a block can pair.
+  The table itself is built the same way, S_k from S_{k-1} relabelled, so
+  the walk builds no tuple per permutation.  The walk has one limit,
+  ``BRUTEFORCE_MAX_N`` = 12 (about 3.8 s), and nothing lifts it.
 
 These are oracles: only ``validate`` and the tests load this module, so no
 other command compiles it.  All arithmetic is exact (Python integers).
@@ -31,17 +33,15 @@ from .families import Family
 from .guards import check_guard
 from .termdist import TermDistribution, _check_index, derangement
 
-BRUTEFORCE_MAX_N = 10
+# Largest n the walk accepts; nothing lifts it.  Each step multiplies the
+# walk's time by n: n=11 takes about 0.3 s and n=12 about 3.8 s on two
+# cores, so n=13 would take about 50 s.
+BRUTEFORCE_MAX_N = 12
 
 # Trailing positions of each S_n that the walk counts as one block: it
 # builds S_7 once per walk, as 7 columns of 5040 bytes, and relabels it per
 # prefix.
 WALK_BLOCK = 7
-
-# Largest n the walk accepts, even when forced: a plain input bound, far past
-# any walk that could finish, so an absurd n is refused before the guard.
-# The CLI refuses a larger ``validate --n`` as a usage error.
-WALK_MAX_N = 127
 
 
 def w_recurrence_table(n_max: int) -> list[list[int]]:
@@ -162,7 +162,7 @@ def _walk_blocks(
         yield prefix, sorted(set(range(n)).difference(prefix)), columns
 
 
-def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistribution]:
+def e_tables_bruteforce(n: int) -> dict[Family, TermDistribution]:
     """Term-count distributions of every family from one walk of all n! permutations.
 
     Position (sigma(j), j) lies on the diagonal exactly when sigma fixes j,
@@ -180,18 +180,17 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     a block fixes position offset + j where column j holds the index of
     that position's value among the values the prefix leaves, so each
     block sums the flag ints of its fixable positions and counts the bytes
-    of the sum, with no tuple per permutation.  The S_m table is itself
-    built by relabelling (:func:`_column_table`), so memory is bounded by
-    its 7 columns and 49 flag ints of 5040 bytes each, and the walk stays
-    under 1 MiB (about 290 KiB at n=10, by ``tracemalloc``) whatever n is.
-    n above ``WALK_MAX_N`` raises ``ValueError`` even when forced, before
-    the guard and before any walk.
+    of the sum, with no tuple per permutation.  That index lies between j
+    and j + offset, so only those flag ints are built: 7 at n=7, 13 at n=8
+    and at most 28.  The S_m table is itself built by relabelling
+    (:func:`_column_table`), so memory is bounded by its 7 columns and the
+    flag ints of 5040 bytes each, and the walk stays under 1 MiB whatever
+    n is.  n above ``BRUTEFORCE_MAX_N`` raises :class:`GuardError`, which
+    nothing lifts, before any walk.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if n > WALK_MAX_N:
-        raise ValueError(f"dimension must be <= {WALK_MAX_N}, got {n}")
-    check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration", force)
+    check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration")
     # keyed[2 * fp + fixes_0] counts the permutations with fp fixed points
     # that fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
     keyed = [0] * (2 * n + 2)
@@ -202,13 +201,15 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
     block_keys = range(0, 2 * m + 2, 2 if offset else 1)
     flags: list[list[int]] = []
     for prefix, rest, columns in _walk_blocks(n):
-        # flags[j][i] has byte t set where column j holds i, by a
+        # flags[j][i - j] has byte t set where column j holds i, by a
         # bytes.translate table that maps byte i to 1 and any other to 0.
+        # Only j <= i <= j + offset is built: rest is ascending and leaves
+        # out offset values, so rest[i] = offset + j only for those i.
         # Every block shares the S_m table, so the first block builds them.
         flags = flags or [
             [int.from_bytes(col.translate(bytes(i) + b"\x01" + bytes(255 - i)), "little")
-             for i in range(m)]
-            for col in columns
+             for i in range(j, min(m, j + offset + 1))]
+            for j, col in enumerate(columns)
         ]
         # The prefix's part of the key, the same for its whole block.
         base = 2 * sum(v == j for j, v in enumerate(prefix)) + (prefix[:1] == (0,))
@@ -216,7 +217,8 @@ def e_tables_bruteforce(n: int, force: bool = False) -> dict[Family, TermDistrib
         # where column j holds the index i of p in rest.  A value p < offset
         # belongs to a prefix position, so the block never fixes it.  Each
         # byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
-        keys = 2 * sum(flags[p - offset][i] for i, p in enumerate(rest) if p >= offset)
+        keys = 2 * sum(flags[p - offset][i - p + offset]
+                       for i, p in enumerate(rest) if p >= offset)
         block = (keys + (0 if offset else flags[0][0])).to_bytes(len(columns[0]), "little")
         for key in block_keys:
             keyed[base + key] += block.count(key)

@@ -12,10 +12,12 @@ assignments of a family at once (``matrices.exact_counts_direct``).
 ``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
 rebuilds the document its metadata describes with the builder that wrote
 it, unforced, so each size the metadata asks for is held to that builder's
-one limit (``output.DIST_MAX_N``, ``probability.EXACT_MAX_N``,
-``COMPARE_MAX_N`` and ``MAX_GRID``, and ``MAX_FAMILIES`` here), which no
+one limit (``output.DIST_MAX_N`` and ``MAX_FAMILIES``,
+``probability.EXACT_MAX_N``, ``COMPARE_MAX_N`` and ``MAX_GRID``), which no
 ``--force`` lifts.  ``report`` prints the ``validate`` command's report.
-Only ``validate`` and the tests load this module.
+Nothing lifts any of ``validate``'s limits, the S_n walk's
+``termoracles.BRUTEFORCE_MAX_N`` included, so the command takes no
+``--force``.  Only ``validate`` and the tests load this module.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import zip_longest
 from .families import Family
 from .guards import GuardError, Record, check_guard, parse_int
 from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
-from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
+from .output import MAX_FAMILIES, CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from .probability import compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
@@ -73,10 +75,6 @@ TABLE_N = 12
 # 1,517,757 for A,B,C and 5,624,226 for twelve families, whose cells bound it
 # by 20,001 x 25 x 19 = 9,500,475.
 MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
-# Most families a compare artifact may name, counted from the header text
-# before any name is parsed.  Each distinct family is computed once, so the
-# count bounds the row width, not the work.
-MAX_FAMILIES = 12
 
 
 class CheckResult(Record):
@@ -88,11 +86,13 @@ class CheckResult(Record):
         self.detail = detail
 
 
-def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[CheckResult]:
+def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
     """Run every offline cross-route check; failures come back as results.
 
-    The enumeration check walks S_n for n <= ``bruteforce_n``; the table
-    checks run to n = ``TABLE_N``.
+    The enumeration check walks S_n for n <= ``bruteforce_n``, and
+    ``bruteforce_n`` above ``termoracles.BRUTEFORCE_MAX_N`` raises
+    :class:`GuardError` before any walk; the table checks run to
+    n = ``TABLE_N``.
     """
     results = []
 
@@ -140,9 +140,7 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
 
     # enumeration of the symmetric group: one walk per n serves every family,
     # largest n first so that the guard fires before any walk
-    walks = {
-        n: e_tables_bruteforce(n, force=force) for n in range(bruteforce_n, 0, -1)
-    }
+    walks = {n: e_tables_bruteforce(n) for n in range(bruteforce_n, 0, -1)}
     bad = [
         (family.value, n)
         for family in Family
@@ -222,17 +220,15 @@ def run_offline_checks(bruteforce_n: int = 8, force: bool = False) -> list[Check
     return results
 
 
-def report(bruteforce_n: int, paths: list[str], force: bool = False,
+def report(bruteforce_n: int, paths: list[str],
            oeis: tuple[str | None, float | None] | None = None) -> int:
     """Print the ``validate`` report and return its exit code, 1 when a check fails.
 
     One line per check of :func:`run_offline_checks`, then one per artifact
     in ``paths``, then the ``--oeis`` lines when ``oeis`` holds the lookup
-    URL and timeout, then a summary.  ``force`` only widens the S_n walk:
-    no builder runs forced, so an artifact is verified the same way with it
-    or without.
+    URL and timeout, then a summary.
     """
-    results = run_offline_checks(bruteforce_n, force)
+    results = run_offline_checks(bruteforce_n)
     results += map(verify_artifact, paths)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -223,6 +223,20 @@ class TestCompare:
         assert code == 0
         assert len(CsvDoc.parse(out).rows) == MAX_GRID + 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_family_count_guard(self, capsys, fmt):
+        flags = ["--family", "A"] * 13
+        argv = ["compare", "--n", "2", "--grid", "3", "--format", fmt, *flags]
+        assert run(capsys, *argv) == (
+            3, "", "guard violation: compare families 13 exceeds its ceiling of 12; "
+                   "pass --force to accept the runtime\n")
+        code, out, err = run(capsys, *argv, "--force")
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert len(CsvDoc.parse(out).header) == 27
+        else:
+            assert out.count("<polyline") == 26
+
 
 class TestValidate:
     def test_default_run_passes(self, capsys):
@@ -264,7 +278,7 @@ class TestValidate:
         # test instead of hanging the suite.
         path = isolated_cwd / "big20.csv"
         path.write_text("# permprob dist family=C n=99999999999999999999\nn,m,count\n")
-        argv = ["validate", "--n", "2", "--force", str(path)]
+        argv = ["validate", "--n", "2", str(path)]
         start = time.perf_counter()
         proc = run_fresh(f"import sys, permprob.cli as cli; sys.exit(cli.main({argv!r}))",
                          timeout=20)
@@ -280,12 +294,17 @@ class TestValidate:
 
         monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
         monkeypatch.setattr(termoracles, "_column_table", no_walk)
-        assert run(capsys, "validate", "--n", "128", "--force") == (
-            2, "", "error: n must be <= 127 for the symmetric-group walk, got 128\n")
-        code, _, err = run(capsys, "validate", "--n", "127")
-        assert code == 3
-        assert err.startswith("guard violation: dimension for factorial-time "
-                              "enumeration 127 ")
+        assert run(capsys, "validate", "--n", "13") == (
+            3, "", "guard violation: dimension for factorial-time enumeration 13 "
+                   "exceeds its ceiling of 12, which no --force lifts\n")
+        code, out, err = run(capsys, "validate", "--n", "128", "--force")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --force\n")
+
+    def test_walk_to_n11_passes(self, capsys):
+        code, out, err = run(capsys, "validate", "--n", "11")
+        assert (code, err) == (0, "")
+        assert "PASS  e-table-vs-bruteforce  (all families, n<=11)" in out.splitlines()
 
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_dist_artifact_dimension_below_one_fails(self, capsys, isolated_cwd, n):
@@ -314,16 +333,6 @@ class TestValidate:
         assert (code, err) == (1, "")
         assert ("FAIL  artifact:/dev/zero  (guard violation: artifact longer than its "
                 "ceiling of 1024 characters, which no --force lifts)") in out
-
-    def test_forced_run_keeps_the_length_limit(self, capsys, monkeypatch, isolated_cwd):
-        path = isolated_cwd / "dist.csv"
-        assert run(capsys, "dist", "--family", "C", "--n", "8", "--out", str(path))[0] == 0
-        assert len(path.read_text()) > 256
-        monkeypatch.setattr(validation, "MAX_ARTIFACT_CHARS", 256)
-        code, out, err = run(capsys, "validate", "--n", "2", "--force", str(path))
-        assert (code, err) == (1, "")
-        assert (f"FAIL  artifact:{path}  (guard violation: artifact longer than its "
-                "ceiling of 256 characters, which no --force lifts)") in out
 
     def test_undecodable_artifact_is_a_failed_check(self, capsys, isolated_cwd):
         path = isolated_cwd / "bad.csv"
@@ -521,6 +530,7 @@ class TestUsage:
         ("exact", "--family", "C", "--grid", "5"),
         ("dist", "--family", "C", "--oeis"),
         ("compare", "--oeis"),
+        ("validate", "--force"),
     ])
     def test_flag_a_subcommand_does_not_read(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -535,10 +545,10 @@ class TestUsage:
             "dist": ["--family", "--force", "--format", "--n", "--out"],
             "compare": ["--family", "--force", "--format", "--grid", "--n", "--out"],
             "exact": ["--family", "--force", "--format", "--n", "--out"],
-            "validate": ["--force", "--n", "--oeis"],
+            "validate": ["--n", "--oeis"],
             "seq": ["--oeis"],
         }
-        assert sum(map(len, flags.values())) == 20
+        assert sum(map(len, flags.values())) == 19
         assert set(cli._FLAGS) == {"help"}.union(*(spec.options
                                                    for spec in cli._SUBCOMMANDS.values()))
 
@@ -610,7 +620,7 @@ class TestHelpAndUsageErrors:
         (("compare", "--family", "A", "--fa", "C", "--grid", "+5", "--forc"),
          {"family": ["A", "C"], "grid": 5, "force": True}),
         (("validate", "--oe", "--n", "2", "-5", "-.5", "--", "--force"),
-         {"paths": ["-5", "-.5", "--force"], "oeis": True, "n": 2, "force": None}),
+         {"paths": ["-5", "-.5", "--force"], "oeis": True, "n": 2}),
     ])
     def test_flag_forms(self, argv, values):
         spec, args = cli._parse(list(argv))
@@ -942,15 +952,15 @@ class TestImportDiet:
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 2107
+        assert sum(1 for _ in ast.walk(tree)) <= 2087
 
     @pytest.mark.parametrize("argv, most", [
-        (("dist", "--family", "C", "--n", "5"), 4437),
-        (("exact", "--family", "A", "--n", "3"), 6073),
-        (("compare", "--n", "3"), 6073),
-        (("compare", "--n", "3", "--format", "svg"), 7012),
-        (("seq",), 4061),
-        (("validate", "--n", "3"), 11637),
+        (("dist", "--family", "C", "--n", "5"), 4435),
+        (("exact", "--family", "A", "--n", "3"), 6071),
+        (("compare", "--n", "3"), 6071),
+        (("compare", "--n", "3", "--format", "svg"), 7010),
+        (("seq",), 4041),
+        (("validate", "--n", "3"), 11618),
     ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
     def test_command_compiles_few_nodes(self, argv, most):
         # Without bytecode a command compiles every permprob module it loads,

@@ -224,11 +224,12 @@ class TestBruteforce:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            e_tables_bruteforce(11)
+            e_tables_bruteforce(13)
 
 
 class TestSharedWalk:
-    @pytest.mark.parametrize("n", range(1, 11))
+    # n=11 is the largest walk that takes under a second
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_every_family_matches_closed_forms(self, n):
         walked = e_tables_bruteforce(n)
         assert set(walked) == set(Family)
@@ -236,16 +237,8 @@ class TestSharedWalk:
             assert walked[family] == e_table(family, n)
 
     def test_guard(self):
-        with pytest.raises(GuardError, match="factorial-time enumeration 11"):
-            e_tables_bruteforce(11)
-
-    def test_force_lifts_guard(self, monkeypatch):
-        monkeypatch.setattr(termoracles, "BRUTEFORCE_MAX_N", 3)
-        with pytest.raises(GuardError):
-            e_tables_bruteforce(4)
-        walked = e_tables_bruteforce(4, force=True)
-        assert walked[Family.B].counts == (0, 1, 3, 9, 11)
-        assert e_tables_bruteforce(4, force=True)[Family.C].counts == (1, 0, 6, 8, 9)
+        with pytest.raises(GuardError, match="factorial-time enumeration 13"):
+            e_tables_bruteforce(13)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
@@ -282,16 +275,35 @@ class TestSharedWalk:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_walk_refuses_n128_even_forced(self, monkeypatch):
+    def test_walk_refuses_past_its_limit_before_walking(self, monkeypatch):
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
         monkeypatch.setattr(termoracles, "_column_table", no_walk)
-        with pytest.raises(ValueError, match=r"dimension must be <= 127, got 128$"):
-            e_tables_bruteforce(128, force=True)
-        with pytest.raises(GuardError, match="factorial-time enumeration 127"):
-            e_tables_bruteforce(127)
+        with pytest.raises(GuardError, match=r"enumeration 13 exceeds its ceiling of 12$"):
+            e_tables_bruteforce(13)
+        with pytest.raises(GuardError, match=f"enumeration {10**30} exceeds"):
+            e_tables_bruteforce(10**30)
+
+    @pytest.mark.parametrize("n, built", [
+        (1, 1), (2, 2), (6, 6), (7, 7), (8, 13), (9, 18), (10, 22),
+    ])
+    def test_builds_only_the_flag_ints_a_block_reads(self, monkeypatch, n, built):
+        # Position offset + j can hold the i-th value a prefix leaves only for
+        # j <= i <= j + offset, so the walk builds a flag int for those alone.
+        calls = []
+
+        class CountingInt(int):
+            @classmethod
+            def from_bytes(cls, data, byteorder):
+                calls.append(len(data))
+                return int.from_bytes(data, byteorder)
+
+        monkeypatch.setattr(termoracles, "int", CountingInt, raising=False)
+        walked = e_tables_bruteforce(n)
+        assert len(calls) == built
+        assert all(walked[family] == e_table(family, n) for family in Family)
 
     @pytest.fixture
     def walked(self, monkeypatch):
@@ -353,8 +365,8 @@ class TestSharedWalk:
         assert walked.yielded == yielded
 
     def test_offline_checks_guard_fires_before_any_walk(self, walked):
-        with pytest.raises(GuardError, match="factorial-time enumeration 11"):
-            validation.run_offline_checks(bruteforce_n=11)
+        with pytest.raises(GuardError, match="factorial-time enumeration 13"):
+            validation.run_offline_checks(bruteforce_n=13)
         assert walked.sizes == []
 
 

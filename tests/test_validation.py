@@ -280,8 +280,7 @@ class TestArtifactVerification:
         ("# permprob exact family=C n=" + "1" * 21, 21),
         ("# permprob compare n=2 grid=" + "9" * 5000 + " families=A", 5000),
     ], ids=["exact-n", "compare-grid"])
-    @pytest.mark.parametrize("force", [False, True])
-    def test_integer_too_long_is_malformed(self, tmp_path, capsys, header, length, force):
+    def test_integer_too_long_is_malformed(self, tmp_path, capsys, header, length):
         path = tmp_path / "long.csv"
         path.write_text(header + "\ni,count\n")
         result = verify_artifact(str(path))
@@ -289,8 +288,8 @@ class TestArtifactVerification:
         detail = ("malformed artifact: an integer may have at most 20 "
                   f"characters, got {length}")
         assert result.detail == detail
-        # validate --force widens only the S_n walk: the artifact fails the same way
-        assert validation.report(1, [str(path)], force) == 1
+        # validate's report carries the same line
+        assert validation.report(1, [str(path)]) == 1
         assert f"FAIL  artifact:{path}  ({detail})" in capsys.readouterr().out.splitlines()
 
     # The dist ceiling is tested through the command line, in a fresh
@@ -332,7 +331,7 @@ class TestArtifactVerification:
         assert max(len(dist), len(exact)) <= validation.MAX_ARTIFACT_CHARS
         # a compare row is r, then Q and P for each family: each cell is at most
         # 18 characters, as in 1.23456789012e-300, and one separator follows it
-        compare = probability.MAX_GRID * (1 + 2 * validation.MAX_FAMILIES) * 19
+        compare = probability.MAX_GRID * (1 + 2 * output.MAX_FAMILIES) * 19
         assert compare <= validation.MAX_ARTIFACT_CHARS
 
     def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
@@ -382,9 +381,9 @@ _PAST_THE_LIMITS = [
     (f"compare n=2 grid={probability.MAX_GRID + 1} families=C",
      f"compare grid point count {probability.MAX_GRID + 1} exceeds its ceiling of "
      f"{probability.MAX_GRID}"),
-    ("compare n=2 grid=5 families=" + ",".join("C" * (validation.MAX_FAMILIES + 1)),
-     f"compare families {validation.MAX_FAMILIES + 1} exceeds its ceiling of "
-     f"{validation.MAX_FAMILIES}"),
+    ("compare n=2 grid=5 families=" + ",".join("C" * (output.MAX_FAMILIES + 1)),
+     f"compare families {output.MAX_FAMILIES + 1} exceeds its ceiling of "
+     f"{output.MAX_FAMILIES}"),
 ]
 
 
