@@ -280,7 +280,9 @@ class TestArtifactVerification:
         ("# permprob exact family=C n=" + "1" * 21, 21),
         ("# permprob compare n=2 grid=" + "9" * 5000 + " families=A", 5000),
     ], ids=["exact-n", "compare-grid"])
-    def test_integer_too_long_is_malformed(self, tmp_path, capsys, header, length):
+    @pytest.mark.parametrize("beside_valid", [False, True])
+    def test_integer_too_long_is_malformed(self, tmp_path, capsys, header, length,
+                                           beside_valid):
         path = tmp_path / "long.csv"
         path.write_text(header + "\ni,count\n")
         result = verify_artifact(str(path))
@@ -288,9 +290,16 @@ class TestArtifactVerification:
         detail = ("malformed artifact: an integer may have at most 20 "
                   f"characters, got {length}")
         assert result.detail == detail
-        # validate's report carries the same line
-        assert validation.report(1, [str(path)]) == 1
-        assert f"FAIL  artifact:{path}  ({detail})" in capsys.readouterr().out.splitlines()
+        # validate's report carries the same line, and a valid artifact checked
+        # in the same run still passes
+        valid = tmp_path / "dist.csv"
+        valid.write_text(make_dist_doc(Family.C, 3).render())
+        paths = [str(valid), str(path)] if beside_valid else [str(path)]
+        assert validation.report(1, paths) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"FAIL  artifact:{path}  ({detail})" in out
+        passed = f"PASS  artifact:{valid}  (dist artifact matches regenerated values)"
+        assert (passed in out) == beside_valid
 
     # The dist ceiling is tested through the command line, in a fresh
     # interpreter under a timeout: past it, a forced run would not end.
