@@ -13,6 +13,13 @@ from .cli import _FLAGS, _SUBCOMMANDS
 
 DESCRIPTION = ("Term-count tables, approximate and exact probabilities that the\n"
                "permanent of a random 0/1 matrix hits its target value")
+# A flag's help where one subcommand reads it otherwise than ``_FLAGS`` says.
+# The walk's limit is ``termoracles.BRUTEFORCE_MAX_N``, written out so that
+# help loads no oracle module.
+_OWN_HELP = {
+    ("validate", "n"): "largest matrix dimension whose S_n is walked "
+                       f"(default: {_SUBCOMMANDS['validate'].default_n}, at most 12)",
+}
 
 
 def _flag(option: str, formats: tuple[str, ...]) -> str:
@@ -41,7 +48,8 @@ def help_text(name: str | None) -> str:
     else:
         flags = [_flag(option, spec.formats) for option in spec.options]
         usage = " ".join([f"permprob {name} [-h]"] + [f"[{flag}]" for flag in flags])
-        options += [(flag, _FLAGS[option][1]) for flag, option in zip(flags, spec.options)]
+        options += [(flag, _OWN_HELP.get((name, option), _FLAGS[option][1]))
+                    for flag, option in zip(flags, spec.options)]
         lines = []
         if spec.paths:
             usage += " [paths ...]"

@@ -9,6 +9,13 @@ family, one row-by-row pass over column subsets gives all the leading
 permanents that the diagonal checks need (``matrices.leading_permanents``
 on the ``TABLE_N`` mask), and the n=3 enumeration evaluates all 2^K
 assignments of a family at once (``matrices.exact_counts_direct``).
+``run_offline_checks`` declares each check as one row of a table: its name,
+the reach that a pass reports, the list of its mismatches, and the format
+of the first mismatch.  One rule turns every row into its ``CheckResult``:
+the check passes when the list is empty, and its detail is the reach, or
+else the first mismatch through the format.  Each route is looked up in this
+module's namespace when the checks run.
+
 ``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
 rebuilds the document its metadata describes with the builder that wrote
 it, unforced, so each size the metadata asks for is held to that builder's
@@ -94,130 +101,82 @@ def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
     :class:`GuardError` before any walk; the table checks run to
     n = ``TABLE_N``.
     """
-    results = []
-
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, passed, detail))
-
-    # reference triangles
-    bad = [
-        (n, list(e_table(Family.C, n).counts))
-        for n, row in REFERENCE_W_TRIANGLE.items()
-        if e_table(Family.C, n).counts != row
-    ]
-    add("w-triangle-reference", not bad, f"mismatch at {bad[:1]}" if bad else "n=1..6")
-    bad = [
-        (n, list(e_table(Family.B, n).counts))
-        for n, row in REFERENCE_V_TRIANGLE.items()
-        if e_table(Family.B, n).counts != row
-    ]
-    add("v-triangle-reference", not bad, f"mismatch at {bad[:1]}" if bad else "n=1..8")
-
-    # four-route agreement
-    table = w_recurrence_table(TABLE_N)
-    bad = [
-        (n, m)
-        for n in range(1, TABLE_N + 1)
-        for m, by_cycles in enumerate(w_row_via_cycles(n))
-        if not w_closed_form(n, m) == table[n][m] == by_cycles
-    ]
-    add(
-        "w-closed-vs-recurrence-vs-cycles",
-        not bad,
-        f"first mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}",
-    )
-    bad = [
-        (n, m)
-        for n in range(1, TABLE_N + 1)
-        for m in range(1, n + 1)
-        if v_closed_form(n, m) != v_via_w(n, m)
-    ]
-    add(
-        "v-closed-vs-identity",
-        not bad,
-        f"first mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}",
-    )
-
-    # enumeration of the symmetric group: one walk per n serves every family,
-    # largest n first so that the guard fires before any walk
+    # one walk of S_n per n serves every family, largest n first so that the
+    # guard fires before any walk
     walks = {n: e_tables_bruteforce(n) for n in range(bruteforce_n, 0, -1)}
-    bad = [
-        (family.value, n)
-        for family in Family
-        for n in range(1, bruteforce_n + 1)
-        if e_table(family, n) != walks[n][family]
-    ]
-    add(
-        "e-table-vs-bruteforce",
-        not bad,
-        f"first mismatch at {bad[:1]}" if bad else f"all families, n<={bruteforce_n}",
-    )
-
-    # total term count
-    bad = [
-        (family.value, n)
-        for family in Family
-        for n in range(1, TABLE_N + 1)
-        if e_table(family, n).total() != math.factorial(n)
-    ]
-    add("term-count-totals", not bad, f"mismatch at {bad[:1]}" if bad else f"n<={TABLE_N}")
-
-    # diagonal values equal permanents of the C and B variable masks, row i
-    # of a mask having a one at each variable entry; the n x n mask is the
-    # leading block of the TABLE_N one, since whether an entry is variable
-    # does not depend on n
-    for name, family, closed_form in (("w-diagonal-vs-permanent", Family.C, w_closed_form),
-                                      ("v-diagonal-vs-permanent", Family.B, v_closed_form)):
-        permanents = leading_permanents(
+    table = w_recurrence_table(TABLE_N)
+    # row i of a variable mask has a one at each variable entry; the n x n mask
+    # is the leading block of the TABLE_N one, since whether an entry is
+    # variable does not depend on n
+    permanents = {
+        family: leading_permanents(
             [sum(family.is_variable(i, j) << j for j in range(TABLE_N)) for i in range(TABLE_N)])
-        bad = [n for n, per in enumerate(permanents, start=1) if per != closed_form(n, n)]
-        add(name, not bad, f"mismatch at n={bad[:1]}" if bad else f"n<={TABLE_N}")
-
-    # exact counts at n=3: the engine, the transfer and the enumeration oracle
-    bad_entries = []
-    for family, expected in REFERENCE_EXACT_COUNTS_N3.items():
-        routes = [("exact_counts", exact_counts(family, 3).counts),
-                  ("_counts_transfer", tuple(_counts_transfer(family, 3))),
-                  ("exact_counts_direct", exact_counts_direct(family, 3))]
-        bad_entries += [
-            (family.value, route, list(got)) for route, got in routes if got != expected
-        ]
-    add(
-        "exact-counts-n3-reference",
-        not bad_entries,
-        f"mismatch: {bad_entries[:1]}" if bad_entries else "A/B/C, all methods",
-    )
-
-    # independence assumption is exact at n=2
-    worst = 0.0
-    for family in Family:
-        for _, _, _, diff in compare_grid(family, 2):
-            worst = max(worst, abs(diff))
-    add("n2-exactness", worst <= 1e-12, f"max |Q-P| = {worst:.3g}")
-
-    # endpoint behaviour at n=3: both routes are exact there
-    ok = True
-    detail = ""
-    for family in Family:
-        dist = e_table(family, 3)
-        counts = exact_counts(family, 3)
-        if not q_eval(dist, 0.0) == p_eval(counts, 0.0) == 1.0:
-            ok, detail = False, f"{family.value}: r=0 endpoint"
-        if family in (Family.A, Family.B):
-            if not q_eval(dist, 1.0) == p_eval(counts, 1.0) == 0.0:
-                ok, detail = False, f"{family.value}: r=1 endpoint"
-    add("probability-endpoints-n3", ok, detail)
-
-    # vendored sequence slices
+        for family in (Family.C, Family.B)
+    }
+    worst = max(abs(diff) for family in Family for *_, diff in compare_grid(family, 2))
     seq_checks = builtin_checks()
-    bad = [c.oeis_id for c in seq_checks if not c.passed]
-    add(
-        "sequence-references",
-        not bad,
-        f"failed: {bad}" if bad else f"{len(seq_checks)} slices",
-    )
-
-    return results
+    failed_ids = [c.oeis_id for c in seq_checks if not c.passed]
+    # One row per check: its name, the reach that a pass reports, the list of
+    # its mismatches, and the format that the first mismatch, as a one-item
+    # list, reads through.
+    rows = [
+        ("w-triangle-reference", "n=1..6",
+         [(n, list(e_table(Family.C, n).counts)) for n, row in REFERENCE_W_TRIANGLE.items()
+          if e_table(Family.C, n).counts != row],
+         "mismatch at {0}"),
+        ("v-triangle-reference", "n=1..8",
+         [(n, list(e_table(Family.B, n).counts)) for n, row in REFERENCE_V_TRIANGLE.items()
+          if e_table(Family.B, n).counts != row],
+         "mismatch at {0}"),
+        ("w-closed-vs-recurrence-vs-cycles", f"n<={TABLE_N}",
+         [(n, m) for n in range(1, TABLE_N + 1)
+          for m, by_cycles in enumerate(w_row_via_cycles(n))
+          if not w_closed_form(n, m) == table[n][m] == by_cycles],
+         "first mismatch at {0}"),
+        ("v-closed-vs-identity", f"n<={TABLE_N}",
+         [(n, m) for n in range(1, TABLE_N + 1) for m in range(1, n + 1)
+          if v_closed_form(n, m) != v_via_w(n, m)],
+         "first mismatch at {0}"),
+        ("e-table-vs-bruteforce", f"all families, n<={bruteforce_n}",
+         [(family.value, n) for family in Family for n in range(1, bruteforce_n + 1)
+          if e_table(family, n) != walks[n][family]],
+         "first mismatch at {0}"),
+        ("term-count-totals", f"n<={TABLE_N}",
+         [(family.value, n) for family in Family for n in range(1, TABLE_N + 1)
+          if e_table(family, n).total() != math.factorial(n)],
+         "mismatch at {0}"),
+        ("w-diagonal-vs-permanent", f"n<={TABLE_N}",
+         [n for n, per in enumerate(permanents[Family.C], 1) if per != w_closed_form(n, n)],
+         "mismatch at n={0}"),
+        ("v-diagonal-vs-permanent", f"n<={TABLE_N}",
+         [n for n, per in enumerate(permanents[Family.B], 1) if per != v_closed_form(n, n)],
+         "mismatch at n={0}"),
+        # the engine, the transfer and the enumeration oracle
+        ("exact-counts-n3-reference", "A/B/C, all methods",
+         [(family.value, route, list(got))
+          for family, expected in REFERENCE_EXACT_COUNTS_N3.items()
+          for route, got in (("exact_counts", exact_counts(family, 3).counts),
+                             ("_counts_transfer", tuple(_counts_transfer(family, 3))),
+                             ("exact_counts_direct", exact_counts_direct(family, 3)))
+          if got != expected],
+         "mismatch: {0}"),
+        # the independence assumption is exact at n=2
+        ("n2-exactness", f"max |Q-P| = {worst:.3g}", [worst] if worst > 1e-12 else [],
+         "max |Q-P| = {0[0]:.3g}"),
+        # both routes are exact at r=0, and for A and B at r=1; listed from
+        # the last family and endpoint back, so the detail names the last one
+        # that fails
+        ("probability-endpoints-n3", "",
+         [f"{family.value}: r={r:g} endpoint"
+          for family in reversed(Family) for r, hit in ((1.0, 0.0), (0.0, 1.0))
+          if (r < 1.0 or family is not Family.C)
+          and not q_eval(e_table(family, 3), r) == p_eval(exact_counts(family, 3), r) == hit],
+         "{0[0]}"),
+        ("sequence-references", f"{len(seq_checks)} slices",
+         [failed_ids] if failed_ids else [], "failed: {0[0]}"),
+    ]
+    return [CheckResult(name, not bad, form.format(bad[:1]) if bad else reach)
+            for name, reach, bad, form in rows]
 
 
 def report(bruteforce_n: int, paths: list[str],
@@ -302,7 +261,13 @@ def verify_artifact(path: str) -> CheckResult:
     name = f"artifact:{path}"
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read(MAX_ARTIFACT_CHARS + 1)
+            # in pieces: one read of the whole limit would allocate all of it
+            pieces = []
+            left = MAX_ARTIFACT_CHARS + 1
+            while left and (piece := fh.read(min(left, 65536))):
+                pieces.append(piece)
+                left -= len(piece)
+            text = "".join(pieces)
     except (OSError, UnicodeDecodeError) as exc:
         return CheckResult(name, False, f"cannot read: {exc}")
     try:

@@ -61,20 +61,19 @@ class TestBuiltinChecks:
         assert by_id["A000217"].first_n == 2
         assert by_id["A045943"].expected[:3] == (3, 9, 18)
 
-    def test_self_referential_flags(self):
-        by_id = {check.oeis_id: check for check in builtin_checks()}
-        assert by_id["A000166"].self_ref_from is None
-        assert by_id["A000255"].self_ref_from is None
-        assert by_id["A007290"].self_ref_from == 7
-        assert by_id["A060008"].self_ref_from == 7
-        assert by_id["A060836"].self_ref_from == 7
-        assert by_id["A045943"].self_ref_from == 9
-
+    def test_formula_rows_give_the_published_terms(self):
+        # these rows come from each sequence's own formula, not from the
+        # closed forms that they check
+        by_id = {check.oeis_id: check.expected for check in builtin_checks()}
+        assert by_id["A007290"] == (2, 8, 20, 40, 70, 112, 168, 240, 330, 440)
+        assert by_id["A060008"] == (9, 45, 135, 315, 630, 1134, 1890, 2970, 4455)
+        assert by_id["A060836"] == (44, 264, 924, 2464, 5544, 11088, 20328, 34848)
+        assert by_id["A045943"] == (3, 9, 18, 30, 45, 63, 84, 108, 135, 165)
 
     def test_mismatch_fails(self):
-        check = SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 3), None)
+        check = SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 3))
         assert not check.passed
-        assert SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 2), None).passed
+        assert SequenceCheck("A000166", "W_n(n)", 1, (0, 1, 2), (0, 1, 2)).passed
 
 
 class TestReferenceData:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from permprob import Family, matrices, output, probability, validation
 from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
+from permprob.sequences import SequenceCheck
 from permprob.termdist import TermDistribution, e_table
 from permprob.validation import CheckResult, run_offline_checks, verify_artifact
 
@@ -131,6 +132,41 @@ class TestOfflineChecks:
         assert not results[name].passed
         assert results[name].detail == f"mismatch at n=[{bad_n}]"
 
+    @pytest.mark.parametrize("name, route, broken, detail", [
+        ("w-triangle-reference", "REFERENCE_W_TRIANGLE",
+         lambda right: {**right, 4: (1, 0, 6, 8, 8)},
+         "mismatch at [(4, [1, 0, 6, 8, 9])]"),
+        ("v-triangle-reference", "REFERENCE_V_TRIANGLE",
+         lambda right: {**right, 7: (0, 1, 6, 45, 220, 795, 1854, 2120)},
+         "mismatch at [(7, [0, 1, 6, 45, 220, 795, 1854, 2119])]"),
+        ("w-closed-vs-recurrence-vs-cycles", "w_recurrence_table",
+         lambda right: lambda n_max: [row if n != 5 else row[:2] + [row[2] + 1] + row[3:]
+                                      for n, row in enumerate(right(n_max))],
+         "first mismatch at [(5, 2)]"),
+        ("v-closed-vs-identity", "v_via_w",
+         lambda right: lambda n, m: right(n, m) - ((n, m) in ((6, 3), (9, 1))),
+         "first mismatch at [(6, 3)]"),
+        ("term-count-totals", "e_table",
+         lambda right: lambda family, n: (
+             TermDistribution(family, n, right(family, n).counts[:-1] + (0,))
+             if (family, n) in ((Family.B, 10), (Family.C, 3)) else right(family, n)),
+         "mismatch at [('B', 10)]"),
+        ("n2-exactness", "compare_grid",
+         lambda right: lambda family, n: [row[:3] + (row[3] + 2e-9 * (family is Family.C),)
+                                          for row in right(family, n)],
+         "max |Q-P| = 2e-09"),
+        ("sequence-references", "builtin_checks",
+         lambda right: lambda: [
+             SequenceCheck(c.oeis_id, c.slice_name, c.first_n, c.expected, c.generated[::-1])
+             if c.oeis_id in ("A000217", "A045943") else c for c in right()],
+         "failed: ['A000217', 'A045943']"),
+    ], ids=["w-triangle", "v-triangle", "w-closed", "v-closed", "totals", "n2", "sequences"])
+    def test_a_broken_route_fails_its_row(self, monkeypatch, name, route, broken, detail):
+        # each row, with one of the routes it compares broken through this module
+        monkeypatch.setattr(validation, route, broken(getattr(validation, route)))
+        results = {r.name: r for r in run_offline_checks(bruteforce_n=2)}
+        assert (results[name].passed, results[name].detail) == (False, detail)
+
 
 class TestArtifactVerification:
     def test_dist_artifact_roundtrip(self, tmp_path):
@@ -229,6 +265,20 @@ class TestArtifactVerification:
         assert result.detail == ("200000 lines differ from regenerated values, first line 3: "
                                  "',,,,,,,,,\\n' -> '1,0,1\\n'")
         assert peak < 20 * size
+
+    def test_small_artifact_reads_small(self, tmp_path):
+        # a read of the whole length limit at once allocates 16 MiB for any file
+        path = tmp_path / "exact_C_4.csv"
+        path.write_text(make_exact_doc(exact_counts(Family.C, 4)).render())
+        assert verify_artifact(str(path)).passed  # counts and imports come first
+        tracemalloc.start()
+        try:
+            result = verify_artifact(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 256 * 1024
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["a", "#", ",", "\n", "\r", "\r\n", "\x0c", "\x1e",
