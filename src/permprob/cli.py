@@ -29,8 +29,6 @@ which every command compiles when bytecode is not written, holds only the
 parsing, the resolving and the artifact handlers.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace

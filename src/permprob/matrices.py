@@ -21,8 +21,6 @@ diagonal checks of ``validate``.  The matrix type ``BinaryMatrix``,
 this module; no other command imports it, and it imports no ``typing``.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

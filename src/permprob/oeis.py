@@ -7,8 +7,6 @@ checked by :func:`permprob.sequences.oeis_timeout`, which ``seq`` and
 ``validate`` also use on their configuration without loading this module.
 """
 
-from __future__ import annotations
-
 import os
 import re
 
@@ -98,10 +96,10 @@ def _parse_search_text(text: str) -> tuple[str, ...]:
 
 
 def oeis_lookup(
-    prefix: Sequence[int],
+    prefix: "Sequence[int]",
     base_url: str | None = None,
     timeout: float | None = None,
-    fetch: Callable[[str, float], str] | None = None,
+    fetch: "Callable[[str, float], str] | None" = None,
 ) -> LookupResult:
     """Search the OEIS for sequences starting with ``prefix``.
 

@@ -9,8 +9,9 @@ only some commands run lives where only they load it:
 ``svgplot.compare_svg`` plots the compare grid, and
 ``validation.regenerate`` rebuilds the document that a previously emitted
 artifact's metadata describes, which is how ``validate`` re-verifies it.
-The compare grids of both ``compare`` routes come from ``_compare_grids``,
-which holds the family count to ``MAX_FAMILIES``.
+The compare grids of both ``compare`` routes come from
+``probability._compare_grids``, which holds the family count to
+``probability.MAX_FAMILIES``; the SVG route loads no part of this module.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  Leading ``#`` comment lines carry artifact metadata so
@@ -18,8 +19,6 @@ a file is self-describing and can be re-verified later.  Floats are fixed at
 12 significant digits for reproducible diffs, and the JSON rendering carries
 the same 12-digit values.
 """
-
-from __future__ import annotations
 
 from .guards import Record, check_guard
 from .termdist import e_table
@@ -33,11 +32,6 @@ if TYPE_CHECKING:
 # and that ``validate``, which never forces, rebuilds: B at n=200 takes about
 # 0.3 s on two cores.
 DIST_MAX_N = 200
-# Most families a compare may name, repeats included, unless forced.  Each
-# distinct family is computed once, so the count bounds the row width, not
-# the work; ``validate`` counts them from an artifact's header text before
-# any name is parsed.
-MAX_FAMILIES = 12
 
 _POLYNOMIAL = "# polynomial: "
 
@@ -122,7 +116,7 @@ class CsvDoc(Record):
         return {}
 
 
-def make_dist_doc(family: Family, n: int, force: bool = False) -> CsvDoc:
+def make_dist_doc(family: "Family", n: int, force: bool = False) -> CsvDoc:
     """Triangle of term counts for every dimension up to n, columns n,m,count.
 
     ``n`` above ``DIST_MAX_N`` raises :class:`GuardError` unless forced;
@@ -143,7 +137,7 @@ def make_dist_doc(family: Family, n: int, force: bool = False) -> CsvDoc:
     )
 
 
-def make_exact_doc(counts: ExactCounts) -> CsvDoc:
+def make_exact_doc(counts: "ExactCounts") -> CsvDoc:
     from .probability import bernstein_string
 
     return CsvDoc(
@@ -159,26 +153,11 @@ def make_exact_doc(counts: ExactCounts) -> CsvDoc:
     )
 
 
-def _compare_grids(families: list[Family], n: int, grid_points: int,
-                   force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
-    """``compare_grid`` rows for each distinct family, each computed once.
-
-    More than ``MAX_FAMILIES`` families, repeats included, raise
-    :class:`GuardError` unless forced.  The CSV, JSON and SVG routes of
-    ``compare`` all come through here, so they share the limit.
-    """
-    from .probability import compare_grid
-
-    check_guard(len(families), MAX_FAMILIES, "compare families", force)
-    return {
-        fam: compare_grid(fam, n, grid_points=grid_points, force=force)
-        for fam in dict.fromkeys(families)
-    }
-
-
-def make_compare_doc(families: list[Family], n: int, grid_points: int,
+def make_compare_doc(families: "list[Family]", n: int, grid_points: int,
                      force: bool = False) -> CsvDoc:
     """Columns r, then Q_X and P_X for each family, on a uniform grid."""
+    from .probability import _compare_grids
+
     grids = _compare_grids(families, n, grid_points, force)
     header = ["r"]
     for fam in families:

@@ -11,8 +11,6 @@ factorial-time sum of their own, and check ``matrices.leading_permanents``
 and the enumeration oracle against it.  No command loads this module.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

@@ -9,8 +9,6 @@ only ``--oeis`` loads; ``oeis_settings`` stays here because ``seq`` and
 This module imports neither ``re`` nor ``typing``.
 """
 
-from __future__ import annotations
-
 import math
 import os
 

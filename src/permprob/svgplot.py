@@ -4,14 +4,13 @@ Hand-rolled rather than delegated to a plotting library so the output is a
 single dependency-free file, byte-identical for identical inputs, and easy
 to diff.  The axes are fixed to the unit square because every curve plotted
 here is a probability against a probability parameter.  Only
-``compare --format svg`` loads this module.
+``compare --format svg`` loads this module; it takes its grids from
+``probability._compare_grids`` and loads no ``output``.
 """
-
-from __future__ import annotations
 
 from .families import Family
 from .guards import Record
-from .output import _compare_grids
+from .probability import _compare_grids
 
 WIDTH = 640
 HEIGHT = 440

@@ -14,8 +14,6 @@ cycle-type sums, the family-B identity and the walk of every S_n, live in
 All arithmetic is exact (Python integers); nothing here touches floats.
 """
 
-from __future__ import annotations
-
 import math
 
 from .families import Family

@@ -23,8 +23,6 @@ These are oracles: only ``validate`` and the tests load this module, so no
 other command compiles it.  All arithmetic is exact (Python integers).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections.abc import Iterator

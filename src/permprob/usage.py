@@ -1,11 +1,13 @@
 """Help and usage text of the ``permprob`` command line.
 
-The text is generated from the subcommand table in :mod:`permprob.cli`, in
-argparse's layout.  Only ``-h`` and a command line that does not parse need
-it, so it lives here rather than in ``cli``, which every command compiles.
+The text is generated from the subcommand table in :mod:`permprob.cli` and
+is never wrapped: a usage line or an option row stays one line however long
+it is.  A subcommand's help therefore differs from argparse's help of the
+same table only in its whitespace; the top-level help lists the subcommands
+under ``commands:``.  Only ``-h`` and a command line that does not parse
+need it, so it lives here rather than in ``cli``, which every command
+compiles.
 """
-
-from __future__ import annotations
 
 import sys
 

@@ -19,15 +19,13 @@ module's namespace when the checks run.
 ``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
 rebuilds the document its metadata describes with the builder that wrote
 it, unforced, so each size the metadata asks for is held to that builder's
-one limit (``output.DIST_MAX_N`` and ``MAX_FAMILIES``,
-``probability.EXACT_MAX_N``, ``COMPARE_MAX_N`` and ``MAX_GRID``), which no
-``--force`` lifts.  ``report`` prints the ``validate`` command's report.
+one limit (``output.DIST_MAX_N``, and ``probability.EXACT_MAX_N``,
+``COMPARE_MAX_N``, ``MAX_GRID`` and ``MAX_FAMILIES``), which no ``--force``
+lifts.  ``report`` prints the ``validate`` command's report.
 Nothing lifts any of ``validate``'s limits, the S_n walk's
 ``termoracles.BRUTEFORCE_MAX_N`` included, so the command takes no
 ``--force``.  Only ``validate`` and the tests load this module.
 """
-
-from __future__ import annotations
 
 import math
 from itertools import zip_longest
@@ -35,8 +33,8 @@ from itertools import zip_longest
 from .families import Family
 from .guards import GuardError, Record, check_guard, parse_int
 from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
-from .output import MAX_FAMILIES, CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
-from .probability import compare_grid, exact_counts, p_eval, q_eval
+from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
+from .probability import MAX_FAMILIES, compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
 from .termoracles import (

@@ -285,15 +285,16 @@ def horner(coeffs, x):
 def build_parser():
     """The argparse parser that ``cli._SUBCOMMANDS`` and ``cli._FLAGS`` describe.
 
-    It reads the command line as the CLI read it while it used argparse.
+    It reads the command line as the CLI read it while it used argparse, and
+    each subcommand's help holds the words of ``usage.help_text``.
     """
     parser = argparse.ArgumentParser(prog="permprob", description=usage.DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in cli._SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
+        p = sub.add_parser(name, help=spec.help, description=spec.help)
         for option in spec.options:
             kind, help = cli._FLAGS[option]
-            kwargs = {"help": help}
+            kwargs = {"help": usage._OWN_HELP.get((name, option), help)}
             if kind is bool:
                 kwargs["action"] = "store_true"
             elif kind is int:

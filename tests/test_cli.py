@@ -587,6 +587,15 @@ class TestHelpAndUsageErrors:
             assert [line.split(None, 2) for line in lines if line.startswith("  --n ")] == [
                 ["--n", "N", "matrix dimension"]], name
 
+    @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+    def test_help_is_the_argparse_help_of_the_same_table(self, capsys, name):
+        # the help is never wrapped, so only its whitespace differs from argparse's
+        with contextlib.redirect_stdout(io.StringIO()) as expected, pytest.raises(SystemExit):
+            build_parser().parse_args([name, "-h"])
+        code, out, err = run(capsys, name, "-h")
+        assert (code, err) == (0, "")
+        assert out.split() == expected.getvalue().split()
+
     @pytest.mark.parametrize("argv, prog, message", [
         ((), "permprob", "the following arguments are required: command"),
         (("bogus",), "permprob", "argument command: invalid choice: 'bogus' (choose from "
@@ -931,7 +940,8 @@ class TestImportDiet:
 
     def test_no_command_loads_argparse_gettext_or_locale(self):
         # -S skips site, which may import typing, re or shutil on its own and
-        # so hide an import that a command makes; typing imports re
+        # so hide an import that a command makes; typing imports re.  No
+        # module imports __future__, which Python 3.10 and later never need.
         script = textwrap.dedent("""
             import contextlib, io, sys
             import permprob.cli as cli
@@ -939,6 +949,7 @@ class TestImportDiet:
             for argv in (
                 ["exact", "--family", "C", "--n", "3"],
                 ["compare", "--n", "3"],
+                ["compare", "--n", "3", "--format", "svg"],
                 ["dist", "--family", "C", "--n", "5"],
                 ["seq"],
                 ["validate", "--n", "3"],
@@ -946,7 +957,7 @@ class TestImportDiet:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0
                 print(argv[0], sorted(m for m in ("argparse", "gettext", "locale", "typing",
-                                                  "re", "permprob.termdist",
+                                                  "re", "__future__", "permprob.termdist",
                                                   "permprob.usage")
                                       if m in sys.modules))
         """)
@@ -954,6 +965,7 @@ class TestImportDiet:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "exact ['permprob.termdist']",
+            "compare ['permprob.termdist']",
             "compare ['permprob.termdist']",
             "dist ['permprob.termdist']",
             "seq ['permprob.termdist']",
@@ -964,15 +976,15 @@ class TestImportDiet:
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 2087
+        assert sum(1 for _ in ast.walk(tree)) <= 2085
 
     @pytest.mark.parametrize("argv, most", [
-        (("dist", "--family", "C", "--n", "5"), 4435),
-        (("exact", "--family", "A", "--n", "3"), 6071),
-        (("compare", "--n", "3"), 6071),
-        (("compare", "--n", "3", "--format", "svg"), 7010),
-        (("seq",), 4036),
-        (("validate", "--n", "3"), 11487),
+        (("dist", "--family", "C", "--n", "5"), 4331),
+        (("exact", "--family", "A", "--n", "3"), 6065),
+        (("compare", "--n", "3"), 6065),
+        (("compare", "--n", "3", "--format", "svg"), 5928),
+        (("seq",), 4030),
+        (("validate", "--n", "3"), 11473),
     ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
     def test_command_compiles_few_nodes(self, argv, most):
         # Without bytecode a command compiles every permprob module it loads,
@@ -1034,6 +1046,21 @@ class TestImportDiet:
         proc = run_fresh(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"]
+
+    def test_compare_svg_loads_no_output(self):
+        # the SVG route takes its grids from probability, not from the CSV/JSON module
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import permprob.cli as cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["compare", "--n", "3", "--format", "svg"]) == 0
+            print(sorted(m for m in ("permprob.output", "permprob.svgplot",
+                                     "permprob.probability") if m in sys.modules))
+        """)
+        proc = run_fresh(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['permprob.probability', 'permprob.svgplot']"]
 
     def test_dist_loads_no_probability_module(self):
         script = textwrap.dedent("""

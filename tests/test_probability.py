@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from permprob import (
     q_eval,
 )
 from permprob.matrices import _counts_transfer, exact_counts_direct
+from permprob.output import format_float
 from permprob.probability import _RECURRENCES, _taylor_shift
 
 from oracles import (
@@ -184,6 +186,21 @@ class TestQEvalExactProduct:
                 if m >= 1 and e:
                     product *= (1 - r**m) ** e
             assert abs(q_eval(dist, i / 100) - float(product)) < 1e-12
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_within_1e15_of_the_decimal_product_to_n12(self, family):
+        # the same product to 80 digits, where the fractions grow too long
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for n in range(1, 13):
+                dist = e_table(family, n)
+                for i in range(101):
+                    r = Decimal(i) / 100
+                    product = Decimal(1)
+                    for m, e in enumerate(dist.counts):
+                        if m >= 1 and e:
+                            product *= (1 - r**m) ** e
+                    assert abs(Decimal(q_eval(dist, i / 100)) - product) <= Decimal("1e-15")
 
 
 class TestExactCounts:
@@ -465,6 +482,14 @@ class TestCompareGrid:
         for (_, q0, p0, _), (_, q1, p1, _) in zip(rows, rows[1:]):
             assert q1 <= q0 + 1e-15
             assert p1 <= p0 + 1e-15
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_printed_q_never_exceeds_printed_p(self, family):
+        # Each term's vanishing is a decreasing event, so Harris's inequality
+        # gives Q <= P; the 12 digits that compare prints keep that order.
+        for n in range(1, 13):
+            for _, q, p, _ in compare_grid(family, n, 1001):
+                assert float(format_float(q)) <= float(format_float(p))
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):

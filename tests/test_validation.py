@@ -390,7 +390,7 @@ class TestArtifactVerification:
         assert max(len(dist), len(exact)) <= validation.MAX_ARTIFACT_CHARS
         # a compare row is r, then Q and P for each family: each cell is at most
         # 18 characters, as in 1.23456789012e-300, and one separator follows it
-        compare = probability.MAX_GRID * (1 + 2 * output.MAX_FAMILIES) * 19
+        compare = probability.MAX_GRID * (1 + 2 * probability.MAX_FAMILIES) * 19
         assert compare <= validation.MAX_ARTIFACT_CHARS
 
     def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
@@ -440,9 +440,9 @@ _PAST_THE_LIMITS = [
     (f"compare n=2 grid={probability.MAX_GRID + 1} families=C",
      f"compare grid point count {probability.MAX_GRID + 1} exceeds its ceiling of "
      f"{probability.MAX_GRID}"),
-    ("compare n=2 grid=5 families=" + ",".join("C" * (output.MAX_FAMILIES + 1)),
-     f"compare families {output.MAX_FAMILIES + 1} exceeds its ceiling of "
-     f"{output.MAX_FAMILIES}"),
+    ("compare n=2 grid=5 families=" + ",".join("C" * (probability.MAX_FAMILIES + 1)),
+     f"compare families {probability.MAX_FAMILIES + 1} exceeds its ceiling of "
+     f"{probability.MAX_FAMILIES}"),
 ]
 
 
