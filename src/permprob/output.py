@@ -41,7 +41,7 @@ def format_float(x: float) -> str:
 
 
 class CsvDoc(Record):
-    """A CSV artifact that re-renders byte-identically after parsing."""
+    """A CSV artifact: leading ``#`` metadata lines, a header row, then data rows."""
 
     __slots__ = ("comments", "header", "rows")
 
@@ -87,20 +87,6 @@ class CsvDoc(Record):
         else:
             doc["rows"] = [dict(zip(self.header, row)) for row in rows]
         return json.dumps(doc, indent=2) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "CsvDoc":
-        lines = text.splitlines()
-        comments = []
-        i = 0
-        while i < len(lines) and lines[i].startswith("#"):
-            comments.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise ValueError("missing header row")
-        header = lines[i].split(",")
-        rows = [line.split(",") for line in lines[i + 1 :]]
-        return cls(comments=comments, header=header, rows=rows)
 
     def metadata(self) -> dict[str, str]:
         """Key=value pairs from the first ``# permprob <kind> ...`` comment."""

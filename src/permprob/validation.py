@@ -234,7 +234,10 @@ def _lines(text: str):
 
 
 def _metadata(text: str) -> dict[str, str]:
-    """``CsvDoc.parse(text).metadata()``, read from the leading ``#`` lines only."""
+    """The ``CsvDoc.metadata`` of an artifact, read from its leading ``#`` lines only.
+
+    A text with no line after those lines has no header row: ``ValueError``.
+    """
     comments = []
     for line in _lines(text):
         if not line.startswith("#"):

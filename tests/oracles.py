@@ -17,6 +17,8 @@ x, each block of free entries a schoolbook product by the binomial row of
 enumeration.
 ``build_parser`` builds the argparse parser that the CLI's table describes,
 the oracle that the CLI's own parser is checked against.
+``parse_artifact`` reads an emitted CSV artifact back into its rows; the
+package itself reads only an artifact's metadata.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import numpy as np
 from permprob import (
     Family, build_family_matrix, cli, permanent_ryser, usage, variable_positions,
 )
+from permprob.output import CsvDoc
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
 NAIVE_MAX_N = 10
@@ -280,6 +283,20 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         value = value * x + c
     return value
+
+
+def parse_artifact(text):
+    """The :class:`CsvDoc` that renders as ``text``: ``#`` lines, header, rows.
+
+    A text with no line after its ``#`` lines raises ``ValueError``.
+    """
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines) and lines[i].startswith("#"):
+        i += 1
+    if i == len(lines):
+        raise ValueError("missing header row")
+    return CsvDoc(lines[:i], lines[i].split(","), [line.split(",") for line in lines[i + 1:]])
 
 
 def build_parser():

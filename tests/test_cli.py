@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 import permprob
 from permprob import MAX_GRID, Family, cli, probability, termoracles, validation
 from permprob.cli import main
-from permprob.output import CsvDoc
 
-from oracles import build_parser
+from oracles import build_parser, parse_artifact
 from strategies import HUGE, number_text
 
 
@@ -44,7 +43,7 @@ class TestDist:
     def test_csv_reproduces_triangle(self, capsys):
         code, out, _ = run(capsys, "dist", "--family", "C", "--n", "6")
         assert code == 0
-        doc = CsvDoc.parse(out)
+        doc = parse_artifact(out)
         assert doc.header == ["n", "m", "count"]
         rows = {(int(r[0]), int(r[1])): int(r[2]) for r in doc.rows}
         assert rows[(6, 0)] == 1
@@ -56,14 +55,14 @@ class TestDist:
     def test_b_triangle_row8(self, capsys):
         code, out, _ = run(capsys, "dist", "--family", "B", "--n", "8")
         assert code == 0
-        rows = {(int(r[0]), int(r[1])): int(r[2]) for r in CsvDoc.parse(out).rows}
+        rows = {(int(r[0]), int(r[1])): int(r[2]) for r in parse_artifact(out).rows}
         assert rows[(8, 7)] == 14833
         assert rows[(8, 8)] == 16687
 
     def test_a_triangle_single_nonzero_row(self, capsys):
         code, out, _ = run(capsys, "dist", "--family", "A", "--n", "4")
         assert code == 0
-        nonzero = [r for r in CsvDoc.parse(out).rows if r[2] != "0"]
+        nonzero = [r for r in parse_artifact(out).rows if r[2] != "0"]
         assert nonzero == [["1", "1", "1"], ["2", "2", "2"], ["3", "3", "6"],
                            ["4", "4", "24"]]
 
@@ -96,14 +95,14 @@ class TestDist:
         assert code == 0
         text = out_path.read_text()
         assert text.endswith("\n") and "\r" not in text
-        assert CsvDoc.parse(text).render() == text
+        assert parse_artifact(text).render() == text
 
 
 class TestExact:
     def test_csv_counts_and_polynomial_comment(self, capsys):
         code, out, _ = run(capsys, "exact", "--family", "A", "--n", "3")
         assert code == 0
-        doc = CsvDoc.parse(out)
+        doc = parse_artifact(out)
         assert any("78r^3(1-r)^6" in c for c in doc.comments)
         counts = [int(r[1]) for r in doc.rows]
         assert counts == [1, 9, 36, 78, 90, 45, 6, 0, 0, 0]
@@ -111,12 +110,12 @@ class TestExact:
     def test_c2_counts(self, capsys):
         code, out, _ = run(capsys, "exact", "--family", "C", "--n", "2")
         assert code == 0
-        assert [int(r[1]) for r in CsvDoc.parse(out).rows] == [1, 2, 0]
+        assert [int(r[1]) for r in parse_artifact(out).rows] == [1, 2, 0]
 
     def test_b1_counts(self, capsys):
         code, out, _ = run(capsys, "exact", "--family", "B", "--n", "1")
         assert code == 0
-        doc = CsvDoc.parse(out)
+        doc = parse_artifact(out)
         assert [int(r[1]) for r in doc.rows] == [1, 0]
         assert any("(1-r)" in c for c in doc.comments)
 
@@ -138,14 +137,22 @@ class TestExact:
         # A at n=16 has K = 256 variable entries and counts in well under a second
         code, out, _ = run(capsys, "exact", "--family", "A", "--n", "16")
         assert code == 0
-        assert CsvDoc.parse(out).metadata()["variables"] == "256"
+        assert parse_artifact(out).metadata()["variables"] == "256"
+
+    def test_unwritable_out_is_an_io_error(self, capsys, isolated_cwd):
+        path = isolated_cwd / "missing" / "x.csv"
+        code, out, err = run(capsys, "exact", "--family", "C", "--n", "3", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("i/o error: ")
+        assert not path.parent.exists()
 
 
 class TestCompare:
     def test_all_families_header(self, capsys):
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "11")
         assert code == 0
-        doc = CsvDoc.parse(out)
+        doc = parse_artifact(out)
         assert doc.header == ["r", "Q_A", "P_A", "Q_B", "P_B", "Q_C", "P_C"]
         assert len(doc.rows) == 11
         # independence is exact at n=2, so the paired columns coincide
@@ -156,7 +163,7 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "5",
                            "--family", "A", "--family", "C")
         assert code == 0
-        assert CsvDoc.parse(out).header == ["r", "Q_A", "P_A", "Q_C", "P_C"]
+        assert parse_artifact(out).header == ["r", "Q_A", "P_A", "Q_C", "P_C"]
 
     def test_csv_roundtrip_byte_identical(self, capsys, isolated_cwd):
         out_path = isolated_cwd / "cmp.csv"
@@ -164,7 +171,7 @@ class TestCompare:
                          "--out", str(out_path))
         assert code == 0
         text = out_path.read_text()
-        assert CsvDoc.parse(text).render() == text
+        assert parse_artifact(text).render() == text
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "compare", "--n", "2", "--grid", "3",
@@ -221,7 +228,7 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--n", "2", "--family", "C",
                            "--grid", str(MAX_GRID + 1), "--force")
         assert code == 0
-        assert len(CsvDoc.parse(out).rows) == MAX_GRID + 1
+        assert len(parse_artifact(out).rows) == MAX_GRID + 1
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_family_count_guard(self, capsys, fmt):
@@ -233,7 +240,7 @@ class TestCompare:
         code, out, err = run(capsys, *argv, "--force")
         assert (code, err) == (0, "")
         if fmt == "csv":
-            assert len(CsvDoc.parse(out).header) == 27
+            assert len(parse_artifact(out).header) == 27
         else:
             assert out.count("<polyline") == 26
 
@@ -264,6 +271,15 @@ class TestValidate:
         assert run(capsys, "exact", "--family", "B", "--n", "3",
                    "--out", str(path))[0] == 0
         assert run(capsys, "validate", "--n", "2", str(path))[0] == 0
+
+    def test_artifact_of_comment_lines_only_is_a_failed_check(self, capsys, isolated_cwd):
+        path = isolated_cwd / "comments.csv"
+        path.write_text("# permprob dist family=C n=2\n")
+        code, out, err = run(capsys, "validate", "--n", "2", str(path))
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert f"FAIL  artifact:{path}  (malformed artifact: missing header row)" in lines
+        assert lines[-1] == "12/13 checks passed"
 
     def test_artifact_beyond_guard_is_a_failed_check(self, capsys, isolated_cwd):
         path = isolated_cwd / "big.csv"
@@ -370,14 +386,14 @@ class TestConfigFile:
         (isolated_cwd / "permprob.conf").write_text("family=C\nn=2\n")
         code, out, _ = run(capsys, "dist")
         assert code == 0
-        rows = CsvDoc.parse(out).rows
+        rows = parse_artifact(out).rows
         assert rows[-1] == ["2", "2", "1"]
 
     def test_flags_override_config(self, capsys, isolated_cwd):
         (isolated_cwd / "permprob.conf").write_text("family=C\nn=6\n")
         code, out, _ = run(capsys, "dist", "--n", "1")
         assert code == 0
-        assert CsvDoc.parse(out).rows == [["1", "0", "1"], ["1", "1", "0"]]
+        assert parse_artifact(out).rows == [["1", "0", "1"], ["1", "1", "0"]]
 
     def test_env_selects_config_path(self, capsys, isolated_cwd, monkeypatch):
         other = isolated_cwd / "alt.conf"
@@ -385,7 +401,7 @@ class TestConfigFile:
         monkeypatch.setenv("PERMPROB_CONFIG", str(other))
         code, out, _ = run(capsys, "dist")
         assert code == 0
-        assert CsvDoc.parse(out).metadata()["family"] == "B"
+        assert parse_artifact(out).metadata()["family"] == "B"
 
     @pytest.mark.parametrize("argv", [("validate", "--n", "2"), ("seq",)])
     def test_format_key_ignored_where_not_read(self, capsys, isolated_cwd, argv):
@@ -399,7 +415,7 @@ class TestConfigFile:
         (isolated_cwd / "permprob.conf").write_text("grid=1\n")
         code, out, _ = run(capsys, "dist", "--family", "C", "--n", "2")
         assert code == 0
-        assert CsvDoc.parse(out).rows[-1] == ["2", "2", "1"]
+        assert parse_artifact(out).rows[-1] == ["2", "2", "1"]
         assert run(capsys, "compare", "--n", "2")[0] == 2
 
     def test_defaults_need_no_config(self, capsys):
@@ -833,80 +849,96 @@ class TestPinnedReports:
         assert out.splitlines() == lines + (_OEIS_LINES if oeis else []) + [summary]
 
 
-def run_fresh(script, *options, timeout=120):
+def run_fresh(script, *options, timeout=120, cwd=None, env=None):
     """Run ``script`` in a fresh interpreter that imports permprob from this tree.
 
-    ``options`` go to the interpreter, before ``-c``.
+    ``options`` go to the interpreter, before ``-c``; ``env`` adds variables.
     """
     src = os.path.dirname(os.path.dirname(permprob.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **(env or {}))
     env.pop("PERMPROB_CONFIG", None)
     return subprocess.run([sys.executable, *options, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=env, timeout=timeout, cwd=cwd)
+
+
+# Standard-library modules that no command loads, but for a row's exceptions.
+_UNLOADED = ("argparse", "gettext", "locale", "typing", "re", "__future__", "dataclasses",
+             "inspect", "json", "requests", "urllib.request", "http.client", "ssl",
+             "importlib.resources", "zipfile")
+_JSON = "json re"
+_DIST = "output termdist"
+_EXACT = "output probability termdist"
+
+# One row per command line: its exit code, the permprob modules it loads
+# besides permprob, cli, families and guards, the syntax-tree nodes that all
+# its permprob modules hold at most, and the modules of _UNLOADED it may load.
+# Without bytecode a command compiles every module it loads, at about 2.4 us
+# per syntax-tree node on two cores.
+_LOADS = [
+    pytest.param(("dist", "--family", "C", "--n", "5"), 0, _DIST, 4202, "", id="dist"),
+    pytest.param(("dist", "--family", "C", "--n", "5", "--format", "json"), 0, _DIST, 4202,
+                 _JSON, id="dist-json"),
+    pytest.param(("exact", "--family", "A", "--n", "3"), 0, _EXACT, 5936, "", id="exact"),
+    pytest.param(("exact", "--family", "A", "--n", "3", "--format", "json"), 0, _EXACT,
+                 5936, _JSON, id="exact-json"),
+    pytest.param(("compare", "--n", "3"), 0, _EXACT, 5936, "", id="compare"),
+    pytest.param(("compare", "--n", "3", "--format", "json"), 0, _EXACT, 5936, _JSON,
+                 id="compare-json"),
+    pytest.param(("compare", "--n", "3", "--format", "svg"), 0,
+                 "probability svgplot termdist", 5928, "", id="compare-svg"),
+    pytest.param(("seq",), 0, "sequences termdist", 4030, "", id="seq"),
+    pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4910,
+                 "re locale urllib.request http.client ssl", id="seq-oeis"),
+    pytest.param(("validate", "--n", "3"), 0,
+                 "matrices output probability sequences termdist termoracles validation",
+                 11344, "", id="validate"),
+    pytest.param(("-h",), 0, "usage", 3364, "", id="help"),
+    pytest.param(("exact", "-h"), 0, "usage", 3364, "", id="exact-help"),
+    pytest.param(("bogus",), 2, "usage", 3364, "", id="bogus"),
+]
 
 
 class TestImportDiet:
-    def test_commands_load_only_what_they_run(self):
-        # A fresh interpreter, so modules the test session already holds do not count.
-        script = textwrap.dedent("""
+    @pytest.mark.parametrize("argv, code, modules, most, allowed", _LOADS)
+    def test_command_loads(self, isolated_cwd, argv, code, modules, most, allowed):
+        # A fresh interpreter in an empty directory, under -S: site may import
+        # typing, re or importlib.resources on its own and so hide an import
+        # that a command makes.  None in sys.modules makes any import of numpy
+        # raise ImportError, and the lookups of --oeis go to a closed port.
+        script = textwrap.dedent(f"""
             import contextlib, io, sys
+            sys.modules["numpy"] = None
             import permprob.cli as cli
 
-            def run(*argv):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(list(argv)) == 0
-
-            def loaded(*names):
-                print(sorted(m for m in names if m in sys.modules))
-
-            run("exact", "--family", "C", "--n", "3")
-            loaded("permprob.validation", "permprob.svgplot")
-            run("compare", "--n", "3")
-            run("dist", "--family", "C", "--n", "5")
-            loaded("requests", "urllib.request", "http.client", "ssl", "numpy",
-                   "dataclasses", "inspect", "json", "permprob.sequences",
-                   "permprob.validation")
-            run("compare", "--n", "3", "--format", "svg")
-            run("exact", "--family", "C", "--n", "3", "--format", "json")
-            run("seq")
-            run("validate", "--n", "3")
-            loaded("numpy", "dataclasses")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main({list(argv)!r})
+            print(code)
+            print(" ".join(m for m in {_UNLOADED!r} if m in sys.modules))
+            for name, module in sorted(sys.modules.items()):
+                if name.partition(".")[0] == "permprob":
+                    print(name, module.__file__)
         """)
-        proc = run_fresh(script)
+        proc = run_fresh(script, "-S", cwd=isolated_cwd, env={
+            "PERMPROB_OEIS_URL": "http://127.0.0.1:9", "PERMPROB_OEIS_TIMEOUT": "0.5"})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
-
-    def test_only_validate_loads_the_oracle_modules(self):
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            for argv in (
-                ["exact", "--family", "A", "--n", "3"],
-                ["compare", "--n", "3", "--format", "csv"],
-                ["compare", "--n", "3", "--format", "svg"],
-                ["dist", "--family", "B", "--n", "5"],
-                ["seq"],
-                ["validate", "--n", "3"],
-            ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(argv) == 0
-                print(argv[0], sorted(m for m in ("permprob.matrices", "permprob.ryser",
-                                                  "permprob.termoracles")
-                                      if m in sys.modules))
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "exact []", "compare []", "compare []", "dist []", "seq []",
-            "validate ['permprob.matrices', 'permprob.termoracles']",
-        ]
+        exit_code, unexpected, *loaded = proc.stdout.splitlines()
+        assert int(exit_code) == code
+        assert set(unexpected.split()) <= set(allowed.split())
+        names, paths = zip(*(line.split(" ", 1) for line in loaded))
+        assert set(names) == {"permprob", *(f"permprob.{m}" for m in
+                                            ("cli", "families", "guards", *modules.split()))}
+        nodes = sum(
+            sum(1 for _ in ast.walk(ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))))
+            for path in paths
+        )
+        assert nodes <= most
 
     @pytest.mark.parametrize(
         "module", ["probability", "output", "termdist", "sequences", "svgplot", "oeis"]
     )
     def test_command_path_module_imports_no_oracle(self, module):
-        # Every import statement counts, a lazy one inside a function too.
+        # Every import statement counts, a lazy one inside a function too, so
+        # this sees the paths that no row of _LOADS runs.
         oracles = {"matrices", "ryser", "termoracles", "validation"}
         path = pathlib.Path(permprob.__file__).parent / f"{module}.py"
         imported = []
@@ -923,185 +955,8 @@ class TestImportDiet:
 
         assert permprob.Family is matrices.Family is families.Family
 
-    def test_sequence_checks_read_no_package_data(self):
-        # -S skips site, which may import importlib.resources on its own
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["seq"]) == 0
-                assert cli.main(["validate", "--n", "3"]) == 0
-            print(sorted(m for m in ("importlib.resources", "zipfile") if m in sys.modules))
-        """)
-        proc = run_fresh(script, "-S")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
-
-    def test_no_command_loads_argparse_gettext_or_locale(self):
-        # -S skips site, which may import typing, re or shutil on its own and
-        # so hide an import that a command makes; typing imports re.  No
-        # module imports __future__, which Python 3.10 and later never need.
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            for argv in (
-                ["exact", "--family", "C", "--n", "3"],
-                ["compare", "--n", "3"],
-                ["compare", "--n", "3", "--format", "svg"],
-                ["dist", "--family", "C", "--n", "5"],
-                ["seq"],
-                ["validate", "--n", "3"],
-            ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(argv) == 0
-                print(argv[0], sorted(m for m in ("argparse", "gettext", "locale", "typing",
-                                                  "re", "__future__", "permprob.termdist",
-                                                  "permprob.usage")
-                                      if m in sys.modules))
-        """)
-        proc = run_fresh(script, "-S")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "exact ['permprob.termdist']",
-            "compare ['permprob.termdist']",
-            "compare ['permprob.termdist']",
-            "dist ['permprob.termdist']",
-            "seq ['permprob.termdist']",
-            "validate ['permprob.termdist']",
-        ]
-
     def test_cli_module_stays_small(self):
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
         assert sum(1 for _ in ast.walk(tree)) <= 2085
-
-    @pytest.mark.parametrize("argv, most", [
-        (("dist", "--family", "C", "--n", "5"), 4331),
-        (("exact", "--family", "A", "--n", "3"), 6065),
-        (("compare", "--n", "3"), 6065),
-        (("compare", "--n", "3", "--format", "svg"), 5928),
-        (("seq",), 4030),
-        (("validate", "--n", "3"), 11473),
-    ], ids=["dist", "exact", "compare", "compare-svg", "seq", "validate"])
-    def test_command_compiles_few_nodes(self, argv, most):
-        # Without bytecode a command compiles every permprob module it loads,
-        # at about 2.4 us per syntax-tree node on two cores.
-        script = textwrap.dedent(f"""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main({list(argv)!r}) == 0
-            for name, module in sys.modules.items():
-                if name == "permprob" or name.startswith("permprob."):
-                    print(module.__file__)
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        nodes = sum(
-            sum(1 for _ in ast.walk(ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))))
-            for path in proc.stdout.splitlines()
-        )
-        assert nodes <= most
-
-    def test_only_oeis_loads_the_client(self):
-        script = textwrap.dedent("""
-            import contextlib, io, os, sys
-            import permprob.cli as cli
-
-            os.environ["PERMPROB_OEIS_URL"] = "http://127.0.0.1:9"
-            os.environ["PERMPROB_OEIS_TIMEOUT"] = "0.5"
-            for argv in (
-                ["exact", "--family", "A", "--n", "3"],
-                ["compare", "--n", "3", "--format", "svg"],
-                ["dist", "--family", "B", "--n", "5"],
-                ["seq"],
-                ["validate", "--n", "3"],
-                ["seq", "--oeis"],
-            ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(argv) == 0
-                print(argv[0], "permprob.oeis" in sys.modules)
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "exact False", "compare False", "dist False", "seq False", "validate False",
-            "seq True",
-        ]
-
-    def test_seq_loads_no_probability_module(self):
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["seq"]) == 0
-            print(sorted(m for m in ("permprob.probability", "permprob.output",
-                                     "permprob.validation") if m in sys.modules))
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
-
-    def test_compare_svg_loads_no_output(self):
-        # the SVG route takes its grids from probability, not from the CSV/JSON module
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["compare", "--n", "3", "--format", "svg"]) == 0
-            print(sorted(m for m in ("permprob.output", "permprob.svgplot",
-                                     "permprob.probability") if m in sys.modules))
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["['permprob.probability', 'permprob.svgplot']"]
-
-    def test_dist_loads_no_probability_module(self):
-        script = textwrap.dedent("""
-            import contextlib, io, sys
-            import permprob.cli as cli
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["dist", "--family", "B", "--n", "6"]) == 0
-                assert cli.main(["dist", "--family", "C", "--n", "4",
-                                 "--format", "json"]) == 0
-            print(sorted(m for m in ("permprob.probability", "permprob.svgplot",
-                                     "permprob.validation") if m in sys.modules))
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"]
-
-    def test_every_command_runs_without_numpy(self, tmp_path):
-        # None in sys.modules makes any import of numpy raise ImportError
-        script = textwrap.dedent(f"""
-            import contextlib, io, os, sys
-            sys.modules["numpy"] = None
-            import permprob.cli as cli
-
-            os.chdir({str(tmp_path)!r})
-            for argv in (
-                ["dist", "--family", "C", "--n", "5"],
-                ["exact", "--family", "A", "--n", "3"],
-                ["compare", "--n", "3", "--format", "csv"],
-                ["compare", "--n", "3", "--format", "json"],
-                ["compare", "--n", "3", "--format", "svg"],
-                ["validate", "--n", "3"],
-                ["seq"],
-            ):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                print(argv[0], code)
-        """)
-        proc = run_fresh(script)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "dist 0", "exact 0", "compare 0", "compare 0", "compare 0",
-            "validate 0", "seq 0",
-        ]

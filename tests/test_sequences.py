@@ -1,5 +1,6 @@
 import http.server
 import math
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -12,6 +13,7 @@ from permprob import (
     builtin_checks,
     oeis_lookup,
 )
+from permprob.cli import main
 from permprob.oeis import MAX_OEIS_BODY_BYTES, _http_fetch
 from permprob.sequences import REFERENCES
 
@@ -169,32 +171,45 @@ class TestLookupTimeout:
         assert type(info.value) is ValueError
 
 
-class _OEISStub(http.server.BaseHTTPRequestHandler):
-    """Answers /ok/search with a text body and /status/<code>/search with that code.
+ACCENTED_LINE = "%N A000166 r\u00e9sum\u00e9\n"
 
+
+class _OEISStub(http.server.BaseHTTPRequestHandler):
+    """A loopback stand-in for the OEIS, one route per first path segment.
+
+    /ok, /none and /html answer with ``SAMPLE_RESPONSE``, ``NO_RESULTS_RESPONSE``
+    and an HTML page; /status/<code>/search answers with that code.
     /big/<extra>/search answers the /ok body padded with newlines to
-    ``MAX_OEIS_BODY_BYTES`` + extra bytes.
+    ``MAX_OEIS_BODY_BYTES`` + extra bytes.  /latin1 and /unknown answer one
+    line in ISO-8859-1 and in UTF-8, the latter labelled with a charset that
+    Python does not know; /hello answers no HTTP at all.
     """
+
+    _BODIES = {"ok": SAMPLE_RESPONSE, "none": NO_RESULTS_RESPONSE,
+               "html": "<html>splash page</html>\n"}
 
     def do_GET(self):
         self.server.paths.append(self.path)
         parts = self.path.split("/")
-        if parts[1] == "ok":
-            body = SAMPLE_RESPONSE.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
+        status, charset = 200, "utf-8"
+        if parts[1] in self._BODIES:
+            body = self._BODIES[parts[1]].encode(charset)
         elif parts[1] == "latin1":
-            body = "%N A000166 r\u00e9sum\u00e9\n".encode("iso-8859-1")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=iso-8859-1")
+            charset = "iso-8859-1"
+            body = ACCENTED_LINE.encode(charset)
+        elif parts[1] == "unknown":
+            charset = "x-unknown"
+            body = ACCENTED_LINE.encode("utf-8")
         elif parts[1] == "big":
-            body = SAMPLE_RESPONSE.encode("utf-8")
+            body = SAMPLE_RESPONSE.encode(charset)
             body += b"\n" * (MAX_OEIS_BODY_BYTES + int(parts[2]) - len(body))
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
+        elif parts[1] == "hello":
+            self.wfile.write(b"HELLO\r\n\r\n")
+            return
         else:
-            body = b"error"
-            self.send_response(int(parts[2]))
+            status, body = int(parts[2]), b"error"
+        self.send_response(status)
+        self.send_header("Content-Type", f"text/plain; charset={charset}")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -254,7 +269,21 @@ class TestStdlibClient:
 
     def test_body_decoded_with_response_charset(self, oeis_stub):
         base, _ = oeis_stub
-        assert _http_fetch(f"{base}/latin1/x", 5) == "%N A000166 r\u00e9sum\u00e9\n"
+        assert _http_fetch(f"{base}/latin1/x", 5) == ACCENTED_LINE
+
+    def test_unknown_charset_decodes_as_utf8(self, oeis_stub):
+        base, _ = oeis_stub
+        assert _http_fetch(f"{base}/unknown/x", 5) == ACCENTED_LINE
+
+    def test_malformed_status_line_is_skipped(self, oeis_stub):
+        # http.client raises BadStatusLine, an HTTPException and no OSError
+        base, paths = oeis_stub
+        result = oeis_lookup([1, 2, 4, 8], base_url=f"{base}/hello", timeout=5)
+        assert result.status == "skipped"
+        assert result.ids == ()
+        assert result.note.startswith(
+            f"fetch failed: fetching '{base}/hello/search?q=1,2,4,8&fmt=text' failed: ")
+        assert len(paths) == 1
 
     @pytest.mark.parametrize(
         "base_url", ["file:///etc", "ftp://127.0.0.1", "oeis.org", "localhost:8080"]
@@ -267,3 +296,59 @@ class TestStdlibClient:
         result = oeis_lookup([1, 2, 4, 8], base_url=base_url, timeout=5)
         assert result.status == "skipped"
         assert "only http and https" in result.note
+
+
+_SLICES = ["A000166 [W_n(n)]", "A000217 [W_n(2)]", "A007290 [W_n(3)]", "A060008 [W_n(4)]",
+           "A060836 [W_n(5)]", "A000255 [V_n(n)]", "A045943 [V_n(3)]", "V_n(4) column"]
+_LISTED = ["listed", *["not among 2 candidates"] * 4, "listed", "not among 2 candidates",
+           "candidates: A000166, A000255"]
+
+
+def _report(answers):
+    return [f"OEIS  {name} {answer} at <stamp>" for name, answer in zip(_SLICES, answers)]
+
+
+class TestOEISReport:
+    """The whole stdout of ``seq --oeis`` against the stub, UTC stamps masked.
+
+    The offline report of ``seq`` comes first and its summary last, around
+    one OEIS line for each slice and one for the V_n(4) column.
+    """
+
+    @pytest.fixture(autouse=True)
+    def isolated_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PERMPROB_CONFIG", raising=False)
+        return tmp_path
+
+    @staticmethod
+    def oeis_lines(capsys):
+        assert main(["seq"]) == 0
+        offline = capsys.readouterr().out.splitlines()
+        code = main(["seq", "--oeis"])
+        out = capsys.readouterr()
+        assert (code, out.err) == (0, "")
+        lines = re.sub(r" at \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$", " at <stamp>",
+                       out.out, flags=re.MULTILINE).splitlines()
+        assert lines[:7] + lines[-1:] == offline
+        return lines[7:-1]
+
+    @pytest.mark.parametrize("route, answers", [
+        ("ok", _LISTED),
+        ("none", ["not among 0 candidates"] * 7 + ["no listed sequence matches"]),
+        ("html", ["error: response is not in the expected text format"] * 8),
+    ], ids=["listed", "no-results", "not-text"])
+    def test_stdout(self, oeis_stub, capsys, monkeypatch, route, answers):
+        base, paths = oeis_stub
+        monkeypatch.setenv("PERMPROB_OEIS_URL", f"{base}/{route}")
+        assert self.oeis_lines(capsys) == _report(answers)
+        assert len(paths) == 8
+
+    def test_config_url_wins_over_env(self, oeis_stub, capsys, monkeypatch, isolated_cwd):
+        # the variable names a closed port, where every lookup would be skipped
+        base, paths = oeis_stub
+        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")
+        (isolated_cwd / "permprob.conf").write_text(f"oeis_url={base}/ok\n")
+        assert self.oeis_lines(capsys) == _report(_LISTED)
+        assert len(paths) == 8

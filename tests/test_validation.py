@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permprob import Family, matrices, output, probability, validation
-from permprob.output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
+from permprob.output import make_compare_doc, make_dist_doc, make_exact_doc
 from permprob.probability import exact_counts
 from permprob.sequences import SequenceCheck
 from permprob.termdist import TermDistribution, e_table
 from permprob.validation import CheckResult, run_offline_checks, verify_artifact
 
+from oracles import parse_artifact
 from strategies import HUGE, number_text
 
 # valid letters three times over, so most lists of families are all valid
@@ -473,11 +474,11 @@ class TestCsvDoc:
     def test_parse_render_byte_identical(self):
         doc = make_exact_doc(exact_counts(Family.B, 2))
         text = doc.render()
-        assert CsvDoc.parse(text).render() == text
+        assert parse_artifact(text).render() == text
 
     def test_parse_requires_header(self):
-        with pytest.raises(ValueError):
-            CsvDoc.parse("# only a comment\n")
+        with pytest.raises(ValueError, match="^missing header row$"):
+            validation._metadata("# permprob dist family=C n=2\n")
 
     def test_metadata_extraction(self):
         doc = make_dist_doc(Family.B, 3)
