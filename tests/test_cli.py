@@ -898,40 +898,82 @@ _LOADS = [
 ]
 
 
-class TestImportDiet:
-    @pytest.mark.parametrize("argv, code, modules, most, allowed", _LOADS)
-    def test_command_loads(self, isolated_cwd, argv, code, modules, most, allowed):
-        # A fresh interpreter in an empty directory, under -S: site may import
-        # typing, re or importlib.resources on its own and so hide an import
-        # that a command makes.  None in sys.modules makes any import of numpy
-        # raise ImportError, and the lookups of --oeis go to a closed port.
-        script = textwrap.dedent(f"""
-            import contextlib, io, sys
-            sys.modules["numpy"] = None
-            import permprob.cli as cli
+_ARGV = {row.id: row.values[0] for row in _LOADS}
+_TABLE = pytest.mark.parametrize("argv, code, modules, most, allowed", _LOADS)
 
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main({list(argv)!r})
-            print(code)
-            print(" ".join(m for m in {_UNLOADED!r} if m in sys.modules))
-            for name, module in sorted(sys.modules.items()):
-                if name.partition(".")[0] == "permprob":
-                    print(name, module.__file__)
-        """)
-        proc = run_fresh(script, "-S", cwd=isolated_cwd, env={
-            "PERMPROB_OEIS_URL": "http://127.0.0.1:9", "PERMPROB_OEIS_TIMEOUT": "0.5"})
-        assert proc.returncode == 0, proc.stderr
-        exit_code, unexpected, *loaded = proc.stdout.splitlines()
-        assert int(exit_code) == code
-        assert set(unexpected.split()) <= set(allowed.split())
-        names, paths = zip(*(line.split(" ", 1) for line in loaded))
-        assert set(names) == {"permprob", *(f"permprob.{m}" for m in
-                                            ("cli", "families", "guards", *modules.split()))}
-        nodes = sum(
-            sum(1 for _ in ast.walk(ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))))
-            for path in paths
-        )
-        assert nodes <= most
+
+@pytest.fixture(scope="module")
+def command_loads(tmp_path_factory):
+    """Run each command line once and give what it loaded."""
+    runs = {}
+
+    def load(argv):
+        if argv not in runs:
+            runs[argv] = _load_run(argv, tmp_path_factory.mktemp("empty"))
+        return runs[argv]
+    return load
+
+
+def _load_run(argv, cwd):
+    # A fresh interpreter in an empty directory, under -S: site may import
+    # typing, re or importlib.resources on its own and so hide an import
+    # that a command makes.  None in sys.modules makes any import of numpy
+    # raise ImportError, and the lookups of --oeis go to a closed port.
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        sys.modules["numpy"] = None
+        import permprob.cli as cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main({list(argv)!r})
+        print(code)
+        print(" ".join(m for m in {_UNLOADED!r} if m in sys.modules))
+        for name, module in sorted(sys.modules.items()):
+            if name.partition(".")[0] == "permprob":
+                print(name, module.__file__)
+    """)
+    proc = run_fresh(script, "-S", cwd=cwd, env={
+        "PERMPROB_OEIS_URL": "http://127.0.0.1:9", "PERMPROB_OEIS_TIMEOUT": "0.5"})
+    assert proc.returncode == 0, proc.stderr
+    exit_code, unexpected, *loaded = proc.stdout.splitlines()
+    names, paths = zip(*(line.split(" ", 1) for line in loaded))
+    nodes = sum(
+        sum(1 for _ in ast.walk(ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))))
+        for path in paths
+    )
+    return SimpleNamespace(code=int(exit_code), unexpected=set(unexpected.split()),
+                           modules={n.removeprefix("permprob.") for n in names}, nodes=nodes)
+
+
+class TestImportDiet:
+    @_TABLE
+    def test_command_loads(self, command_loads, argv, code, modules, most, allowed):
+        run = command_loads(argv)
+        assert run.code == code
+        assert run.unexpected <= set(allowed.split())
+        assert run.modules == {"permprob", "cli", "families", "guards", *modules.split()}
+
+    @_TABLE
+    def test_command_compiles_few_nodes(self, command_loads, argv, code, modules, most,
+                                        allowed):
+        assert command_loads(argv).nodes <= most
+
+    # The three rules below each hold for a row's module set; they keep a
+    # careless edit of the table from hiding a load that the design forbids.
+    def test_seq_loads_no_probability_module(self, command_loads):
+        loaded = command_loads(_ARGV["seq"]).modules
+        assert loaded.isdisjoint({"probability", "output", "validation"})
+
+    def test_compare_svg_loads_no_output(self, command_loads):
+        # the SVG route takes its grids from probability, not from the CSV/JSON module
+        loaded = command_loads(_ARGV["compare-svg"]).modules
+        assert "output" not in loaded
+        assert {"probability", "svgplot"} <= loaded
+
+    def test_dist_loads_no_probability_module(self, command_loads):
+        for row in ("dist", "dist-json"):
+            loaded = command_loads(_ARGV[row]).modules
+            assert loaded.isdisjoint({"probability", "svgplot", "validation"}), row
 
     @pytest.mark.parametrize(
         "module", ["probability", "output", "termdist", "sequences", "svgplot", "oeis"]
