@@ -286,16 +286,11 @@ def horner(coeffs, x):
 
 
 def parse_artifact(text):
-    """The :class:`CsvDoc` that renders as ``text``: ``#`` lines, header, rows.
-
-    A text with no line after its ``#`` lines raises ``ValueError``.
-    """
+    """The :class:`CsvDoc` that renders as ``text``: ``#`` lines, header, rows."""
     lines = text.splitlines()
     i = 0
-    while i < len(lines) and lines[i].startswith("#"):
+    while lines[i].startswith("#"):
         i += 1
-    if i == len(lines):
-        raise ValueError("missing header row")
     return CsvDoc(lines[:i], lines[i].split(","), [line.split(",") for line in lines[i + 1:]])
 
 
