@@ -9,14 +9,14 @@ keys that some subcommands ignore.
 
 One table drives the command line: ``_SUBCOMMANDS`` gives each subcommand's
 handler and options, and ``_FLAGS`` each flag's kind and help.  ``_parse``
-reads ``argv`` against it as the argparse parser the table describes would,
-with argparse's exit codes and error wording, without importing argparse,
-which brings ``gettext`` and ``locale`` with it.  ``_resolve`` then makes
-one pass over the table: each option the subcommand reads comes from its
-flag, else its ``permprob.conf`` key, else its default, and is checked.
-The resulting namespace is the one options object a handler takes.  The
-help and usage text, which only ``-h`` and a bad command line need, is
-rendered by ``usage``.
+reads a command line of whole flags with plain values itself, and hands
+any other to ``usage``, whose argparse parser is built from the same table
+and prints the help and the usage errors; only those command lines import
+argparse, which brings ``gettext`` and ``locale`` with it.  ``_resolve``
+then makes one pass over the table: each option the subcommand reads comes
+from its flag, else its ``permprob.conf`` key, else its default, and is
+checked.  The resulting namespace is the one options object a handler
+takes.
 
 At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
@@ -33,7 +33,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .guards import GuardError, Record, parse_int
+from .guards import MAX_INT_CHARS, GuardError, Record, parse_int
 from .families import Family
 
 # Longest permprob.conf, in characters, that is read.
@@ -182,9 +182,8 @@ _SUBCOMMANDS = {
 # kind says how the flag's text is read: ``int`` and ``str`` convert it, a
 # tuple names the values allowed (empty: the subcommand's formats), and
 # ``bool`` marks a switch, which takes no text.  Only ``--family`` may be
-# given more than once; ``--help`` is every subcommand's.
+# given more than once.
 _FLAGS = {
-    "help": (bool, "show this help message and exit"),
     "family": (("A", "B", "C"), "matrix family (repeatable where a subset makes sense)"),
     "format": ((), "output format"),
     "n": (int, "matrix dimension"),
@@ -195,98 +194,56 @@ _FLAGS = {
 }
 
 
-def _exit(name: str | None, error: str | None = None):
-    """Exit as argparse does: 0 after the help of subcommand ``name``, or of
-    ``permprob`` when it is None, or 2 after its usage line and ``error``."""
-    from .usage import show
-
-    raise SystemExit(show(name, error))
-
-
-def _read(token: str, flags: tuple[str, ...], name: str):
-    """How argparse reads ``token`` where the flags are ``flags``.
-
-    None is a positional: ``-``, a negative number or a word.  Otherwise it
-    is ``(flag, explicit)``: ``flag`` is the flag that ``token`` or a unique
-    prefix of it names, or "" for an unknown option, and ``explicit`` is the
-    text after ``=``, or None.  An ambiguous prefix exits 2.
-    """
-    if token[:1] != "-" or token == "-" or (
-            token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."):
-        return None
-    if token[1] != "-":
-        return "help" if token == "-h" else "", None
-    key, eq, explicit = token[2:].partition("=")
-    hits = [flag for flag in flags if flag.startswith(key)]
-    if len(hits) > 1:
-        _exit(name, "ambiguous option: %s could match --%s" % (token, ", --".join(hits)))
-    return hits[0] if hits else "", explicit if eq else None
-
-
 def _parse(argv: list[str]) -> tuple[_Subcommand, SimpleNamespace]:
     """The subcommand ``argv`` names, and the values of the flags it gives.
 
-    ``argv`` is read as by the argparse parser that ``_SUBCOMMANDS`` and
-    ``_FLAGS`` describe.  Every token is read first, so an ambiguous prefix
-    fails before anything else.  Then the options are taken in order, and
-    each flag's value is checked as it is met: ``-h`` prints the help and
-    exits 0 unless a bad value comes before it.  Unknown options and stray
-    positionals fail together at the end.  Only the first run of
-    positionals is ``validate``'s paths, and ``--`` makes every later token
-    a positional.  A flag not given is None, and ``family`` is the list of
-    names given.
+    The command lines that scripts type are read here: the subcommand, then
+    whole flag names, a switch alone and any other flag as ``--flag value``,
+    with a value that does not start with ``-``, or as ``--flag=value``, and
+    ``validate``'s one run of paths.  An ``int`` flag takes only decimal
+    digits and a choice only a listed value.  Any other command line, ``-h``
+    and every usage error among them, is read by argparse through
+    :func:`permprob.usage.parse`.  A flag not given is None, and ``family``
+    is the list of names given.
     """
-    name = argv[0] if argv else ""
-    spec = _SUBCOMMANDS.get(name)
-    if spec is None:  # -h, or no subcommand
-        from .usage import show_top
-
-        raise SystemExit(show_top(argv))
-    tokens = argv[1:]
-    end = (tokens + ["--"]).index("--")  # every token after the first -- is positional
-    reads = [_read(token, ("help",) + spec.options, name) if at < end else None
-             for at, token in enumerate(tokens)]
-    args = SimpleNamespace(paths=[], **dict.fromkeys(spec.options))
-    extras = []
-    closed = False  # the paths end at the first option after them
-    i = 0
-    while i < len(tokens):
-        token, (option, value) = tokens[i], reads[i] or (None, None)
-        i += 1
-        if option is None and spec.paths and not closed:
-            if i - 1 != end:  # the first -- is not a path
+    spec = _SUBCOMMANDS.get(argv[0] if argv else "")
+    if spec is not None:
+        args = SimpleNamespace(paths=[], **dict.fromkeys(spec.options))
+        closed = False  # validate's paths end at the first flag after them
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token[:1] != "-":
+                if not spec.paths or closed:
+                    break
                 args.paths.append(token)
-            continue
-        closed = bool(args.paths)
-        if not option:
-            extras.append(token)
-            continue
-        kind = _FLAGS[option][0]
-        if kind is bool:
-            if value is not None:
-                _exit(name, f"argument --{option}: ignored explicit argument {value!r}")
-            if option == "help":
-                _exit(name)
-            value = True
-        elif value is None:
-            if i in (end, len(tokens)) or reads[i]:
-                _exit(name, f"argument --{option}: expected one argument")
-            value = tokens[i]
-            i += 1
-        if kind is int:
-            try:
+                continue
+            closed = bool(args.paths)
+            option, eq, value = token[2:].partition("=")
+            if token[:2] != "--" or option not in spec.options:
+                break
+            kind = _FLAGS[option][0]
+            if kind is bool:
+                if eq:
+                    break
+                value = True
+            elif not eq:
+                value = next(tokens, "-")
+                if value[:1] == "-":
+                    break
+            if kind is int:
+                if not value.isdecimal() or len(value) > MAX_INT_CHARS:
+                    break
                 value = int(value)
-            except ValueError:
-                _exit(name, f"argument --{option}: invalid int value: {value!r}")
-        elif kind not in (bool, str) and value not in (kind or spec.formats):
-            _exit(name, f"argument --{option}: invalid choice: {value!r} (choose from "
-                        + ", ".join(map(repr, kind or spec.formats)) + ")")
-        if option == "family":
-            value = (args.family or []) + [value]
-        setattr(args, option, value)
-    if extras:
-        _exit(name, "unrecognized arguments: " + " ".join(extras))
-    return spec, args
+            elif kind not in (bool, str) and value not in (kind or spec.formats):
+                break
+            if option == "family":
+                value = (args.family or []) + [value]
+            setattr(args, option, value)
+        else:
+            return spec, args
+    from .usage import parse
+
+    return parse(argv)
 
 
 def _resolve(spec: _Subcommand, args: SimpleNamespace, file_cfg: dict[str, str]) -> None:

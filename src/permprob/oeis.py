@@ -64,8 +64,10 @@ def _http_fetch(url: str, timeout: float) -> str:
             charset = response.headers.get_content_charset() or "utf-8"
             body = response.read(MAX_OEIS_BODY_BYTES + 1)
     except (http.client.HTTPException, ValueError) as exc:
-        # URLError, HTTPError and timeouts already are OSErrors.
-        raise OSError(f"fetching {url!r} failed: {exc}") from exc
+        # URLError, HTTPError and timeouts already are OSErrors.  The text of
+        # BadStatusLine is the line as received, so its whitespace is
+        # collapsed to keep each report line one line.
+        raise OSError(f"fetching {url!r} failed: {' '.join(str(exc).split())}") from exc
     if len(body) > MAX_OEIS_BODY_BYTES:
         raise OSError(
             f"response to {url!r} is longer than MAX_OEIS_BODY_BYTES = "

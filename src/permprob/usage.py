@@ -1,15 +1,16 @@
-"""Help and usage text of the ``permprob`` command line.
+"""The argparse reading of the ``permprob`` command line.
 
-The text is generated from the subcommand table in :mod:`permprob.cli` and
-is never wrapped: a usage line or an option row stays one line however long
-it is.  A subcommand's help therefore differs from argparse's help of the
-same table only in its whitespace; the top-level help lists the subcommands
-under ``commands:``.  Only ``-h`` and a command line that does not parse
-need it, so it lives here rather than in ``cli``, which every command
-compiles.
+``cli._parse`` reads the command lines that scripts type itself; every
+other one, ``-h`` and every usage error among them, comes here.
+:func:`build_parser` builds the argparse parser that the subcommand table in
+:mod:`permprob.cli` describes, and :func:`parse` reads ``argv`` with it, so
+argparse prints the help and the usage errors.  Its help is never wrapped: a
+usage line or an option row stays one line however long it is.  Only these
+command lines load this module, and with it ``argparse``, ``gettext`` and
+``locale``.
 """
 
-import sys
+import argparse
 
 from .cli import _FLAGS, _SUBCOMMANDS
 
@@ -24,64 +25,59 @@ _OWN_HELP = {
 }
 
 
-def _flag(option: str, formats: tuple[str, ...]) -> str:
-    """``--option`` and the value it takes, as usage and help show them."""
-    kind = _FLAGS[option][0]
-    if kind is bool:
-        return f"--{option}"
-    if kind in (int, str):
-        return f"--{option} {option.upper()}"
-    return f"--{option} {{{','.join(kind or formats)}}}"
+def _unwrapped(prog: str) -> argparse.HelpFormatter:
+    return argparse.HelpFormatter(prog, width=1 << 16, max_help_position=1 << 16)
 
 
-def _section(title: str, rows: list[tuple[str, str]]) -> list[str]:
-    width = max(len(left) for left, _ in rows) + 2
-    return ["", f"{title}:"] + [f"  {left:<{width}}{right}" for left, right in rows]
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli._SUBCOMMANDS`` and ``cli._FLAGS`` describe.
 
-
-def help_text(name: str | None) -> str:
-    """The help of subcommand ``name``, or of ``permprob``; its first line is the usage."""
-    options = [("-h, --help", _FLAGS["help"][1])]
-    spec = _SUBCOMMANDS.get(name)
-    if spec is None:
-        usage = "permprob [-h] {%s} ..." % ",".join(_SUBCOMMANDS)
-        lines = _section("commands", [(cmd, sub.help) for cmd, sub in _SUBCOMMANDS.items()])
-        about = DESCRIPTION
-    else:
-        flags = [_flag(option, spec.formats) for option in spec.options]
-        usage = " ".join([f"permprob {name} [-h]"] + [f"[{flag}]" for flag in flags])
-        options += [(flag, _OWN_HELP.get((name, option), _FLAGS[option][1]))
-                    for flag, option in zip(flags, spec.options)]
-        lines = []
-        if spec.paths:
-            usage += " [paths ...]"
-            lines = _section("positional arguments", [("paths", spec.paths)])
-        about = spec.help
-    lines = [f"usage: {usage}", "", about] + lines + _section("options", options)
-    return "\n".join(lines) + "\n"
-
-
-def show(name: str | None, error: str | None = None) -> int:
-    """Print the help of ``name``, or its usage line and ``error``, as argparse does.
-
-    The help goes to stdout and gives exit code 0.  An error goes to stderr
-    as the usage line, then ``prog: error: message``, and gives exit code 2.
+    A flag not given is None, a switch included, and ``family`` is the list
+    of names given.  Each subcommand's parser is also the default of its
+    ``parser`` attribute, so that :func:`parse` can report under its usage
+    line.
     """
-    text = help_text(name)
-    if error is None:
-        sys.stdout.write(text)
-        return 0
-    prog = f"permprob {name}" if name else "permprob"
-    sys.stderr.write(f"{text.splitlines()[0]}\n{prog}: error: {error}\n")
-    return 2
+    parser = argparse.ArgumentParser(prog="permprob", description=DESCRIPTION,
+                                     formatter_class=_unwrapped)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, spec in _SUBCOMMANDS.items():
+        sub = commands.add_parser(name, help=spec.help, description=spec.help,
+                                  formatter_class=_unwrapped)
+        sub.set_defaults(parser=sub)
+        for option in spec.options:
+            kind, help = _FLAGS[option]
+            kwargs = {"help": _OWN_HELP.get((name, option), help)}
+            if kind is bool:
+                kwargs.update(action="store_true", default=None)
+            elif kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = list(kind or spec.formats)
+            if option == "family":
+                kwargs["action"] = "append"
+            sub.add_argument(f"--{option}", **kwargs)
+        if spec.paths:
+            sub.add_argument("paths", nargs="*", help=spec.paths)
+    return parser
 
 
-def show_top(argv: list[str]) -> int:
-    """Print the help of ``permprob`` for ``-h``, else its usage error: the
-    missing subcommand, or an ``argv[0]`` that names none."""
-    if not argv:
-        return show(None, "the following arguments are required: command")
-    if argv[0] == "-h" or (len(argv[0]) > 2 and "--help".startswith(argv[0])):
-        return show(None)
-    choices = ", ".join(map(repr, _SUBCOMMANDS))
-    return show(None, f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+def parse(argv: list[str]):
+    """The subcommand ``argv`` names and its values, as :func:`build_parser` reads them.
+
+    Help exits 0 and a usage error exits 2, as argparse exits.  Unrecognized
+    arguments are reported under the subcommand's usage line, where
+    ``parse_args`` would report them under the top-level one.  So is a flag
+    read as ``[]`` from ``--flag=--`` by an argparse that strips ``--`` from
+    an explicit argument (3.10, 3.11 and early 3.12 releases); a later one
+    reads the text ``--``.
+    """
+    args, extras = build_parser().parse_known_args(argv)
+    sub = args.parser
+    if extras:
+        sub.error("unrecognized arguments: " + " ".join(extras))
+    spec = _SUBCOMMANDS[args.command]
+    for option in spec.options:
+        value = getattr(args, option)
+        if value == [] or (option == "family" and value and [] in value):
+            sub.error(f"argument --{option}: expected one argument")
+    return spec, args

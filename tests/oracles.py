@@ -15,21 +15,16 @@ assignment at once, one bit per assignment.
 x, each block of free entries a schoolbook product by the binomial row of
 (1+x)**k: a reference with no change of basis, at sizes past every
 enumeration.
-``build_parser`` builds the argparse parser that the CLI's table describes,
-the oracle that the CLI's own parser is checked against.
 ``parse_artifact`` reads an emitted CSV artifact back into its rows; the
 package itself reads only an artifact's metadata.
 """
 
-import argparse
 import itertools
 import math
 
 import numpy as np
 
-from permprob import (
-    Family, build_family_matrix, cli, permanent_ryser, usage, variable_positions,
-)
+from permprob import Family, build_family_matrix, permanent_ryser, variable_positions
 from permprob.output import CsvDoc
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
@@ -292,30 +287,3 @@ def parse_artifact(text):
     while lines[i].startswith("#"):
         i += 1
     return CsvDoc(lines[:i], lines[i].split(","), [line.split(",") for line in lines[i + 1:]])
-
-
-def build_parser():
-    """The argparse parser that ``cli._SUBCOMMANDS`` and ``cli._FLAGS`` describe.
-
-    It reads the command line as the CLI read it while it used argparse, and
-    each subcommand's help holds the words of ``usage.help_text``.
-    """
-    parser = argparse.ArgumentParser(prog="permprob", description=usage.DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in cli._SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=spec.help, description=spec.help)
-        for option in spec.options:
-            kind, help = cli._FLAGS[option]
-            kwargs = {"help": usage._OWN_HELP.get((name, option), help)}
-            if kind is bool:
-                kwargs["action"] = "store_true"
-            elif kind is int:
-                kwargs["type"] = int
-            elif kind is not str:
-                kwargs["choices"] = list(kind or spec.formats)
-            if option == "family":
-                kwargs["action"] = "append"
-            p.add_argument(f"--{option}", **kwargs)
-        if spec.paths:
-            p.add_argument("paths", nargs="*", help=spec.paths)
-    return parser

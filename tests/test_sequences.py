@@ -281,8 +281,9 @@ class TestStdlibClient:
         result = oeis_lookup([1, 2, 4, 8], base_url=f"{base}/hello", timeout=5)
         assert result.status == "skipped"
         assert result.ids == ()
-        assert result.note.startswith(
-            f"fetch failed: fetching '{base}/hello/search?q=1,2,4,8&fmt=text' failed: ")
+        assert result.note == (
+            f"fetch failed: fetching '{base}/hello/search?q=1,2,4,8&fmt=text' failed: HELLO")
+        assert "\r" not in result.note and "\n" not in result.note
         assert len(paths) == 1
 
     @pytest.mark.parametrize(
@@ -342,6 +343,15 @@ class TestOEISReport:
         base, paths = oeis_stub
         monkeypatch.setenv("PERMPROB_OEIS_URL", f"{base}/{route}")
         assert self.oeis_lines(capsys) == _report(answers)
+        assert len(paths) == 8
+
+    def test_malformed_status_line_keeps_one_line_per_lookup(self, oeis_stub, capsys,
+                                                              monkeypatch):
+        base, paths = oeis_stub
+        monkeypatch.setenv("PERMPROB_OEIS_URL", f"{base}/hello")
+        assert self.oeis_lines(capsys) == _report(
+            f"lookup skipped (fetch failed: fetching '{base}{path}' failed: HELLO)"
+            for path in paths)
         assert len(paths) == 8
 
     def test_config_url_wins_over_env(self, oeis_stub, capsys, monkeypatch, isolated_cwd):
