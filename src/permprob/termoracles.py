@@ -10,14 +10,11 @@ variable entries another way than the closed form of the same family:
   column of the lone variable diagonal entry,
 * ``e_tables_bruteforce``: enumeration of all n! permutations, one walk per
   n shared by the three families (a permutation's fixed points and whether
-  it fixes 0 decide its variable-entry count in every family).  The walk
-  takes S_n as blocks, one prefix followed by one S_7 column table
-  relabelled onto the values the prefix leaves, and counts a block's fixed
-  points with whole-buffer ``bytes`` and ``int`` operations on flag ints
-  built once per walk, one per position and value that a block can pair.
-  The table itself is built the same way, S_k from S_{k-1} relabelled, so
-  the walk builds no tuple per permutation.  The walk has one limit,
-  ``BRUTEFORCE_MAX_N`` = 12 (about 3.8 s), and nothing lifts it.
+  it fixes 0 decide its variable-entry count in every family).  Past n = 6
+  the walk takes S_n as every prefix of n - 6 values followed by S_6: it
+  walks S_6 once and each prefix once, and counts a prefix's whole block
+  from the S_6 counts.  Its one limit, ``BRUTEFORCE_MAX_N`` = 12 (under
+  1 s), is not lifted by anything.
 
 These are oracles: only ``validate`` and the tests load this module, so no
 other command compiles it.  All arithmetic is exact (Python integers).
@@ -25,21 +22,23 @@ other command compiles it.  All arithmetic is exact (Python integers).
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterator
+from itertools import accumulate
+from operator import eq
 
 from .families import Family
 from .guards import check_guard
 from .termdist import TermDistribution, _check_index, derangement
 
-# Largest n the walk accepts; nothing lifts it.  Each step multiplies the
-# walk's time by n: n=11 takes about 0.3 s and n=12 about 3.8 s on two
-# cores, so n=13 would take about 50 s.
+# Largest n the walk accepts; nothing lifts it.  Past S_6 each step
+# multiplies the walk's time by n: on two cores n=11 takes about 0.05 s,
+# n=12 about 0.6 s and n=13 would take about 8 s.
 BRUTEFORCE_MAX_N = 12
 
-# Trailing positions of each S_n that the walk counts as one block: it
-# builds S_7 once per walk, as 7 columns of 5040 bytes, and relabels it per
-# prefix.
-WALK_BLOCK = 7
+# Trailing positions of each S_n that the walk takes as one block: it walks
+# S_6 once per n and counts each block from it.
+WALK_BLOCK = 6
 
 
 def w_recurrence_table(n_max: int) -> list[list[int]]:
@@ -116,50 +115,6 @@ def v_via_w(n: int, m: int) -> int:
     return _w_or_zero(n, m) - _w_or_zero(n - 1, m) + _w_or_zero(n - 1, m - 1)
 
 
-def _column_table(m: int) -> list[bytes]:
-    """S_m as m byte columns, in the order of ``itertools.permutations(range(m))``.
-
-    ``columns[j][t]`` is tau(j) for the t-th permutation tau.  S_k is built
-    from S_{k-1} by relabelling: the permutations with first value v come
-    in one run of (k-1)! rows, whose column 0 is v throughout and whose
-    other columns are the S_{k-1} columns ``translate``d onto the k - 1
-    values other than v, in ascending order.  No tuple is built per
-    permutation.
-    """
-    columns: list[bytes] = []
-    for k in range(1, m + 1):
-        run = math.factorial(k - 1)
-        # relabel[v] maps i to the i-th smallest value of range(k) other than v.
-        relabel = [bytes(range(v)) + bytes(range(v + 1, k)) + bytes(257 - k)
-                   for v in range(k)]
-        columns = [b"".join(bytes([v]) * run for v in range(k))] + [
-            b"".join(col.translate(table) for table in relabel) for col in columns
-        ]
-    return columns
-
-
-def _walk_blocks(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], list[int], list[bytes]]]:
-    """All of S_n, in the order of ``itertools.permutations(range(n))``, as blocks.
-
-    With m = min(n, ``WALK_BLOCK``), each block is one prefix, a permutation
-    of n - m values from ``itertools.permutations(range(n), n - m)``, followed
-    by every permutation of the m values it leaves.  Yields (prefix, rest,
-    columns): ``rest`` lists those m values in ascending order, and
-    ``columns`` is the :func:`_column_table` of S_m, so the t-th
-    permutation of the block is ``prefix + tuple(rest[col[t]] for col in
-    columns)``.  The column table is built once per call, by relabelling
-    S_1 up to S_m, and shared by every block.  When n <= m there is no
-    prefix and no prefix enumeration.
-    """
-    m = min(n, WALK_BLOCK)
-    columns = _column_table(m)
-    prefixes = itertools.permutations(range(n), n - m) if n > m else [()]
-    for prefix in prefixes:
-        yield prefix, sorted(set(range(n)).difference(prefix)), columns
-
-
 def e_tables_bruteforce(n: int) -> dict[Family, TermDistribution]:
     """Term-count distributions of every family from one walk of all n! permutations.
 
@@ -170,58 +125,44 @@ def e_tables_bruteforce(n: int) -> dict[Family, TermDistribution]:
     variable diagonal entry counts as variable).  The walk keeps the joint
     histogram of those two quantities and derives all three rows from it.
 
-    The walk visits S_n in blocks, each one prefix followed by S_m
-    (m = min(n, ``WALK_BLOCK``)) relabelled onto the values it leaves.
-    A prefix's fixed points are the same for its whole block.  Once per
-    walk, one ``bytes.translate`` per column j of the S_m table and index i
-    flags, as an int with one byte per permutation, where column j holds i;
-    a block fixes position offset + j where column j holds the index of
-    that position's value among the values the prefix leaves, so each
-    block sums the flag ints of its fixable positions and counts the bytes
-    of the sum, with no tuple per permutation.  That index lies between j
-    and j + offset, so only those flag ints are built: 7 at n=7, 13 at n=8
-    and at most 28.  The S_m table is itself built by relabelling
-    (:func:`_column_table`), so memory is bounded by its 7 columns and the
-    flag ints of 5040 bytes each, and the walk stays under 1 MiB whatever
-    n is.  n above ``BRUTEFORCE_MAX_N`` raises :class:`GuardError`, which
-    nothing lifts, before any walk.
+    With m = min(n, ``WALK_BLOCK``) and offset = n - m, each sigma is a
+    prefix on positions 0..offset-1 followed by an arrangement of the m
+    values the prefix leaves on the last m positions.  Such a position can
+    be fixed only when its own value is among those m, so k = m - used of
+    them are fixable, ``used`` counting the prefix's values >= offset.
+    Labelling the k fixable positions and their values 0..k-1, and the
+    other positions and values k..m-1, each side in ascending order, makes
+    the arrangements S_m, one to one, and an arrangement fixes f fixable
+    positions exactly when its tau fixes f of 0..k-1.  So the walk counts
+    each tau of S_m once by how many of 0..k-1 it fixes for every k, and
+    each prefix once by its fixed points, ``used`` and whether it fixes 0;
+    a prefix's whole block follows from those counts.  With no prefix
+    (n <= m) S_n is S_m, and tau(0) == 0 decides whether 0 is fixed.  The
+    walk holds a few hundred counts whatever n is.  n above
+    ``BRUTEFORCE_MAX_N`` raises :class:`GuardError`, which nothing lifts,
+    before any walk.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration")
-    # keyed[2 * fp + fixes_0] counts the permutations with fp fixed points
-    # that fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
-    keyed = [0] * (2 * n + 2)
     m = min(n, WALK_BLOCK)
-    offset = n - m  # a block's S_m part fills positions offset..n-1
-    # Keys 2 * fp + fixes_0 one block can hold: only a block without a prefix
-    # holds position 0, so only then can it fix 0.
-    block_keys = range(0, 2 * m + 2, 2 if offset else 1)
-    flags: list[list[int]] = []
-    for prefix, rest, columns in _walk_blocks(n):
-        # flags[j][i - j] has byte t set where column j holds i, by a
-        # bytes.translate table that maps byte i to 1 and any other to 0.
-        # Only j <= i <= j + offset is built: rest is ascending and leaves
-        # out offset values, so rest[i] = offset + j only for those i.
-        # Every block shares the S_m table, so the first block builds them.
-        flags = flags or [
-            [int.from_bytes(col.translate(bytes(i) + b"\x01" + bytes(255 - i)), "little")
-             for i in range(j, min(m, j + offset + 1))]
-            for j, col in enumerate(columns)
-        ]
-        # The prefix's part of the key, the same for its whole block.
-        base = 2 * sum(v == j for j, v in enumerate(prefix)) + (prefix[:1] == (0,))
-        # Position p = offset + j holds rest[columns[j][t]], so it is fixed
-        # where column j holds the index i of p in rest.  A value p < offset
-        # belongs to a prefix position, so the block never fixes it.  Each
-        # byte of the sum is at most 2 * m + 1 <= 15, so nothing carries.
-        keys = 2 * sum(flags[p - offset][i - p + offset]
-                       for i, p in enumerate(rest) if p >= offset)
-        block = (keys + (0 if offset else flags[0][0])).to_bytes(len(columns[0]), "little")
-        for key in block_keys:
-            keyed[base + key] += block.count(key)
-    # joint[fp][fixes_0] counts the permutations with fp fixed points.
-    joint = [keyed[k:k + 2] for k in range(0, 2 * n + 2, 2)]
+    offset = n - m
+    # fixed[k] is how many of the points 0..k-1 tau fixes, for k = 0..m.
+    tails = Counter(tuple(accumulate(map(eq, tau, range(m)), initial=0))
+                    for tau in itertools.permutations(range(m)))
+    # joint[fp][fixes_0] counts the permutations with fp fixed points that
+    # fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
+    joint = [[0, 0] for _ in range(n + 1)]
+    if offset:
+        high = set(range(offset, n))
+        heads = Counter((sum(map(eq, prefix, range(offset))), len(high.intersection(prefix)),
+                         prefix[0] == 0) for prefix in itertools.permutations(range(n), offset))
+        for (fp, used, fixes_0), count in heads.items():
+            for fixed, ways in tails.items():
+                joint[fp + fixed[m - used]][fixes_0] += count * ways
+    else:
+        for fixed, count in tails.items():
+            joint[fixed[m]][fixed[1]] += count
     b = [0] * (n + 1)
     c = [0] * (n + 1)
     for fp, (moving_0, fixing_0) in enumerate(joint):

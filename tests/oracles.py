@@ -7,6 +7,8 @@ computes all 2**K permanents at once through a subset-sum transform.
 ``product_polynomial`` expands the paper's product form of Q(r) into integer
 coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
 sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
+``term_counts_literal`` counts each permutation term's variable entries one
+term at a time, the reference for the block walk of ``e_tables_bruteforce``.
 ``counts_by_matrices`` enumerates the 2**K assignments as
 ``matrices.exact_counts_direct`` does, but through a ``BinaryMatrix`` and
 its ``permanent_ryser`` for each, where the library evaluates every
@@ -71,6 +73,20 @@ def permanent_naive(matrix):
                 break
         total += term
     return total
+
+
+def term_counts_literal(n):
+    """Term-count rows of every family, one permutation term at a time.
+
+    The term of sigma takes entry (sigma(j), j) for each column j; row m of
+    a family counts the terms with m entries that ``Family.is_variable``
+    calls variable.
+    """
+    rows = {family: [0] * (n + 1) for family in Family}
+    for sigma in itertools.permutations(range(n)):
+        for family, row in rows.items():
+            row[sum(family.is_variable(i, j) for j, i in enumerate(sigma))] += 1
+    return {family: tuple(row) for family, row in rows.items()}
 
 
 def counts_by_matrices(family, n):

@@ -24,6 +24,7 @@ from permprob import (
     w_row_via_cycles,
 )
 
+import oracles
 from oracles import TABLE_V, TABLE_W
 
 
@@ -228,8 +229,8 @@ class TestBruteforce:
 
 
 class TestSharedWalk:
-    # n=11 is the largest walk that takes under a second
-    @pytest.mark.parametrize("n", range(1, 12))
+    # n=12, BRUTEFORCE_MAX_N, is the largest walk and takes about 0.6 s
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_every_family_matches_closed_forms(self, n):
         walked = e_tables_bruteforce(n)
         assert set(walked) == set(Family)
@@ -244,29 +245,29 @@ class TestSharedWalk:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             e_tables_bruteforce(0)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, termoracles.WALK_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7])
     def test_chunk_boundaries(self, monkeypatch, block):
-        # A whole S_n for n <= 7 fits in one default block, so shrink it.
+        # A whole S_n for n <= 6 fits in one default block, so shrink it, or
+        # grow it past the default.
         monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
         for n in range(1, 9):
             walked = e_tables_bruteforce(n)
             for family in Family:
                 assert walked[family] == e_table(family, n), (family, n)
 
-    @pytest.mark.parametrize("block", [1, 3, termoracles.WALK_BLOCK])
-    def test_blocks_rebuild_every_permutation_in_order(self, monkeypatch, block):
-        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
-        for n in range(1, 9):
-            rebuilt = [
-                prefix + tuple(rest[col[t]] for col in columns)
-                for prefix, rest, columns in termoracles._walk_blocks(n)
-                for t in range(len(columns[0]))
-            ]
-            assert rebuilt == list(itertools.permutations(range(n))), n
+    def test_walk_matches_a_literal_count(self, monkeypatch):
+        # The relabelling argument itself, checked with no closed form: each
+        # block size against a count of every permutation term one by one.
+        literal = {n: oracles.term_counts_literal(n) for n in range(1, 9)}
+        for block in range(1, 7):
+            monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
+            for n, rows in literal.items():
+                walked = e_tables_bruteforce(n)
+                assert {family: walked[family].counts for family in Family} == rows, (block, n)
 
     def test_memory_does_not_grow_with_the_walk(self):
-        # 10! permutations of 10 bytes are 34.6 MiB; the S_7 columns, 7 of
-        # 5040 bytes, and their relabelled S_1..S_6 keep the walk under 1 MiB.
+        # 10! permutations of 10 bytes are 34.6 MiB; the walk keeps only its
+        # counts of the 720 permutations of S_6 and of the 5040 prefixes.
         tracemalloc.start()
         try:
             e_tables_bruteforce(10)
@@ -280,39 +281,17 @@ class TestSharedWalk:
             raise AssertionError("the walk started")
 
         monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
-        monkeypatch.setattr(termoracles, "_column_table", no_walk)
         with pytest.raises(GuardError, match=r"enumeration 13 exceeds its ceiling of 12$"):
             e_tables_bruteforce(13)
         with pytest.raises(GuardError, match=f"enumeration {10**30} exceeds"):
             e_tables_bruteforce(10**30)
-
-    @pytest.mark.parametrize("n, built", [
-        (1, 1), (2, 2), (6, 6), (7, 7), (8, 13), (9, 18), (10, 22),
-    ])
-    def test_builds_only_the_flag_ints_a_block_reads(self, monkeypatch, n, built):
-        # Position offset + j can hold the i-th value a prefix leaves only for
-        # j <= i <= j + offset, so the walk builds a flag int for those alone.
-        calls = []
-
-        class CountingInt(int):
-            @classmethod
-            def from_bytes(cls, data, byteorder):
-                calls.append(len(data))
-                return int.from_bytes(data, byteorder)
-
-        monkeypatch.setattr(termoracles, "int", CountingInt, raising=False)
-        walked = e_tables_bruteforce(n)
-        assert len(calls) == built
-        assert all(walked[family] == e_table(family, n) for family in Family)
 
     @pytest.fixture
     def walked(self, monkeypatch):
         """Sizes of the symmetric groups that termoracles enumerates, and how
         many permutations each enumeration yielded.
 
-        A walk enumerates its prefixes with ``itertools.permutations`` and
-        builds its S_m column table with ``_column_table``; both count, the
-        table as m! permutations of m values."""
+        A walk enumerates S_m and its prefixes with ``itertools.permutations``."""
         walks = SimpleNamespace(sizes=[], yielded=[])
 
         def counting_permutations(iterable, r=None):
@@ -328,20 +307,11 @@ class TestSharedWalk:
 
             return count()
 
-        build_table = termoracles._column_table
-
-        def counting_table(m):
-            columns = build_table(m)
-            walks.sizes.append(m)
-            walks.yielded.append(len(columns[0]))
-            return columns
-
         # Only termoracles' reference to itertools is swapped, so the n=3
         # enumeration oracles in probability and matrices are not counted.
         monkeypatch.setattr(
             termoracles, "itertools", SimpleNamespace(permutations=counting_permutations)
         )
-        monkeypatch.setattr(termoracles, "_column_table", counting_table)
         return walks
 
     def test_offline_checks_walk_each_symmetric_group_once(self, walked):
@@ -349,7 +319,7 @@ class TestSharedWalk:
         assert all(r.passed for r in results), [r for r in results if not r.passed]
         assert sorted(walked.sizes) == [1, 2, 3, 4, 5, 6]
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, termoracles.WALK_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7])
     def test_each_permutation_consumed_once(self, walked, monkeypatch, block):
         # Past the block, S_n is S_m (m = block) once and then every prefix
         # of n - m values once: m! * n!/m! = n! permutations.
