@@ -25,10 +25,6 @@ _SOURCES = {
         "EXACT_MAX_N", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
     ),
-    "ryser": (
-        "MAX_DIMENSION", "RYSER_MAX_N", "BinaryMatrix", "build_family_matrix",
-        "permanent_ryser",
-    ),
     "oeis": ("LookupResult", "OEISFormatError", "oeis_lookup"),
     "sequences": ("SequenceCheck", "builtin_checks"),
     "termdist": (

@@ -30,9 +30,7 @@ class Family(Enum):
 
     def is_variable(self, i: int, j: int) -> bool:
         """True when entry (i, j) is drawn at random rather than pinned to 1."""
-        if i != j:
-            return True
-        return self is Family.A or (self is Family.B and i == 0)
+        return i != j or self is Family.A or (self is Family.B and i == 0)
 
     def variable_count(self, n: int) -> int:
         """Number K of variable entries of an n x n matrix of this family."""

@@ -15,9 +15,7 @@ bits, so it refuses a K whose ints would pass ``ENUMERATION_MAX_BYTES``.
 over the capped permanents of column subsets, in time exponential in n.
 ``leading_permanents`` gives the permanents of every leading k x k block of
 one matrix from a single row-by-row pass over column subsets, for the
-diagonal checks of ``validate``.  The matrix type ``BinaryMatrix``,
-``build_family_matrix`` and the Ryser kernel ``permanent_ryser`` live in
-``ryser``, which no command loads.  Only ``validate`` and the tests load
+diagonal checks of ``validate``.  Only ``validate`` and the tests load
 this module; no other command imports it, and it imports no ``typing``.
 """
 

@@ -32,8 +32,8 @@ from .termdist import TermDistribution, e_table
 # The size limits of ``exact`` and ``compare``, which only ``force`` lifts.
 # ``validate`` rebuilds an artifact within them, never forced.  Unforced,
 # the slowest runs take about 0.3 s for exact A at n=16 (B and C take a few
-# ms) and 4-6 s for a compare of A,B,C at n=12 on 20,001 points, on two
-# cores.
+# ms) and 2.6-2.8 s, start-up included, for a compare of A,B,C at n=12 on
+# 20,001 points, on two cores.
 EXACT_MAX_N = 16
 COMPARE_MAX_N = 12
 MAX_GRID = 20_001
@@ -51,33 +51,37 @@ def q_eval(dist: TermDistribution, r: float) -> float:
     Evaluated in log space because the term counts can exceed the float
     integer range.  Each log(1 - r**m) is taken where it is well conditioned:
     as log1p(-r**m) while r**m < 0.5, and as log(-expm1(m*log r)) above, so
-    it stays accurate both where r**m is tiny and near r = 1.  A factor whose
-    log is 0.0, r**m below the double range, is skipped.  A log product past
-    the float range means the product underflows, so the result is 0.0.
-    On the 101-point grids of A, B and C for n <= 12 it is within 3e-16 of
-    the product taken to 80 digits at r = i/100.
+    it stays accurate both where r**m is tiny and near r = 1.  Where r**m is
+    below the normal double range, or the count e_m past the float range,
+    e_m * log(1 - r**m) is taken as -e_m * r**m, in integers at the float's
+    exact value r = a/b and rounded once: there log(1 - r**m) is -r**m to
+    double precision, or e_m * r**m passes 1,000 and Q underflows either
+    way.  A log product past the float range means the product underflows,
+    so the result is 0.0.  On the 101-point grids of A, B and C for n <= 12
+    it is within 3e-16 of the product taken to 80 digits at r = i/100; at
+    n = 171 and 200, around each family's drop, it is within
+    1e-15 * (1 + |log Q|) of Q, relative, a few units in the last place of
+    log Q.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    counts = dist.counts
-    if r == 0.0:
-        return 1.0
+    counts = dist.counts[1:]
     if r == 1.0:
-        return 0.0 if any(counts[1:]) else 1.0
-    log_r = math.log(r)
+        return 0.0 if any(counts) else 1.0
     log_q = 0.0
-    for m in range(1, dist.n + 1):
-        e = counts[m]
-        if not e:
-            continue
-        r_m = r**m
-        term = math.log1p(-r_m) if r_m < 0.5 else math.log(-math.expm1(m * log_r))
-        if term == 0.0:
-            continue
-        try:
-            log_q += e * term
-        except OverflowError:  # e exceeds the float range and term < 0
-            return 0.0
+    for m, e in enumerate(counts, 1):
+        if e:
+            r_m = r**m
+            # r**m below the normal range, or e_m past the float range
+            if r_m < 2.2250738585072014e-308 or e > 1.7976931348623157e308:
+                a, b = r.as_integer_ratio()
+                try:
+                    log_q -= e * a**m / b**m
+                except OverflowError:  # e_m * r**m passes the float range
+                    return 0.0
+            else:
+                log_q += e * (math.log1p(-r_m) if r_m < 0.5
+                              else math.log(-math.expm1(m * math.log(r))))
     return math.exp(log_q)
 
 

@@ -5,14 +5,20 @@ in ``permprob.validation``.  ``subset_sum_counts`` is an enumeration oracle
 for ``exact_counts`` that shares no code with the library's engines: it
 computes all 2**K permanents at once through a subset-sum transform.
 ``product_polynomial`` expands the paper's product form of Q(r) into integer
-coefficients, a reference that ``q_eval`` never sees.  ``permanent_naive``
-sums all n! permutation terms, the oracle that checks ``permanent_ryser``.
-``term_counts_literal`` counts each permutation term's variable entries one
-term at a time, the reference for the block walk of ``e_tables_bruteforce``.
-``counts_by_matrices`` enumerates the 2**K assignments as
-``matrices.exact_counts_direct`` does, but through a ``BinaryMatrix`` and
-its ``permanent_ryser`` for each, where the library evaluates every
-assignment at once, one bit per assignment.
+coefficients, a reference that ``q_eval`` never sees.
+
+A 0/1 matrix is a tuple of row ints, bit j of ``rows[i]`` being entry
+(i, j), as ``matrices.leading_permanents`` takes it.  ``family_rows``
+builds a family's matrix from an assignment, in the bit order of
+``variable_positions``.  ``permanent_ryser`` is Ryser's inclusion-exclusion
+over column subsets, the kernel that checks ``leading_permanents``, and
+``permanent_naive`` sums all n! permutation terms, the oracle that checks
+``permanent_ryser``.  ``term_counts_literal`` counts each permutation
+term's variable entries one term at a time, the reference for the walk
+of ``e_tables_bruteforce``.  ``counts_by_matrices`` enumerates the
+2**K assignments as ``matrices.exact_counts_direct`` does, but builds each
+assignment's matrix and takes its ``permanent_ryser``, where the library
+evaluates every assignment at once, one bit per assignment.
 ``recurrence_counts`` runs the recurrences of ``exact_counts`` in powers of
 x, each block of free entries a schoolbook product by the binomial row of
 (1+x)**k: a reference with no change of basis, at sizes past every
@@ -26,7 +32,7 @@ import math
 
 import numpy as np
 
-from permprob import Family, build_family_matrix, permanent_ryser, variable_positions
+from permprob import Family, variable_positions
 from permprob.output import CsvDoc
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
@@ -59,11 +65,42 @@ EXACT_N3 = {
 }
 
 
-def permanent_naive(matrix):
+def family_rows(family, n, bits):
+    """Rows of the family matrix with fixed entries 1 and ``bits`` on the variable ones.
+
+    ``bits[k]`` lands on the k-th pair of ``variable_positions``.
+    """
+    rows = [0 if family.is_variable(i, i) else 1 << i for i in range(n)]
+    for (i, j), bit in zip(variable_positions(family, n), bits):
+        rows[i] |= bit << j
+    return tuple(rows)
+
+
+def permanent_ryser(rows):
+    """Permanent by Ryser's inclusion-exclusion over column subsets, O(2**n * n**2).
+
+    perm = (-1)**n * sum over column sets S of (-1)**|S| * prod_i (row i's
+    ones in S).  The sets are visited in Gray-code order, so each step adds
+    or removes one column from every row sum.
+    """
+    n = len(rows)
+    sums = [0] * n
+    subset = 0
+    total = 0
+    for k in range(1, 1 << n):
+        b = (k & -k).bit_length() - 1
+        step = -1 if subset >> b & 1 else 1
+        subset ^= 1 << b
+        for i, row in enumerate(rows):
+            sums[i] += step * (row >> b & 1)
+        total += (-1) ** subset.bit_count() * math.prod(sums)
+    return (-1) ** n * total
+
+
+def permanent_naive(rows):
     """Permanent as the sum over all n! permutation terms."""
-    n = matrix.n
+    n = len(rows)
     assert n <= NAIVE_MAX_N, f"permanent_naive takes n <= {NAIVE_MAX_N}, got {n}"
-    rows = matrix.rows
     total = 0
     for sigma in itertools.permutations(range(n)):
         term = 1
@@ -92,14 +129,14 @@ def term_counts_literal(n):
 def counts_by_matrices(family, n):
     """Counts, by number of ones, of the assignments that hit the target.
 
-    Builds each of the 2**K assignments' matrices with ``build_family_matrix``
-    and takes its ``permanent_ryser``, so keep K small.
+    Builds each of the 2**K assignments' matrices with ``family_rows`` and
+    takes its ``permanent_ryser``, so keep K small.
     """
     k_total = family.variable_count(n)
     counts = [0] * (k_total + 1)
     for x in range(1 << k_total):
         bits = [(x >> k) & 1 for k in range(k_total)]
-        if permanent_ryser(build_family_matrix(family, n, bits)) == family.target_permanent:
+        if permanent_ryser(family_rows(family, n, bits)) == family.target_permanent:
             counts[x.bit_count()] += 1
     return tuple(counts)
 

@@ -8,14 +8,12 @@ import math
 import time
 
 from permprob import (
-    BinaryMatrix,
     Family,
     builtin_checks,
     compare_grid,
     e_table,
     e_tables_bruteforce,
     exact_counts,
-    permanent_ryser,
     v_closed_form,
     v_via_w,
     w_closed_form,
@@ -24,7 +22,14 @@ from permprob import (
 )
 from permprob.matrices import _counts_transfer, exact_counts_direct
 
-from oracles import EXACT_N3, TABLE_V, TABLE_W, recurrence_counts, subset_sum_counts
+from oracles import (
+    EXACT_N3,
+    TABLE_V,
+    TABLE_W,
+    permanent_ryser,
+    recurrence_counts,
+    subset_sum_counts,
+)
 
 
 def report(number, name, ok, detail=""):
@@ -106,14 +111,10 @@ def test_criterion_5_n2_exactness():
 def test_criterion_6_permanent_identities():
     ok = True
     for n in range(1, 13):
-        all_ones_off_diag = BinaryMatrix.from_rows(
-            [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-        )
+        # bit j of row i is entry (i, j): ones off the diagonal, then also at (0, 0)
+        all_ones_off_diag = tuple(((1 << n) - 1) ^ (1 << i) for i in range(n))
         ok = ok and permanent_ryser(all_ones_off_diag) == w_closed_form(n, n)
-        corner_variant = BinaryMatrix.from_rows(
-            [[1 if (i != j or (i == 0 and j == 0)) else 0 for j in range(n)]
-             for i in range(n)]
-        )
+        corner_variant = ((1 << n) - 1,) + all_ones_off_diag[1:]
         ok = ok and permanent_ryser(corner_variant) == v_closed_form(n, n)
     ok = ok and w_closed_form(6, 6) == 265 and v_closed_form(7, 7) == 2119
     report(6, "diagonal counts equal matching permanents (n<=12)", ok)

@@ -1086,7 +1086,7 @@ class TestImportDiet:
     def test_command_path_module_imports_no_oracle(self, module):
         # Every import statement counts, a lazy one inside a function too, so
         # this sees the paths that no row of _LOADS runs.
-        oracles = {"matrices", "ryser", "termoracles", "validation"}
+        oracles = {"matrices", "termoracles", "validation"}
         path = pathlib.Path(permprob.__file__).parent / f"{module}.py"
         imported = []
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

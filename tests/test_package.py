@@ -8,7 +8,6 @@ import pytest
 
 import permprob
 from permprob import (
-    BinaryMatrix,
     ExactCounts,
     Family,
     LookupResult,
@@ -67,7 +66,6 @@ class TestLazyRoot:
 
 def _frozen_records():
     return [
-        BinaryMatrix.identity(2),
         ExactCounts(Family.C, 2, (1, 2, 0)),
         e_table(Family.B, 3),
         Series("Q (A)", ((0.0, 1.0),), "#000000"),
@@ -94,15 +92,16 @@ class TestRecords:
         assert hash(record) == hash(record)
 
     def test_equal_records_compare_and_hash_equal(self):
-        a = BinaryMatrix.identity(3)
-        b = BinaryMatrix(3, (1, 2, 4))
-        assert a == b and hash(a) == hash(b)
-        assert len({a, b, BinaryMatrix.ones(3)}) == 2
-        assert a != BinaryMatrix.ones(3)
+        a = TermDistribution(Family.C, 3, (1, 0, 3, 2))
+        b = e_table(Family.C, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        c = ExactCounts(Family.C, 2, (1, 2, 0))
+        assert len({a, b, c, ExactCounts(Family.C, 2, (1, 2, 0))}) == 2
+        assert c != ExactCounts(Family.C, 2, (1, 1, 0))
         assert TermDistribution(Family.B, 2, (1, 0, 1)) != TermDistribution(
             Family.C, 2, (1, 0, 1))
         assert e_table(Family.C, 4) == e_table(Family.C, 4)
-        assert a != (3, (1, 2, 4))
+        assert a != (Family.C, 3, (1, 0, 3, 2))
 
     def test_list_fields_fresh_per_instance(self):
         first, second = CsvDoc(), CsvDoc()
@@ -117,17 +116,11 @@ class TestRecords:
             hash(first)
 
     def test_repr_names_fields(self):
-        assert repr(BinaryMatrix.identity(2)) == "BinaryMatrix(n=2, rows=(1, 2))"
+        assert repr(ExactCounts(Family.C, 2, (1, 2, 0))) == (
+            "ExactCounts(family=<Family.C: 'C'>, n=2, variable_count=2, counts=(1, 2, 0))")
         assert repr(LookupResult("ok", ())) == "LookupResult(status='ok', ids=(), note='')"
         assert repr(CheckResult("x", False)) == "CheckResult(name='x', passed=False, detail='')"
         assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
-
-
-# Public names that only the tests call; the oracles that only tests call
-# live in ``tests/oracles.py``.  ``build_family_matrix`` and
-# ``permanent_ryser`` are library functions that no command runs: the tests
-# check ``leading_permanents`` and the enumeration oracle against them.
-_TEST_ONLY = {"build_family_matrix", "permanent_ryser"}
 
 
 def _referenced(node):
@@ -143,7 +136,8 @@ class TestDeadSurface:
     def test_every_definition_is_used_in_the_package(self):
         """Each module-level function or class is referenced in ``src/``
         outside its own body; ``__init__._SOURCES`` lists names as strings,
-        which count for nothing."""
+        which count for nothing.  The oracles that only tests call live in
+        ``tests/oracles.py``."""
         defs, uses = [], Counter()
         for path in pathlib.Path(permprob.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -157,4 +151,29 @@ class TestDeadSurface:
             name for name, own in defs
             if uses[name] == own and not name.startswith("__")
         )
-        assert dead == sorted(_TEST_ONLY)
+        assert dead == []
+
+
+class TestReadme:
+    def test_library_tour_runs_and_shows_its_values(self):
+        """The tour's Python block runs, and each bare expression whose
+        comment is a Python literal evaluates to that literal."""
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        tour = readme.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+        source = tour.split("```python\n", 1)[1].split("```", 1)[0]
+        lines = source.splitlines()
+        namespace = {}
+        checked = 0
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+            try:
+                shown = ast.literal_eval(comment.removeprefix("#").strip())
+            except (ValueError, SyntaxError):
+                continue
+            assert value == shown, lines[node.lineno - 1]
+            checked += 1
+        assert checked >= 2

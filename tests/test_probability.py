@@ -13,7 +13,6 @@ from permprob import (
     Family,
     GuardError,
     bernstein_string,
-    build_family_matrix,
     compare_grid,
     e_table,
     exact_counts,
@@ -26,8 +25,8 @@ from permprob.probability import _RECURRENCES, _taylor_shift
 
 from oracles import (
     EXACT_N3,
+    counts_by_matrices,
     horner,
-    permanent_naive,
     product_polynomial,
     recurrence_counts,
     subset_sum_counts,
@@ -55,18 +54,6 @@ def a003024(n):
         dags.append(sum((-1) ** (k + 1) * math.comb(m, k) * 2 ** (k * (m - k)) * dags[m - k]
                         for k in range(1, m + 1)))
     return dags[n]
-
-
-def exact_counts_oracle(family, n):
-    """Independent enumeration: naive permanent kernel, no bit tricks."""
-    K = family.variable_count(n)
-    counts = [0] * (K + 1)
-    for x in range(1 << K):
-        bits = [(x >> k) & 1 for k in range(K)]
-        m = build_family_matrix(family, n, bits)
-        if permanent_naive(m) == family.target_permanent:
-            counts[bin(x).count("1")] += 1
-    return tuple(counts)
 
 
 class TestQEval:
@@ -203,6 +190,66 @@ class TestQEvalExactProduct:
                     assert abs(Decimal(q_eval(dist, i / 100)) - product) <= Decimal("1e-15")
 
 
+
+def series_product(dist, r):
+    """Q(r) to 60 digits, with each log(1 - x), x = r**m, summed as -sum_k x**k / k.
+
+    Decimal's own ln would first round 1 - x to 1 where x is tiny.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_q = Decimal(0)
+        for m, e in enumerate(dist.counts):
+            if m == 0 or not e:
+                continue
+            x = Decimal(r) ** m
+            power, k, series = x, 1, Decimal(0)
+            while power / k > series * Decimal("1e-65"):
+                series += power / k
+                power *= x
+                k += 1
+            log_q -= e * series
+        return log_q.exp()
+
+
+# r from where Q leaves 1 to where it is below 1e-18, for each family and n.
+_DROPS = {
+    (Family.A, 171): (0.0128, 0.016),
+    (Family.A, 200): (0.0114, 0.0137),
+    (Family.B, 171): (1e-4, 0.0071),
+    (Family.B, 200): (1e-4, 0.006),
+    (Family.C, 171): (1e-4, 0.0067),
+    (Family.C, 200): (1e-4, 0.0056),
+}
+
+
+class TestQEvalPastTheFloatRange:
+    # Past n = 170, n! and the largest term counts pass the float range, and
+    # near the drop r**n falls below the normal double range.
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", [171, 200])
+    def test_within_ulps_of_log_q_of_the_series_product(self, family, n):
+        # A double log Q carries an error of about |log Q| units in the last
+        # place, so the bound on Q's relative error grows with it.
+        dist = e_table(family, n)
+        lo, hi = _DROPS[family, n]
+        for i in range(30):
+            r = lo * (hi / lo) ** (i / 29)
+            exact = series_product(dist, r)
+            bound = Decimal("1e-15") * exact * (1 - exact.ln())
+            assert abs(Decimal(q_eval(dist, r)) - exact) <= bound, r
+
+    @pytest.mark.parametrize("n, r, q", [
+        (171, 0.01285, 0.999999999999995),  # 171! factors whose r**171 is subnormal
+        (200, 0.0136, 3.338e-18),  # 200! factors whose r**200 underflows to 0
+    ])
+    def test_family_a_where_n_factorial_passes_the_float_range(self, n, r, q):
+        dist = e_table(Family.A, n)
+        exact = series_product(dist, r)
+        assert float(exact) == pytest.approx(q, rel=1e-3)
+        assert abs(Decimal(q_eval(dist, r)) - exact) <= Decimal("1e-14") * exact
+
+
 class TestExactCounts:
     @pytest.mark.parametrize("family", list(Family))
     def test_n3_frozen_lists(self, family):
@@ -216,7 +263,7 @@ class TestExactCounts:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_against_naive_oracle(self, family, n):
         got = exact_counts(family, n)
-        assert got.counts == exact_counts_oracle(family, n)
+        assert got.counts == counts_by_matrices(family, n)
 
     def test_methods_agree_midsize(self):
         for family, n in ((Family.C, 4), (Family.B, 4), (Family.A, 4)):
