@@ -75,6 +75,32 @@ class TestPermanentKnownValues:
             m = tuple(rng.randrange(1 << n) for _ in range(n))
             assert permanent_naive(m) == permanent_ryser(m)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ones_minus_identity_counts_derangements(self, n):
+        # per(J - I) is the number of derangements: D(n) = (n-1)(D(n-1) + D(n-2)).
+        derangements = [1, 0]
+        for m in range(2, n + 1):
+            derangements.append((m - 1) * (derangements[m - 1] + derangements[m - 2]))
+        assert permanent_ryser(ones_minus_identity(n)) == derangements[n]
+
+
+class TestRowInts:
+    """The row-int helpers that the property tests build matrices with."""
+
+    def test_lists_roundtrip(self):
+        lists = [[0, 1, 1], [1, 0, 0], [1, 1, 1]]
+        rows = from_lists(lists)
+        assert rows == (0b110, 0b001, 0b111)
+        assert to_lists(rows) == lists
+
+    @given(binary_matrices(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_transpose_swaps_every_entry(self, m):
+        n = len(m)
+        t = transpose(m)
+        assert all(t[j] >> i & 1 == m[i] >> j & 1 for i in range(n) for j in range(n))
+        assert transpose(t) == m
+
 
 class TestByteLanes:
     """``permanent_ryser`` with its row sums at their largest and on dense rows."""
@@ -264,6 +290,16 @@ class TestBuildFamilyMatrix:
     def test_a2_all_ones(self):
         m = family_rows(Family.A, 2, [1, 1, 1, 1])
         assert m == ones(2)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bit_k_lands_on_the_kth_variable_position(self, family):
+        n = 3
+        positions = variable_positions(family, n)
+        zero = family_rows(family, n, [0] * len(positions))
+        for k, (i, j) in enumerate(positions):
+            bits = [int(b == k) for b in range(len(positions))]
+            diff = [a ^ b for a, b in zip(family_rows(family, n, bits), zero)]
+            assert diff == [(r == i) << j for r in range(n)]
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
