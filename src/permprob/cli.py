@@ -101,13 +101,13 @@ def _cmd_dist(args: SimpleNamespace) -> int:
 
 def _cmd_exact(args: SimpleNamespace) -> int:
     from .output import make_exact_doc
-    from .probability import bernstein_string, exact_counts
+    from .probability import exact_counts
 
     family = _require_one_family(args, "exact")
-    counts = exact_counts(family, args.n, force=args.force)
-    _emit(make_exact_doc(counts).render(args.format), args.out)
+    doc = make_exact_doc(exact_counts(family, args.n, force=args.force))
+    _emit(doc.render(args.format), args.out)
     if args.out and args.format == "csv":
-        print(f"P(r) = {bernstein_string(counts)}")
+        print(f"P(r) = {doc.polynomial}")
     return 0
 
 

@@ -74,9 +74,9 @@ def q_eval(dist: TermDistribution, r: float) -> float:
             r_m = r**m
             # r**m below the normal range, or e_m past the float range
             if r_m < 2.2250738585072014e-308 or e > 1.7976931348623157e308:
-                a, b = r.as_integer_ratio()
+                a, b = r.as_integer_ratio()  # b is a power of two: b**m is a shift
                 try:
-                    log_q -= e * a**m / b**m
+                    log_q -= e * a**m / (1 << (b.bit_length() - 1) * m)
                 except OverflowError:  # e_m * r**m passes the float range
                     return 0.0
             else:

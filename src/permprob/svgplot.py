@@ -3,13 +3,13 @@
 Hand-rolled rather than delegated to a plotting library so the output is a
 single dependency-free file, byte-identical for identical inputs, and easy
 to diff.  The axes are fixed to the unit square because every curve plotted
-here is a probability against a probability parameter.  Only
+here is a probability against a probability parameter; each curve is a
+plain ``(label, points, color, dashed)`` tuple.  Only
 ``compare --format svg`` loads this module; it takes its grids from
 ``probability._compare_grids`` and loads no ``output``.
 """
 
 from .families import Family
-from .guards import Record
 from .probability import _compare_grids
 
 WIDTH = 640
@@ -22,23 +22,13 @@ MARGIN_BOTTOM = 54
 _FAMILY_COLORS = {Family.A: "#1f77b4", Family.B: "#d62728", Family.C: "#2ca02c"}
 
 
-class Series(Record):
-    __slots__ = ("label", "points", "color", "dashed")
-
-    def __init__(self, label: str, points: tuple[tuple[float, float], ...], color: str,
-                 dashed: bool = False) -> None:
-        self.label = label
-        self.points = points
-        self.color = color
-        self.dashed = dashed
-
-
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def line_chart(series: list[Series], title: str) -> str:
-    """Render the series over the unit square as a standalone SVG document."""
+def line_chart(series: list[tuple], title: str) -> str:
+    """Render each ``(label, points, color, dashed)`` series over the unit
+    square as a standalone SVG document."""
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -91,25 +81,25 @@ def line_chart(series: list[Series], title: str) -> str:
         f'transform="rotate(-90 16 {_fmt(MARGIN_TOP + plot_h / 2)})">probability</text>'
     )
     # curves
-    for s in series:
-        coords = " ".join(f"{_fmt(to_x(x))},{_fmt(to_y(y))}" for x, y in s.points)
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
+    for _, points, color, dashed in series:
+        coords = " ".join(f"{_fmt(to_x(x))},{_fmt(to_y(y))}" for x, y in points)
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
         out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{s.color}" '
+            f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.6"{dash}/>'
         )
     # legend
     legend_x = WIDTH - MARGIN_RIGHT + 14
-    for idx, s in enumerate(series):
+    for idx, (label, _, color, dashed) in enumerate(series):
         y = MARGIN_TOP + 10 + idx * 20
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
+        dash = ' stroke-dasharray="6,4"' if dashed else ""
         out.append(
             f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
-            f'stroke="{s.color}" stroke-width="1.6"{dash}/>'
+            f'stroke="{color}" stroke-width="1.6"{dash}/>'
         )
         out.append(
             f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
+            f'font-size="12">{label}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -119,15 +109,9 @@ def compare_svg(families: list[Family], n: int, grid_points: int,
                 force: bool = False) -> str:
     """One figure of Q (solid) and P (dashed) against r for each family."""
     grids = _compare_grids(families, n, grid_points, force)
-    series = []
-    for fam in families:
-        rows = grids[fam]
-        color = _FAMILY_COLORS[fam]
-        series.append(Series(label=f"Q ({fam.value})",
-                             points=tuple((r, q) for r, q, _, _ in rows), color=color))
-        series.append(Series(label=f"P ({fam.value})",
-                             points=tuple((r, p) for r, _, p, _ in rows), color=color,
-                             dashed=True))
+    series = [(f"{name} ({fam.value})", [(row[0], row[col]) for row in grids[fam]],
+               _FAMILY_COLORS[fam], dashed)
+              for fam in families for name, col, dashed in (("Q", 1, False), ("P", 2, True))]
     return line_chart(
         series, title=f"Probability that the permanent hits its target (n={n})"
     )

@@ -16,10 +16,11 @@ the check passes when the list is empty, and its detail is the reach, or
 else the first mismatch through the format.  Each route is looked up in this
 module's namespace when the checks run.
 
-``verify_artifact`` re-verifies a previously emitted artifact: ``regenerate``
-rebuilds the document its metadata describes with the builder that wrote
-it, unforced, so each size the metadata asks for is held to that builder's
-one limit (``output.DIST_MAX_N``, and ``probability.EXACT_MAX_N``,
+``verify_artifact`` re-verifies a previously emitted artifact: it reads the
+metadata of the leading ``#`` lines with ``output.read_metadata``, and
+``regenerate`` rebuilds the document it describes with the builder that
+wrote it, unforced, so each size the metadata asks for is held to that
+builder's one limit (``output.DIST_MAX_N``, and ``probability.EXACT_MAX_N``,
 ``COMPARE_MAX_N``, ``MAX_GRID`` and ``MAX_FAMILIES``), which no ``--force``
 lifts.  ``report`` prints the ``validate`` command's report.
 Nothing lifts any of ``validate``'s limits, the S_n walk's
@@ -33,7 +34,7 @@ from itertools import zip_longest
 from .families import Family
 from .guards import GuardError, Record, check_guard, parse_int
 from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
-from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc
+from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc, read_metadata
 from .probability import MAX_FAMILIES, compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import e_table, v_closed_form, w_closed_form
@@ -201,7 +202,8 @@ def report(bruteforce_n: int, paths: list[str],
 
 
 def regenerate(meta: dict[str, str]) -> CsvDoc | None:
-    """Rebuild the document that an artifact's ``CsvDoc.metadata`` describes.
+    """Rebuild the document that an artifact's metadata describes, as
+    ``output.read_metadata`` gives it.
 
     The metadata sizes the run, and the builder runs unforced, so a size
     past the builder's limit raises ``GuardError``: an artifact that a
@@ -234,14 +236,14 @@ def _lines(text: str):
 
 
 def _metadata(text: str) -> dict[str, str]:
-    """The ``CsvDoc.metadata`` of an artifact, read from its leading ``#`` lines only.
+    """The ``output.read_metadata`` of an artifact's leading ``#`` lines only.
 
     A text with no line after those lines has no header row: ``ValueError``.
     """
     comments = []
     for line in _lines(text):
         if not line.startswith("#"):
-            return CsvDoc(comments).metadata()
+            return read_metadata(comments)
         comments.append(line)
     raise ValueError("missing header row")
 

@@ -23,8 +23,9 @@ evaluates every assignment at once, one bit per assignment.
 x, each block of free entries a schoolbook product by the binomial row of
 (1+x)**k: a reference with no change of basis, at sizes past every
 enumeration.
-``parse_artifact`` reads an emitted CSV artifact back into its rows; the
-package itself reads only an artifact's metadata.
+``parse_artifact`` reads an emitted CSV artifact back into its document,
+every metadata value as text; the package itself reads only an artifact's
+metadata.
 """
 
 import itertools
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from permprob import Family, variable_positions
-from permprob.output import CsvDoc
+from permprob.output import CsvDoc, read_metadata
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
 NAIVE_MAX_N = 10
@@ -334,9 +335,14 @@ def horner(coeffs, x):
 
 
 def parse_artifact(text):
-    """The :class:`CsvDoc` that renders as ``text``: ``#`` lines, header, rows."""
+    """The :class:`CsvDoc` that renders as ``text``: its ``# permprob`` line,
+    an exact artifact's ``# polynomial:`` line, the header and the rows."""
     lines = text.splitlines()
     i = 0
     while lines[i].startswith("#"):
         i += 1
-    return CsvDoc(lines[:i], lines[i].split(","), [line.split(",") for line in lines[i + 1:]])
+    meta = read_metadata(lines[:i])
+    kind = meta.pop("kind")
+    polynomial = lines[1].removeprefix("# polynomial: ") if kind == "exact" else None
+    return CsvDoc(kind, meta, lines[i].split(","),
+                  [line.split(",") for line in lines[i + 1:]], polynomial)

@@ -106,7 +106,7 @@ class TestExact:
         code, out, _ = run(capsys, "exact", "--family", "A", "--n", "3")
         assert code == 0
         doc = parse_artifact(out)
-        assert any("78r^3(1-r)^6" in c for c in doc.comments)
+        assert "78r^3(1-r)^6" in doc.polynomial
         counts = [int(r[1]) for r in doc.rows]
         assert counts == [1, 9, 36, 78, 90, 45, 6, 0, 0, 0]
 
@@ -120,7 +120,7 @@ class TestExact:
         assert code == 0
         doc = parse_artifact(out)
         assert [int(r[1]) for r in doc.rows] == [1, 0]
-        assert any("(1-r)" in c for c in doc.comments)
+        assert doc.polynomial == "(1-r)"
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "exact", "--family", "B", "--n", "3",
@@ -140,7 +140,7 @@ class TestExact:
         # A at n=16 has K = 256 variable entries and counts in well under a second
         code, out, _ = run(capsys, "exact", "--family", "A", "--n", "16")
         assert code == 0
-        assert parse_artifact(out).metadata()["variables"] == "256"
+        assert parse_artifact(out).meta["variables"] == "256"
 
     def test_unwritable_out_is_an_io_error(self, capsys, isolated_cwd):
         path = isolated_cwd / "missing" / "x.csv"
@@ -403,7 +403,7 @@ class TestConfigFile:
         monkeypatch.setenv("PERMPROB_CONFIG", str(other))
         code, out, _ = run(capsys, "dist")
         assert code == 0
-        assert parse_artifact(out).metadata()["family"] == "B"
+        assert parse_artifact(out).meta["family"] == "B"
 
     @pytest.mark.parametrize("argv", [("validate", "--n", "2"), ("seq",)])
     def test_format_key_ignored_where_not_read(self, capsys, isolated_cwd, argv):
@@ -978,27 +978,27 @@ _EXACT = "output probability termdist"
 # per syntax-tree node on two cores.  The help, the usage errors and a flag
 # prefix are read by argparse in usage.
 _LOADS = [
-    pytest.param(("dist", "--family", "C", "--n", "5"), 0, _DIST, 3798, "", id="dist"),
-    pytest.param(("dist", "--family", "C", "--n", "5", "--format", "json"), 0, _DIST, 3798,
+    pytest.param(("dist", "--family", "C", "--n", "5"), 0, _DIST, 3758, "", id="dist"),
+    pytest.param(("dist", "--family", "C", "--n", "5", "--format", "json"), 0, _DIST, 3758,
                  _JSON, id="dist-json"),
-    pytest.param(("exact", "--family", "A", "--n", "3"), 0, _EXACT, 5532, "", id="exact"),
+    pytest.param(("exact", "--family", "A", "--n", "3"), 0, _EXACT, 5510, "", id="exact"),
     pytest.param(("exact", "--family", "A", "--n", "3", "--format", "json"), 0, _EXACT,
-                 5532, _JSON, id="exact-json"),
-    pytest.param(("compare", "--n", "3"), 0, _EXACT, 5532, "", id="compare"),
-    pytest.param(("compare", "--n", "3", "--format", "json"), 0, _EXACT, 5532, _JSON,
+                 5510, _JSON, id="exact-json"),
+    pytest.param(("compare", "--n", "3"), 0, _EXACT, 5510, "", id="compare"),
+    pytest.param(("compare", "--n", "3", "--format", "json"), 0, _EXACT, 5510, _JSON,
                  id="compare-json"),
     pytest.param(("compare", "--n", "3", "--format", "svg"), 0,
-                 "probability svgplot termdist", 5524, "", id="compare-svg"),
-    pytest.param(("seq",), 0, "sequences termdist", 3626, "", id="seq"),
-    pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4516,
+                 "probability svgplot termdist", 5413, "", id="compare-svg"),
+    pytest.param(("seq",), 0, "sequences termdist", 3613, "", id="seq"),
+    pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4503,
                  "re locale urllib.request http.client ssl", id="seq-oeis"),
     pytest.param(("validate", "--n", "3"), 0,
                  "matrices output probability sequences termdist termoracles validation",
-                 10590, "", id="validate"),
-    pytest.param(("-h",), 0, "usage", 2725, _ARGPARSE, id="help"),
-    pytest.param(("exact", "-h"), 0, "usage", 2725, _ARGPARSE, id="exact-help"),
-    pytest.param(("bogus",), 2, "usage", 2725, _ARGPARSE, id="bogus"),
-    pytest.param(("exact", "--fam", "C", "--n", "3"), 0, _EXACT + " usage", 5935, _ARGPARSE,
+                 10566, "", id="validate"),
+    pytest.param(("-h",), 0, "usage", 2712, _ARGPARSE, id="help"),
+    pytest.param(("exact", "-h"), 0, "usage", 2712, _ARGPARSE, id="exact-help"),
+    pytest.param(("bogus",), 2, "usage", 2712, _ARGPARSE, id="bogus"),
+    pytest.param(("exact", "--fam", "C", "--n", "3"), 0, _EXACT + " usage", 5913, _ARGPARSE,
                  id="exact-prefix"),
 ]
 
@@ -1106,4 +1106,4 @@ class TestImportDiet:
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 1681
+        assert sum(1 for _ in ast.walk(tree)) <= 1679

@@ -16,8 +16,7 @@ from permprob import (
     e_table,
 )
 from permprob.cli import _SUBCOMMANDS
-from permprob.output import CsvDoc
-from permprob.svgplot import Series
+from permprob.output import CsvDoc, make_dist_doc
 from permprob.validation import CheckResult
 
 from test_cli import run_fresh
@@ -68,7 +67,6 @@ def _frozen_records():
     return [
         ExactCounts(Family.C, 2, (1, 2, 0)),
         e_table(Family.B, 3),
-        Series("Q (A)", ((0.0, 1.0),), "#000000"),
         builtin_checks()[0],
         LookupResult("ok", ("A000166",)),
         _SUBCOMMANDS["seq"],
@@ -103,24 +101,22 @@ class TestRecords:
         assert e_table(Family.C, 4) == e_table(Family.C, 4)
         assert a != (Family.C, 3, (1, 0, 3, 2))
 
-    def test_list_fields_fresh_per_instance(self):
-        first, second = CsvDoc(), CsvDoc()
-        assert first.rows is not second.rows
-        assert first.comments is not second.comments
-        assert first.header is not second.header
-        first.rows.append(["1"])
-        assert second == CsvDoc([], [], [])
+    def test_built_doc_is_frozen_and_unhashable(self):
+        doc = make_dist_doc(Family.C, 2)
         with pytest.raises(AttributeError):
-            first.rows = []
+            doc.rows = []
+        with pytest.raises(AttributeError):
+            doc.meta = {}
         with pytest.raises(TypeError):
-            hash(first)
+            hash(doc)
 
     def test_repr_names_fields(self):
         assert repr(ExactCounts(Family.C, 2, (1, 2, 0))) == (
             "ExactCounts(family=<Family.C: 'C'>, n=2, variable_count=2, counts=(1, 2, 0))")
         assert repr(LookupResult("ok", ())) == "LookupResult(status='ok', ids=(), note='')"
         assert repr(CheckResult("x", False)) == "CheckResult(name='x', passed=False, detail='')"
-        assert repr(CsvDoc()) == "CsvDoc(comments=[], header=[], rows=[])"
+        assert repr(CsvDoc("dist", {"n": 1}, ["n"], [])) == (
+            "CsvDoc(kind='dist', meta={'n': 1}, header=['n'], rows=[], polynomial=None)")
 
 
 def _referenced(node):

@@ -249,6 +249,14 @@ class TestQEvalPastTheFloatRange:
         assert float(exact) == pytest.approx(q, rel=1e-3)
         assert abs(Decimal(q_eval(dist, r)) - exact) <= Decimal("1e-14") * exact
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 1e-200])
+    def test_r_far_below_the_normal_range(self, family, r):
+        # r**m is below the normal range for every m >= 2, and at 5e-324 for
+        # every m, so nearly every factor takes the integer route
+        dist = e_table(family, 200)
+        assert q_eval(dist, r) == float(series_product(dist, r)) == 1.0
+
 
 class TestExactCounts:
     @pytest.mark.parametrize("family", list(Family))

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import pytest
@@ -482,5 +483,25 @@ class TestCsvDoc:
 
     def test_metadata_extraction(self):
         doc = make_dist_doc(Family.B, 3)
-        meta = doc.metadata()
+        meta = output.read_metadata(doc.render().splitlines())
         assert meta == {"kind": "dist", "family": "B", "n": "3"}
+
+    @pytest.mark.parametrize("build, meta, json_meta", [
+        (lambda: make_dist_doc(Family.B, 3), {"family": "B", "n": 3},
+         {"kind": "dist", "family": "B", "n": 3}),
+        (lambda: make_exact_doc(exact_counts(Family.A, 2)),
+         {"family": "A", "n": 2, "variables": 4, "target": 0},
+         {"kind": "exact", "family": "A", "n": 2, "variables": 4, "target": 0}),
+        (lambda: make_compare_doc([Family.C, Family.A, Family.C], 3, 5),
+         {"n": 3, "grid": 5, "families": "C,A,C"},
+         {"kind": "compare", "n": 3, "grid_points": 5, "families": ["C", "A", "C"]}),
+    ], ids=["dist", "exact", "compare-repeated-family"])
+    def test_metadata_round_trips(self, build, meta, json_meta):
+        doc = build()
+        assert doc.meta == meta
+        assert output.read_metadata(doc.render().splitlines()) == {
+            "kind": doc.kind, **{key: str(value) for key, value in doc.meta.items()}}
+        rendered = json.loads(doc.render("json"))
+        assert {key: rendered[key] for key in json_meta} == json_meta
+        data = ["counts", "polynomial"] if doc.kind == "exact" else ["rows"]
+        assert list(rendered) == [*json_meta, *data]
