@@ -20,7 +20,6 @@ import importlib
 _SOURCES = {
     "families": ("Family",),
     "guards": ("GuardError",),
-    "matrices": ("variable_positions",),
     "probability": (
         "EXACT_MAX_N", "MAX_GRID", "ExactCounts", "bernstein_string",
         "compare_grid", "exact_counts", "p_eval", "q_eval",
@@ -31,9 +30,9 @@ _SOURCES = {
         "TermDistribution", "derangement", "e_table", "v_closed_form",
         "w_closed_form",
     ),
-    "termoracles": (
+    "validation": (
         "BRUTEFORCE_MAX_N", "e_tables_bruteforce", "partitions", "v_via_w",
-        "w_recurrence_table", "w_row_via_cycles",
+        "variable_positions", "w_recurrence_table", "w_row_via_cycles",
     ),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}

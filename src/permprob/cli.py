@@ -21,7 +21,7 @@ takes.
 At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
 validation and sequence modules it needs itself, so a command loads only
-what it runs: the oracle modules ``matrices`` and ``termoracles`` load only
+what it runs: the oracle routes, which live in ``validation``, load only
 under ``validate``, and the OEIS client only under ``--oeis``.  The
 ``validate`` and ``seq`` handlers hand their options to the ``report`` of
 ``validation`` and ``sequences``, which print the reports, so this module,

@@ -2,25 +2,22 @@
 
 Only ``--oeis`` loads this module, and with it ``re``; the HTTP stack loads
 only when a lookup is fetched.  Every network failure degrades to a
-"skipped" result, so offline runs keep working.  The timeout is parsed and
-checked by :func:`permprob.sequences.oeis_timeout`, which ``seq`` and
-``validate`` also use on their configuration without loading this module.
+"skipped" result, so offline runs keep working.  The lookup URL and timeout
+are read and checked by :func:`permprob.sequences.oeis_settings`, which
+``seq`` and ``validate`` also use on their configuration without loading
+this module.
 """
 
-import os
 import re
 
 from .guards import Record
-from .sequences import OEIS_TIMEOUT_ENV, builtin_checks, oeis_timeout
+from .sequences import builtin_checks, oeis_settings
 from .termdist import v_closed_form
 
 TYPE_CHECKING = False  # type checkers read it as True; typing stays unimported
 if TYPE_CHECKING:
     from typing import Callable, Sequence
 
-DEFAULT_OEIS_URL = "https://oeis.org"
-DEFAULT_OEIS_TIMEOUT = 10.0
-OEIS_URL_ENV = "PERMPROB_OEIS_URL"
 # Longest lookup response, in bytes, that ``_http_fetch`` reads; a page of
 # OEIS text-format results is a few tens of KiB.
 MAX_OEIS_BODY_BYTES = 1024 * 1024
@@ -109,20 +106,16 @@ def oeis_lookup(
     error status, a base URL that is not http or https) yields
     ``status="skipped"`` rather than an exception so offline runs keep
     working.  A 200 response that is not in the endpoint's text format
-    raises :class:`OEISFormatError`.  ``timeout`` defaults to
-    ``PERMPROB_OEIS_TIMEOUT``, else 10 seconds; either one is checked by
-    :func:`oeis_timeout` before anything is fetched.
+    raises :class:`OEISFormatError`.  A ``base_url`` or ``timeout`` not
+    given comes from :func:`permprob.sequences.oeis_settings`: the
+    ``PERMPROB_OEIS_URL`` and ``PERMPROB_OEIS_TIMEOUT`` variables, else
+    https://oeis.org and 10 seconds.  The timeout is checked there before
+    anything is fetched.
     """
     prefix = list(prefix)
     if len(prefix) < 4:
         raise ValueError(f"prefix must have at least 4 terms, got {len(prefix)}")
-    base = base_url or os.environ.get(OEIS_URL_ENV) or DEFAULT_OEIS_URL
-    if timeout is not None:
-        timeout = oeis_timeout(timeout, "timeout")
-    elif os.environ.get(OEIS_TIMEOUT_ENV):
-        timeout = oeis_timeout(os.environ[OEIS_TIMEOUT_ENV], OEIS_TIMEOUT_ENV)
-    else:
-        timeout = DEFAULT_OEIS_TIMEOUT
+    base, timeout = oeis_settings({}, base_url, timeout)
     query = ",".join(str(t) for t in prefix)
     url = f"{base.rstrip('/')}/search?q={query}&fmt=text"
     fetch = fetch or _http_fetch

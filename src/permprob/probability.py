@@ -18,8 +18,8 @@ polynomials.  One Taylor shift then turns the coefficients c_k of y**k into
 the counts N_i = sum_k c_k C(k, i).  The same c_k give the probability
 directly, P(r) = sum_k c_k (1-r)**(K-k).  The oracle routes, the
 row-by-row transfer over column subsets and the 2**K enumeration, live in
-``matrices``, where ``validate`` runs them; the test suite keeps a
-subset-sum oracle of its own.
+``validation``, which runs them; the test suite keeps a subset-sum oracle
+of its own.
 """
 
 import math
@@ -75,10 +75,14 @@ def q_eval(dist: TermDistribution, r: float) -> float:
             # r**m below the normal range, or e_m past the float range
             if r_m < 2.2250738585072014e-308 or e > 1.7976931348623157e308:
                 a, b = r.as_integer_ratio()  # b is a power of two: b**m is a shift
-                try:
-                    log_q -= e * a**m / (1 << (b.bit_length() - 1) * m)
-                except OverflowError:  # e_m * r**m passes the float range
-                    return 0.0
+                shift = (b.bit_length() - 1) * m
+                # e_m * a**m < 2**(bit lengths), so where those put the quotient
+                # below 2**-1075 it rounds to 0.0: skip it, raising no a**m
+                if e.bit_length() + m * a.bit_length() > shift - 1075:
+                    try:
+                        log_q -= e * a**m / (1 << shift)
+                    except OverflowError:  # e_m * r**m passes the float range
+                        return 0.0
             else:
                 log_q += e * (math.log1p(-r_m) if r_m < 0.5
                               else math.log(-math.expm1(m * math.log(r))))
@@ -305,24 +309,14 @@ def _compare_grids(families: list[Family], n: int, grid_points: int,
     }
 
 
+def _power(base: str, k: int) -> str:
+    """``base`` to the k-th power as ``bernstein_string`` writes it."""
+    return "" if k == 0 else base if k == 1 else f"{base}^{k}"
+
+
 def bernstein_string(counts: ExactCounts) -> str:
     """Render the exact probability as a sum of r**i * (1-r)**(K-i) terms."""
     k_total = counts.variable_count
-    parts = []
-    for i, c in enumerate(counts.counts):
-        if c == 0:
-            continue
-        factors = []
-        if c != 1:
-            factors.append(str(c))
-        if i == 1:
-            factors.append("r")
-        elif i > 1:
-            factors.append(f"r^{i}")
-        rest = k_total - i
-        if rest == 1:
-            factors.append("(1-r)")
-        elif rest > 1:
-            factors.append(f"(1-r)^{rest}")
-        parts.append("".join(factors) or "1")
-    return "+".join(parts) if parts else "0"
+    parts = [f"{'' if c == 1 else c}{_power('r', i)}{_power('(1-r)', k_total - i)}" or "1"
+             for i, c in enumerate(counts.counts) if c]
+    return "+".join(parts) or "0"

@@ -4,8 +4,9 @@ The offline checks compare slices of the generated triangles (diagonals and
 columns) against the reference terms vendored in :data:`REFERENCES`, and
 ``report`` prints them as the ``seq`` command does.  The read-only OEIS
 client that looks the same prefixes up remotely is ``permprob.oeis``, which
-only ``--oeis`` loads; ``oeis_settings`` stays here because ``seq`` and
-``validate`` check the lookup settings of ``permprob.conf`` on every run.
+only ``--oeis`` loads; ``oeis_settings``, the one reader of the lookup
+settings, stays here because ``seq`` and ``validate`` check the settings of
+``permprob.conf`` on every run.
 This module imports neither ``re`` nor ``typing``.
 """
 
@@ -15,7 +16,10 @@ import os
 from .guards import Record
 from .termdist import v_closed_form, w_closed_form
 
+OEIS_URL_ENV = "PERMPROB_OEIS_URL"
 OEIS_TIMEOUT_ENV = "PERMPROB_OEIS_TIMEOUT"
+DEFAULT_OEIS_URL = "https://oeis.org"
+DEFAULT_OEIS_TIMEOUT = 10.0
 
 # Reference terms for the offline checks: one row per table slice, holding
 # (OEIS id, slice name, first n, terms).  The slice name says what a row
@@ -40,7 +44,7 @@ OEIS_TIMEOUT_ENV = "PERMPROB_OEIS_TIMEOUT"
 #     published term is dropped; the window starts at the list's first term.
 #   A000217: the published leading 0 (index 0) precedes the n >= 2 window.
 #   A045943: published index k corresponds to table index n = k + 2.
-REFERENCES: tuple[tuple[str, str, int, tuple[int, ...]], ...] = (
+REFERENCES = (
     # derangement numbers
     ("A000166", "W_n(n)", 1,
      (0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961, 14684570, 176214841)),
@@ -93,7 +97,7 @@ def builtin_checks() -> list[SequenceCheck]:
     return checks
 
 
-def report(oeis: tuple[str | None, float | None] | None = None) -> int:
+def report(oeis: tuple[str, float] | None = None) -> int:
     """Print the ``seq`` report and return its exit code, 1 when a check fails.
 
     One line per check of :func:`builtin_checks`, then the ``--oeis`` lines
@@ -113,32 +117,27 @@ def report(oeis: tuple[str | None, float | None] | None = None) -> int:
     return 1 if failed else 0
 
 
-def oeis_timeout(raw: str | float, source: str) -> float:
-    """Seconds to wait for a lookup, parsed from ``raw`` and checked.
+def oeis_settings(config: dict[str, str], url: str | None = None,
+                  timeout: float | None = None) -> tuple[str, float]:
+    """The lookup URL and timeout, each from its argument, else its
+    ``permprob.conf`` key in ``config``, else its environment variable,
+    else its default.
 
-    ``raw`` is a number or its text, and ``source`` names where it came from
-    (a config key, an environment variable or an argument).  Anything but a
-    positive, finite number of seconds raises ``ValueError`` naming ``source``.
+    An empty key or variable counts as unset.  Anything but a positive,
+    finite number of seconds, or its text, raises ``ValueError`` naming
+    where the timeout came from.
     """
+    url = url or config.get("oeis_url") or os.environ.get(OEIS_URL_ENV) or DEFAULT_OEIS_URL
+    source, raw = "timeout", timeout
+    if raw is None:
+        source, raw = "oeis_timeout", config.get("oeis_timeout")
+        if not raw:
+            source = OEIS_TIMEOUT_ENV
+            raw = os.environ.get(source) or DEFAULT_OEIS_TIMEOUT
     try:
         seconds = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad config value for {source}: {exc}") from exc
     if not 0.0 < seconds < math.inf:
         raise ValueError(f"{source} must be a positive number of seconds, got {seconds}")
-    return seconds
-
-
-def oeis_settings(config: dict[str, str]) -> tuple[str | None, float | None]:
-    """The lookup URL and timeout that a ``permprob.conf`` mapping gives.
-
-    The URL is the ``oeis_url`` key, or None.  The timeout is the
-    ``oeis_timeout`` key, or else ``PERMPROB_OEIS_TIMEOUT``, or None; either
-    one is checked by :func:`oeis_timeout`, which raises ``ValueError``.
-    """
-    source = "oeis_timeout"
-    raw = config.get(source)
-    if not raw:
-        source = OEIS_TIMEOUT_ENV
-        raw = os.environ.get(source)
-    return config.get("oeis_url"), oeis_timeout(raw, source) if raw else None
+    return url, seconds

@@ -9,7 +9,7 @@ family and size.
 
 The independent routes that check these counts, the recurrence table, the
 cycle-type sums, the family-B identity and the walk of every S_n, live in
-``termoracles``, which only ``validate`` and the tests load.
+``validation``, which only ``validate`` and the tests load.
 
 All arithmetic is exact (Python integers); nothing here touches floats.
 """

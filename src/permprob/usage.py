@@ -17,8 +17,8 @@ from .cli import _FLAGS, _SUBCOMMANDS
 DESCRIPTION = ("Term-count tables, approximate and exact probabilities that the\n"
                "permanent of a random 0/1 matrix hits its target value")
 # A flag's help where one subcommand reads it otherwise than ``_FLAGS`` says.
-# The walk's limit is ``termoracles.BRUTEFORCE_MAX_N``, written out so that
-# help loads no oracle module.
+# The walk's limit is ``validation.BRUTEFORCE_MAX_N``, written out so that
+# help loads no oracle route.
 _OWN_HELP = {
     ("validate", "n"): "largest matrix dimension whose S_n is walked "
                        f"(default: {_SUBCOMMANDS['validate'].default_n}, at most 12)",

@@ -1,14 +1,37 @@
-"""One-shot offline validation of every cross-route identity the library claims.
+"""The ``validate`` command: every offline cross-route check, the oracle routes
+that the checks run, and the re-verification of emitted artifacts.
 
 Each check pits at least two independent computations against each other
 (closed form vs recurrence vs cycle sum vs enumeration, product form vs
 exhaustive counts, generated slices vs vendored reference terms), so a
-regression in any single route surfaces as a named failure.  Each oracle
-runs as one pass over all its cases: one walk of S_n per n serves every
-family, one row-by-row pass over column subsets gives all the leading
-permanents that the diagonal checks need (``matrices.leading_permanents``
-on the ``TABLE_N`` mask), and the n=3 enumeration evaluates all 2^K
-assignments of a family at once (``matrices.exact_counts_direct``).
+regression in any single route surfaces as a named failure.  The oracle
+routes live here, beside the checks, and each runs as one pass over all its
+cases.  What each route checks:
+
+* the 2^K enumeration, ``exact_counts_direct``, checks
+  ``probability.exact_counts`` at n=3.  It evaluates all 2^K assignments of
+  a family at once, one bit per assignment, in the bit order that
+  ``variable_positions`` fixes: each entry becomes the int whose bit t is
+  that entry under assignment t, a permutation's term is the AND of its n
+  entries, and two accumulators record where at least one and at least two
+  terms are 1, which tells permanent 0 or exactly 1, the only targets, from
+  the rest.  Its lane ints grow as K * 2^K bits, so it refuses a K whose
+  ints would pass ``ENUMERATION_MAX_BYTES``.
+* the row-by-row transfer, ``_counts_transfer``, checks the same counts
+  with a dynamic program over the capped permanents of column subsets, in
+  time exponential in n.
+* the leading permanents, ``leading_permanents``, check the diagonals
+  W_n(n) and V_n(n) of the closed forms: one row-by-row pass over column
+  subsets of the ``TABLE_N`` variable mask gives the permanent of every
+  leading k x k block.
+* the recurrence table, ``w_recurrence_table``, and the cycle sums,
+  ``w_row_via_cycles`` over the cycle types of S_n (the integer
+  ``partitions`` of n), check family C's closed form W_n(m).
+* the B identity, ``v_via_w``, checks family B's closed form V_n(m) from
+  family C's counts.
+* the S_n walk, ``e_tables_bruteforce``, checks ``e_table`` for every
+  family: one walk of all n! permutations per n serves the three families.
+
 ``run_offline_checks`` declares each check as one row of a table: its name,
 the reach that a pass reports, the list of its mismatches, and the format
 of the first mismatch.  One rule turns every row into its ``CheckResult``:
@@ -24,25 +47,31 @@ builder's one limit (``output.DIST_MAX_N``, and ``probability.EXACT_MAX_N``,
 ``COMPARE_MAX_N``, ``MAX_GRID`` and ``MAX_FAMILIES``), which no ``--force``
 lifts.  ``report`` prints the ``validate`` command's report.
 Nothing lifts any of ``validate``'s limits, the S_n walk's
-``termoracles.BRUTEFORCE_MAX_N`` included, so the command takes no
-``--force``.  Only ``validate`` and the tests load this module.
+``BRUTEFORCE_MAX_N`` included, so the command takes no ``--force``.  Only
+``validate`` and the tests load this module.  All counting is exact
+(Python integers).
 """
 
+import itertools
 import math
-from itertools import zip_longest
+import operator
+from collections import Counter
+from collections.abc import Iterator, Sequence
+from functools import lru_cache, reduce
+from itertools import accumulate, zip_longest
 
 from .families import Family
 from .guards import GuardError, Record, check_guard, parse_int
-from .matrices import _counts_transfer, exact_counts_direct, leading_permanents
 from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc, read_metadata
 from .probability import MAX_FAMILIES, compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
-from .termdist import e_table, v_closed_form, w_closed_form
-from .termoracles import (
-    e_tables_bruteforce,
-    v_via_w,
-    w_recurrence_table,
-    w_row_via_cycles,
+from .termdist import (
+    TermDistribution,
+    _check_index,
+    derangement,
+    e_table,
+    v_closed_form,
+    w_closed_form,
 )
 
 # Vendored reference triangles for the two non-trivial families (rows n=1..).
@@ -82,6 +111,315 @@ TABLE_N = 12
 # by 20,001 x 25 x 19 = 9,500,475.
 MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
 
+# Most bytes the lane ints of ``exact_counts_direct`` may take.  It holds at
+# most about 3 * K ints of 2**K bits: 15.75 MiB for family B at n=5 (K = 21;
+# tracemalloc peaks at 13.7 MiB), and 300 MiB at K = 25, the next K of any
+# family.
+ENUMERATION_MAX_BYTES = 32 << 20
+
+# Largest dimension ``leading_permanents`` takes: its state at 16 is 2**16
+# lanes of 6 bytes, 384 KiB per int.
+LEADING_MAX_N = 16
+
+# Largest n the walk accepts; nothing lifts it.  Past S_6 each step
+# multiplies the walk's time by n: on two cores n=11 takes about 0.05 s,
+# n=12 about 0.6 s and n=13 would take about 8 s.
+BRUTEFORCE_MAX_N = 12
+
+# Trailing positions of each S_n that the walk takes as one block: it walks
+# S_6 once per n and counts each block from it.
+WALK_BLOCK = 6
+
+
+@lru_cache(maxsize=None)
+def variable_positions(family: Family, n: int) -> tuple[tuple[int, int], ...]:
+    """Variable (row, col) pairs in row-major order.
+
+    The ordering is the contract that makes assignment indices reproducible:
+    bit k of an assignment always refers to the k-th pair returned here.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    return tuple(
+        (i, j) for i in range(n) for j in range(n) if family.is_variable(i, j)
+    )
+
+
+def _entry_lanes(family: Family, n: int) -> tuple[list[list[int]], list[int]]:
+    """Every entry under all 2**K assignments t at once, bit t for assignment t.
+
+    Returns the n x n entry ints and the lane masks.  Bit t of the k-th
+    variable entry is bit k of t, and a fixed entry is -1, whose every bit
+    is 1.  Bit t of ``masks[i]`` is set when t has i ones, so the masks
+    partition the lanes.  Each variable doubles the lanes: the old ones are
+    copied above themselves, where the new variable is 1.
+    """
+    patterns: list[int] = []
+    masks = [1]
+    for k in range(family.variable_count(n)):
+        lanes = 1 << k
+        patterns = [p | p << lanes for p in patterns] + [((1 << lanes) - 1) << lanes]
+        masks = [a | b << lanes for a, b in zip(masks + [0], [0] + masks)]
+    entries = [[-1] * n for _ in range(n)]
+    for (i, j), pattern in zip(variable_positions(family, n), patterns):
+        entries[i][j] = pattern
+    return entries, masks
+
+
+def exact_counts_direct(family: Family, n: int) -> tuple[int, ...]:
+    """Oracle for ``exact_counts``: evaluate all 2**K assignments, one bit each.
+
+    Counts, by number of ones, the assignments whose matrix has a permanent
+    equal to the family target, 0 or 1.  A permutation's term is the AND of
+    its n entries of :func:`_entry_lanes`; ``once`` collects the lanes
+    where some term is 1 and ``twice`` those where two are, and the
+    popcounts of the lanes on target against the lane masks give the
+    counts.  Refuses a K whose lane ints would pass
+    ``ENUMERATION_MAX_BYTES``.
+    """
+    k_total = len(variable_positions(family, n))
+    need = 3 * k_total << k_total >> 3
+    if need > ENUMERATION_MAX_BYTES:
+        raise GuardError(f"enumerating {k_total} variable entries takes up to {need} bytes, "
+                         f"past ENUMERATION_MAX_BYTES = {ENUMERATION_MAX_BYTES}")
+    entries, masks = _entry_lanes(family, n)
+    once = twice = 0
+    for sigma in itertools.permutations(range(n)):
+        term = reduce(operator.and_, [row[j] for row, j in zip(entries, sigma)])
+        twice |= once & term
+        once |= term
+    hit = once & ~twice if family.target_permanent else ~once
+    return tuple((hit & mask).bit_count() for mask in masks)
+
+
+def leading_permanents(rows: Sequence[int]) -> list[int]:
+    """Permanents of the leading k x k blocks of a 0/1 matrix, k = 1..n, in one pass.
+
+    Bit j of ``rows[i]`` is entry (i, j) of the n x n matrix.  Row by row,
+    lane S of one int counts the ways the rows so far fill exactly the
+    columns in S, each row taking a column where it has a 1; after k rows,
+    lane {0, ..., k-1} holds the leading k x k permanent.  Adding a row
+    with a one in column c moves every lane S without c to S | {c}, one
+    mask and one shift.  A lane is ``size`` bytes, enough for n!, the
+    largest count.
+    """
+    n = len(rows)
+    if n > LEADING_MAX_N:
+        raise GuardError(f"dimension {n} exceeds LEADING_MAX_N = {LEADING_MAX_N}")
+    size = math.factorial(n).bit_length() // 8 + 1
+    # keep[c] is all ones on the lanes S without column c.
+    keep = [int.from_bytes((b"\xff" * (size << c) + bytes(size << c)) * (1 << n - c - 1),
+                           "little") for c in range(n)]
+    state = 1  # the empty set of columns is filled once
+    out = []
+    for k, row in enumerate(rows):
+        state = sum((state & keep[c]) << (8 * size << c) for c in range(n) if row >> c & 1)
+        out.append(state >> 8 * size * ((2 << k) - 1) & (1 << 8 * size) - 1)
+    return out
+
+
+def _counts_transfer(family: Family, n: int) -> list[int]:
+    """Row-by-row transfer over column subsets, for any family.
+
+    After i rows the state records, for every i-element set T of columns,
+    min(perm, target + 1) of the submatrix on those rows and columns; the
+    final state holds the whole matrix's capped permanent.  A state is one
+    int: bit T of layer L (bit L * 2**n + T) is set when that capped value
+    exceeds L; the target is 0 or 1, so there are one or two layers.  Adding
+    a row with a one in column c lifts every set T without c to T | {c},
+    which is one mask and one shift of the state.
+
+    Each state carries the polynomial, in the number of ones, of the
+    assignments that reach it, packed into one int with ``width`` = K + 1
+    bits per coefficient: no coefficient exceeds 2**K, so none carries into
+    the next.
+    """
+    k_total = family.variable_count(n)
+    target = family.target_permanent
+    width = k_total + 1
+    size = 1 << n
+    layers = target + 1
+    # keep[c] has bit T of every layer set for the sets T without c.
+    keep = [sum(1 << (layer * size + t) for layer in range(layers) for t in range(size)
+                if not t >> c & 1) for c in range(n)]
+    if layers == 1:
+        add = operator.or_
+    else:
+        low = (1 << size) - 1
+
+        def add(a: int, b: int) -> int:
+            """Capped sum of two states: both >= 1 makes >= 2."""
+            return a | b | ((a & b & low) << size)
+
+    states = {1: 1}  # the empty column set is matched once; polynomial 1
+    for i in range(n):
+        free = [j for j in range(n) if family.is_variable(i, j)]
+        pinned = [j for j in range(n) if not family.is_variable(i, j)]
+        monomial = [1 << (width * p.bit_count()) for p in range(1 << len(free))]
+        nxt: dict[int, int] = {}
+        for state, poly in states.items():
+            lifted = [(state & keep[c]) << (1 << c) for c in range(n)]
+            base = 0
+            for c in pinned:
+                base = add(base, lifted[c])
+            # after[p]: the state once a row with ones at the pinned columns
+            # and at the free columns picked by the bits of p is added
+            after = [base]
+            for p in range(1, 1 << len(free)):
+                column = free[(p & -p).bit_length() - 1]
+                after.append(add(after[p & (p - 1)], lifted[column]))
+            weights: dict[int, int] = {}
+            for p, new in enumerate(after):
+                weights[new] = weights.get(new, 0) + monomial[p]
+            for new, weight in weights.items():
+                nxt[new] = nxt.get(new, 0) + poly * weight
+        states = nxt
+    full = size - 1
+    total = sum(
+        poly
+        for state, poly in states.items()
+        if sum(state >> (full + layer * size) & 1 for layer in range(layers)) == target
+    )
+    mask = (1 << width) - 1
+    return [total >> (width * i) & mask for i in range(k_total + 1)]
+
+
+def w_recurrence_table(n_max: int) -> list[list[int]]:
+    """Family-C triangle rows [W_n(0..n)] for n = 0..n_max, built from recurrences only.
+
+    Seeds: the n=1 diagonal value is 0 and every m=0 column entry is 1.  The
+    diagonal then advances by the step W_n(n) = n*W_{n-1}(n-1) + (-1)^n and
+    each interior entry scales the smaller diagonal value by a binomial
+    factor, W_n(m) = C(n, m) * W_m(m).  Row 0 is a filler for alignment.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    rows = [[1], [1, 0]]
+    for n in range(2, n_max + 1):
+        row = [1]
+        for m in range(1, n):
+            row.append(math.comb(n, m) * rows[m][m])
+        row.append(n * rows[n - 1][n - 1] + (1 if n % 2 == 0 else -1))
+        rows.append(row)
+    return rows
+
+
+def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Integer partitions of n as descending tuples, largest first part first.
+
+    The order is deterministic: (n,), (n-1, 1), ..., (1,)*n.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def w_row_via_cycles(n: int) -> list[int]:
+    """Family-C row [W_n(0..n)] from one pass over the cycle types of S_n.
+
+    A term has m variable entries exactly when its permutation moves m points,
+    i.e. has n - m fixed points.  A cycle type with k_l cycles of length l
+    holds n! / prod_l (l**k_l * k_l!) permutations, and each such class size
+    adds to row[n - k_1].
+    """
+    row = [0] * (n + 1)
+    for parts in partitions(n):
+        denom = 1
+        for length in set(parts):
+            k = parts.count(length)
+            denom *= length**k * math.factorial(k)
+        row[n - parts.count(1)] += math.factorial(n) // denom
+    return row
+
+
+def _w_or_zero(n: int, m: int) -> int:
+    if n < 0 or m < 0 or m > n:
+        return 0
+    return math.comb(n, m) * derangement(m)
+
+
+def v_via_w(n: int, m: int) -> int:
+    """Family-B count from family-C counts.
+
+    Deleting the row and column through the lone variable diagonal entry
+    leaves a family-C matrix one size smaller, which gives
+    V_n(m) = W_n(m) - W_{n-1}(m) + W_{n-1}(m-1), with out-of-range terms 0.
+    """
+    _check_index(n, m)
+    if m < 1:
+        raise IndexError(f"m must be >= 1, got {m}")
+    return _w_or_zero(n, m) - _w_or_zero(n - 1, m) + _w_or_zero(n - 1, m - 1)
+
+
+def e_tables_bruteforce(n: int) -> dict[Family, TermDistribution]:
+    """Term-count distributions of every family from one walk of all n! permutations.
+
+    Position (sigma(j), j) lies on the diagonal exactly when sigma fixes j,
+    so a term's variable-entry count follows from its fixed-point count fp
+    and from whether sigma fixes 0: all n positions for family A, n - fp for
+    family C, and for family B one more than that when sigma fixes 0 (the
+    variable diagonal entry counts as variable).  The walk keeps the joint
+    histogram of those two quantities and derives all three rows from it.
+
+    With m = min(n, ``WALK_BLOCK``) and offset = n - m, each sigma is a
+    prefix on positions 0..offset-1 followed by an arrangement of the m
+    values the prefix leaves on the last m positions.  Such a position can
+    be fixed only when its own value is among those m, so k = m - used of
+    them are fixable, ``used`` counting the prefix's values >= offset.
+    Labelling the k fixable positions and their values 0..k-1, and the
+    other positions and values k..m-1, each side in ascending order, makes
+    the arrangements S_m, one to one, and an arrangement fixes f fixable
+    positions exactly when its tau fixes f of 0..k-1.  So the walk counts
+    each tau of S_m once by how many of 0..k-1 it fixes for every k, and
+    each prefix once by its fixed points, ``used`` and whether it fixes 0;
+    a prefix's whole block follows from those counts.  With no prefix
+    (n <= m) S_n is S_m, and tau(0) == 0 decides whether 0 is fixed.  The
+    walk holds a few hundred counts whatever n is.  n above
+    ``BRUTEFORCE_MAX_N`` raises :class:`GuardError`, which nothing lifts,
+    before any walk.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    check_guard(n, BRUTEFORCE_MAX_N, "dimension for factorial-time enumeration")
+    m = min(n, WALK_BLOCK)
+    offset = n - m
+    # fixed[k] is how many of the points 0..k-1 tau fixes, for k = 0..m.
+    tails = Counter(tuple(accumulate(map(operator.eq, tau, range(m)), initial=0))
+                    for tau in itertools.permutations(range(m)))
+    # joint[fp][fixes_0] counts the permutations with fp fixed points that
+    # fix 0 (fixes_0 = 1) or move it (fixes_0 = 0).
+    joint = [[0, 0] for _ in range(n + 1)]
+    if offset:
+        high = set(range(offset, n))
+        heads = Counter((sum(map(operator.eq, prefix, range(offset))),
+                         len(high.intersection(prefix)), prefix[0] == 0)
+                        for prefix in itertools.permutations(range(n), offset))
+        for (fp, used, fixes_0), count in heads.items():
+            for fixed, ways in tails.items():
+                joint[fp + fixed[m - used]][fixes_0] += count * ways
+    else:
+        for fixed, count in tails.items():
+            joint[fixed[m]][fixed[1]] += count
+    b = [0] * (n + 1)
+    c = [0] * (n + 1)
+    for fp, (moving_0, fixing_0) in enumerate(joint):
+        c[n - fp] = moving_0 + fixing_0
+        b[n - fp] += moving_0
+        if fp:  # a permutation that fixes 0 has at least one fixed point
+            b[n - fp + 1] += fixing_0
+    return {
+        Family.A: TermDistribution(Family.A, n, (0,) * n + (sum(c),)),
+        Family.B: TermDistribution(Family.B, n, tuple(b)),
+        Family.C: TermDistribution(Family.C, n, tuple(c)),
+    }
+
 
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
@@ -96,7 +434,7 @@ def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
     """Run every offline cross-route check; failures come back as results.
 
     The enumeration check walks S_n for n <= ``bruteforce_n``, and
-    ``bruteforce_n`` above ``termoracles.BRUTEFORCE_MAX_N`` raises
+    ``bruteforce_n`` above ``BRUTEFORCE_MAX_N`` raises
     :class:`GuardError` before any walk; the table checks run to
     n = ``TABLE_N``.
     """
@@ -179,7 +517,7 @@ def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
 
 
 def report(bruteforce_n: int, paths: list[str],
-           oeis: tuple[str | None, float | None] | None = None) -> int:
+           oeis: tuple[str, float] | None = None) -> int:
     """Print the ``validate`` report and return its exit code, 1 when a check fails.
 
     One line per check of :func:`run_offline_checks`, then one per artifact

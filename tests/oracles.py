@@ -8,7 +8,7 @@ computes all 2**K permanents at once through a subset-sum transform.
 coefficients, a reference that ``q_eval`` never sees.
 
 A 0/1 matrix is a tuple of row ints, bit j of ``rows[i]`` being entry
-(i, j), as ``matrices.leading_permanents`` takes it.  ``family_rows``
+(i, j), as ``validation.leading_permanents`` takes it.  ``family_rows``
 builds a family's matrix from an assignment, in the bit order of
 ``variable_positions``.  ``permanent_ryser`` is Ryser's inclusion-exclusion
 over column subsets, the kernel that checks ``leading_permanents``, and
@@ -16,7 +16,7 @@ over column subsets, the kernel that checks ``leading_permanents``, and
 ``permanent_ryser``.  ``term_counts_literal`` counts each permutation
 term's variable entries one term at a time, the reference for the walk
 of ``e_tables_bruteforce``.  ``counts_by_matrices`` enumerates the
-2**K assignments as ``matrices.exact_counts_direct`` does, but builds each
+2**K assignments as ``validation.exact_counts_direct`` does, but builds each
 assignment's matrix and takes its ``permanent_ryser``, where the library
 evaluates every assignment at once, one bit per assignment.
 ``recurrence_counts`` runs the recurrences of ``exact_counts`` in powers of

@@ -20,7 +20,7 @@ from permprob import (
     w_recurrence_table,
     w_row_via_cycles,
 )
-from permprob.matrices import _counts_transfer, exact_counts_direct
+from permprob.validation import _counts_transfer, exact_counts_direct
 
 from oracles import (
     EXACT_N3,

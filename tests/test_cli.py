@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import permprob
-from permprob import MAX_GRID, Family, cli, probability, termoracles, usage, validation
+from permprob import MAX_GRID, Family, cli, probability, usage, validation
 from permprob.cli import main
 from permprob.usage import build_parser
 
@@ -311,7 +311,7 @@ class TestValidate:
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
+        monkeypatch.setattr(validation, "itertools", SimpleNamespace(permutations=no_walk))
         assert run(capsys, "validate", "--n", "13") == (
             3, "", "guard violation: dimension for factorial-time enumeration 13 "
                    "exceeds its ceiling of 12, which no --force lifts\n")
@@ -633,7 +633,7 @@ class TestHelpAndUsageErrors:
         assert ("  --n N       largest matrix dimension whose S_n is walked "
                 "(default: 8, at most 12)") in helps.pop("validate")
         # the help writes the walk's limit out
-        assert termoracles.BRUTEFORCE_MAX_N == 12
+        assert validation.BRUTEFORCE_MAX_N == 12
         for name, lines in helps.items():
             assert [line.split(None, 2) for line in lines if line.startswith("  --n ")] == [
                 ["--n", "N", "matrix dimension"]], name
@@ -993,8 +993,7 @@ _LOADS = [
     pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4503,
                  "re locale urllib.request http.client ssl", id="seq-oeis"),
     pytest.param(("validate", "--n", "3"), 0,
-                 "matrices output probability sequences termdist termoracles validation",
-                 10566, "", id="validate"),
+                 "output probability sequences termdist validation", 10513, "", id="validate"),
     pytest.param(("-h",), 0, "usage", 2712, _ARGPARSE, id="help"),
     pytest.param(("exact", "-h"), 0, "usage", 2712, _ARGPARSE, id="exact-help"),
     pytest.param(("bogus",), 2, "usage", 2712, _ARGPARSE, id="bogus"),
@@ -1086,7 +1085,7 @@ class TestImportDiet:
     def test_command_path_module_imports_no_oracle(self, module):
         # Every import statement counts, a lazy one inside a function too, so
         # this sees the paths that no row of _LOADS runs.
-        oracles = {"matrices", "termoracles", "validation"}
+        oracles = {"validation"}
         path = pathlib.Path(permprob.__file__).parent / f"{module}.py"
         imported = []
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1098,9 +1097,9 @@ class TestImportDiet:
         assert oracles.isdisjoint(imported), imported
 
     def test_family_is_one_object(self):
-        from permprob import families, matrices
+        from permprob import families
 
-        assert permprob.Family is matrices.Family is families.Family
+        assert permprob.Family is validation.Family is families.Family
 
     def test_cli_module_stays_small(self):
         # Every command compiles cli.py from source when bytecode is not

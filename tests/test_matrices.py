@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import Family, GuardError, exact_counts, matrices, variable_positions
-from permprob.matrices import _entry_lanes
+from permprob import Family, GuardError, exact_counts, validation, variable_positions
+from permprob.validation import _entry_lanes
 
 from oracles import counts_by_matrices, family_rows, permanent_naive, permanent_ryser
 
@@ -163,7 +163,7 @@ class TestEnumerationOracle:
         (Family.B, 4), (Family.C, 4),
     ])
     def test_equals_a_matrix_per_assignment(self, family, n):
-        assert matrices.exact_counts_direct(family, n) == counts_by_matrices(family, n)
+        assert validation.exact_counts_direct(family, n) == counts_by_matrices(family, n)
 
     @given(st.sampled_from([(family, n) for family in Family for n in range(1, 6)
                             if family.variable_count(n) <= 21]), st.data())
@@ -196,7 +196,7 @@ class TestEnumerationOracle:
         # B at n=5, K = 21, is the largest K of any family under the guard.
         tracemalloc.start()
         try:
-            counts = matrices.exact_counts_direct(Family.B, 5)
+            counts = validation.exact_counts_direct(Family.B, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,17 +214,17 @@ class TestLeadingPermanents:
         blocks = [
             tuple(row & (1 << k) - 1 for row in m[:k]) for k in range(1, len(m) + 1)
         ]
-        assert matrices.leading_permanents(m) == [permanent_ryser(b) for b in blocks]
+        assert validation.leading_permanents(m) == [permanent_ryser(b) for b in blocks]
 
     def test_lanes_hold_factorials(self):
         # All ones fills every lane to its largest count, k! after k rows.
-        n = matrices.LEADING_MAX_N
-        assert matrices.leading_permanents([(1 << n) - 1] * n) == [
+        n = validation.LEADING_MAX_N
+        assert validation.leading_permanents([(1 << n) - 1] * n) == [
             math.factorial(k) for k in range(1, n + 1)]
 
     def test_guard(self):
         with pytest.raises(GuardError, match="dimension 17 exceeds LEADING_MAX_N = 16"):
-            matrices.leading_permanents([1] * 17)
+            validation.leading_permanents([1] * 17)
 
 
 class TestGuards:
@@ -232,19 +232,19 @@ class TestGuards:
         # C at n=6 has K = 30: 3 * 30 ints of 2**30 bits.
         with pytest.raises(GuardError, match="enumerating 30 variable entries takes up to "
                            "12079595520 bytes, past ENUMERATION_MAX_BYTES = 33554432"):
-            matrices.exact_counts_direct(Family.C, 6)
+            validation.exact_counts_direct(Family.C, 6)
         with pytest.raises(GuardError, match="enumerating 25 variable entries"):
-            matrices.exact_counts_direct(Family.A, 5)
-        monkeypatch.setattr(matrices, "ENUMERATION_MAX_BYTES", 143)
+            validation.exact_counts_direct(Family.A, 5)
+        monkeypatch.setattr(validation, "ENUMERATION_MAX_BYTES", 143)
         with pytest.raises(GuardError, match="6 variable entries takes up to 144 bytes, "
                            "past ENUMERATION_MAX_BYTES = 143"):
-            matrices.exact_counts_direct(Family.C, 3)
-        monkeypatch.setattr(matrices, "ENUMERATION_MAX_BYTES", 144)
-        assert matrices.exact_counts_direct(Family.C, 3) == (1, 6, 12, 6, 0, 0, 0)
+            validation.exact_counts_direct(Family.C, 3)
+        monkeypatch.setattr(validation, "ENUMERATION_MAX_BYTES", 144)
+        assert validation.exact_counts_direct(Family.C, 3) == (1, 6, 12, 6, 0, 0, 0)
 
     def test_enumeration_refuses_dimension_zero(self):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
-            matrices.exact_counts_direct(Family.A, 0)
+            validation.exact_counts_direct(Family.A, 0)
 
 
 class TestFamilies:

@@ -19,9 +19,9 @@ from permprob import (
     p_eval,
     q_eval,
 )
-from permprob.matrices import _counts_transfer, exact_counts_direct
 from permprob.output import format_float
 from permprob.probability import _RECURRENCES, _taylor_shift
+from permprob.validation import _counts_transfer, exact_counts_direct
 
 from oracles import (
     EXACT_N3,
@@ -256,6 +256,97 @@ class TestQEvalPastTheFloatRange:
         # every m, so nearly every factor takes the integer route
         dist = e_table(family, 200)
         assert q_eval(dist, r) == float(series_product(dist, r)) == 1.0
+
+    @pytest.mark.parametrize("family", [Family.B, Family.C])
+    def test_every_skipped_quotient_is_zero(self, family):
+        # q_eval's integer route skips the factor e_m * a**m / 2**shift of
+        # r = a/b, b = 2**(shift/m), when the bit lengths put it below
+        # 2**-1075; each one skipped here, computed, is exactly 0.0, so the
+        # skip changes no double
+        counts = e_table(family, 200).counts
+        skipped = 0
+        for r in [10.0**-k for k in range(1, 324)] + [2.0**-j for j in range(1, 1075)]:
+            a, b = r.as_integer_ratio()
+            a_power = 1  # a**m
+            for m, e in enumerate(counts[1:], 1):
+                a_power *= a
+                shift = (b.bit_length() - 1) * m
+                if e and e.bit_length() + m * a.bit_length() <= shift - 1075:
+                    assert e * a_power / (1 << shift) == 0.0, (r, m)
+                    skipped += 1
+        assert skipped > 250_000
+
+
+def q_ratio(dist, i, d):
+    """Q at r = i/d exactly, as (numerator, denominator): the product over
+    m >= 1 of (1 - r**m)**e_m, as ``q_eval`` takes it."""
+    num = den = 1
+    for m, e in enumerate(dist.counts[1:], 1):
+        num *= (d**m - i**m) ** e
+        den *= d ** (m * e)
+    return num, den
+
+
+def p_ratio(counts, i, d):
+    """P at r = i/d exactly, as (numerator, denominator)."""
+    k = counts.variable_count
+    return sum(c * i**j * (d - i) ** (k - j) for j, c in enumerate(counts.counts)), d**k
+
+
+def w_a_ratio(n, i, d):
+    """Family A's upper bound W_A at r = i/d exactly, as (numerator, denominator):
+    1 - prod over s + t = n + 1 of (1 - (1-r)**(s*t))**(C(n, s) * C(n, t))."""
+    num = den = 1
+    for s in range(1, n + 1):
+        st, ways = s * (n + 1 - s), math.comb(n, s) * math.comb(n, n + 1 - s)
+        num *= (d**st - (d - i) ** st) ** ways
+        den *= d ** (st * ways)
+    return den - num, den
+
+
+def at_most(x, y):
+    """x <= y for two exact (numerator, denominator) pairs with positive denominators."""
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+class TestProductFormBounds:
+    # Every term event "all variable entries of sigma are 1" is increasing,
+    # so the complements are positively correlated (Harris; Kleitman) and
+    # P >= Q for every family, n and r.  For A, a zero permanent means an
+    # s x t zero block with s + t = n + 1 (Frobenius-Koenig), which gives
+    # P <= W_A.  Both are checked exactly at r = i/40.
+    GRID = 40
+
+    @pytest.mark.parametrize("family, n_max", [(Family.A, 5), (Family.B, 7), (Family.C, 7)])
+    def test_q_is_a_lower_bound_of_p(self, family, n_max):
+        for n in range(1, n_max + 1):
+            dist, counts = e_table(family, n), exact_counts(family, n)
+            bad = [i for i in range(self.GRID + 1)
+                   if not at_most(q_ratio(dist, i, self.GRID), p_ratio(counts, i, self.GRID))]
+            assert bad == [], (n, bad)
+
+    def test_p_is_at_most_w_a(self):
+        for n in range(1, 7):
+            counts = exact_counts(Family.A, n)
+            bad = [i for i in range(self.GRID + 1)
+                   if not at_most(p_ratio(counts, i, self.GRID), w_a_ratio(n, i, self.GRID))]
+            assert bad == [], (n, bad)
+
+    # Q from the wrong family's e_table breaks Q <= P for these pairs (Q's
+    # family -> P's family).  B -> C and B -> A go unseen: on this grid B's
+    # Q stays at or below C's and A's P, so the bound cannot tell those
+    # tables apart.
+    @pytest.mark.parametrize("q_family, p_family, violations", [
+        (Family.C, Family.B, 80),
+        (Family.A, Family.B, 108),
+        (Family.C, Family.A, 39),
+        (Family.A, Family.C, 65),
+    ], ids=["C->B", "A->B", "C->A", "A->C"])
+    def test_the_wrong_family_table_breaks_the_bound(self, q_family, p_family, violations):
+        bad = [(n, i) for n in range(2, 6) for i in range(self.GRID + 1)
+               if not at_most(q_ratio(e_table(q_family, n), i, self.GRID),
+                              p_ratio(exact_counts(p_family, n), i, self.GRID))]
+        assert len(bad) == violations
 
 
 class TestExactCounts:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import termdist, termoracles, validation
+from permprob import termdist, validation
 from permprob import (
     Family,
     GuardError,
@@ -249,7 +250,7 @@ class TestSharedWalk:
     def test_chunk_boundaries(self, monkeypatch, block):
         # A whole S_n for n <= 6 fits in one default block, so shrink it, or
         # grow it past the default.
-        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
+        monkeypatch.setattr(validation, "WALK_BLOCK", block)
         for n in range(1, 9):
             walked = e_tables_bruteforce(n)
             for family in Family:
@@ -260,7 +261,7 @@ class TestSharedWalk:
         # block size against a count of every permutation term one by one.
         literal = {n: oracles.term_counts_literal(n) for n in range(1, 9)}
         for block in range(1, 7):
-            monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
+            monkeypatch.setattr(validation, "WALK_BLOCK", block)
             for n, rows in literal.items():
                 walked = e_tables_bruteforce(n)
                 assert {family: walked[family].counts for family in Family} == rows, (block, n)
@@ -280,7 +281,7 @@ class TestSharedWalk:
         def no_walk(iterable, r=None):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(termoracles, "itertools", SimpleNamespace(permutations=no_walk))
+        monkeypatch.setattr(validation, "itertools", SimpleNamespace(permutations=no_walk))
         with pytest.raises(GuardError, match=r"enumeration 13 exceeds its ceiling of 12$"):
             e_tables_bruteforce(13)
         with pytest.raises(GuardError, match=f"enumeration {10**30} exceeds"):
@@ -288,14 +289,19 @@ class TestSharedWalk:
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """Sizes of the symmetric groups that termoracles enumerates, and how
+        """Sizes of the symmetric groups that the walk enumerates, and how
         many permutations each enumeration yielded.
 
-        A walk enumerates S_m and its prefixes with ``itertools.permutations``."""
+        A walk enumerates S_m and its prefixes with ``itertools.permutations``.
+        The n=3 enumeration oracle ``exact_counts_direct`` calls it too, from
+        the same module, so only the calls that ``e_tables_bruteforce``
+        makes are counted."""
         walks = SimpleNamespace(sizes=[], yielded=[])
 
         def counting_permutations(iterable, r=None):
             pool = tuple(iterable)
+            if sys._getframe(1).f_code is not validation.e_tables_bruteforce.__code__:
+                return itertools.permutations(pool, r)
             walks.sizes.append(len(pool))
             walks.yielded.append(0)
             index = len(walks.yielded) - 1
@@ -307,10 +313,10 @@ class TestSharedWalk:
 
             return count()
 
-        # Only termoracles' reference to itertools is swapped, so the n=3
-        # enumeration oracles in probability and matrices are not counted.
+        # Only validation's reference to itertools is swapped, so the
+        # enumeration oracles of the tests are not counted either.
         monkeypatch.setattr(
-            termoracles, "itertools", SimpleNamespace(permutations=counting_permutations)
+            validation, "itertools", SimpleNamespace(permutations=counting_permutations)
         )
         return walks
 
@@ -323,7 +329,7 @@ class TestSharedWalk:
     def test_each_permutation_consumed_once(self, walked, monkeypatch, block):
         # Past the block, S_n is S_m (m = block) once and then every prefix
         # of n - m values once: m! * n!/m! = n! permutations.
-        monkeypatch.setattr(termoracles, "WALK_BLOCK", block)
+        monkeypatch.setattr(validation, "WALK_BLOCK", block)
         sizes, yielded = [], []
         for n in range(1, 7):
             e_tables_bruteforce(n)
