@@ -22,7 +22,7 @@ At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
 validation and sequence modules it needs itself, so a command loads only
 what it runs: the oracle routes, which live in ``validation``, load only
-under ``validate``, and the OEIS client only under ``--oeis``.  The
+under ``validate``, and the OEIS client only under ``seq --oeis``.  The
 ``validate`` and ``seq`` handlers hand their options to the ``report`` of
 ``validation`` and ``sequences``, which print the reports, so this module,
 which every command compiles when bytecode is not written, holds only the
@@ -128,7 +128,7 @@ def _cmd_compare(args: SimpleNamespace) -> int:
 def _cmd_validate(args: SimpleNamespace) -> int:
     from .validation import report
 
-    return report(args.n, args.paths, args.oeis)
+    return report(args.n, args.paths)
 
 
 def _cmd_seq(args: SimpleNamespace) -> int:
@@ -172,7 +172,7 @@ _SUBCOMMANDS = {
     "exact": _Subcommand(_cmd_exact, "count assignments and emit exact hit counts",
                          _ARTIFACT_OPTIONS, ("csv", "json"), default_n=3),
     "validate": _Subcommand(_cmd_validate, "run all offline cross-checks",
-                            ("n", "oeis"), default_n=8,
+                            ("n",), default_n=8,
                             paths="previously emitted CSV artifacts to re-verify"),
     "seq": _Subcommand(_cmd_seq, "check generated slices against known sequences",
                        ("oeis",)),

@@ -11,8 +11,8 @@ lives where only they load it: ``svgplot.compare_svg`` plots the compare
 grid, and ``validation.regenerate`` rebuilds the document that a previously
 emitted artifact's metadata describes, which is how ``validate``
 re-verifies it.  The compare grids of both ``compare`` routes come from
-``probability._compare_grids``, which holds the family count to
-``probability.MAX_FAMILIES``; the SVG route loads no part of this module.
+``probability._compare_grids``, which reads the families as a set in the
+order first named; the SVG route loads no part of this module.
 
 CSV dialect: comma separator, header row, LF line endings, no quoting (data
 fields are numeric).  A leading ``# permprob <kind> key=value ...`` line
@@ -136,19 +136,19 @@ def make_exact_doc(counts: "ExactCounts") -> CsvDoc:
 
 def make_compare_doc(families: "list[Family]", n: int, grid_points: int,
                      force: bool = False) -> CsvDoc:
-    """Columns r, then Q_X and P_X for each family, on a uniform grid."""
+    """Columns r, then Q_X and P_X for each distinct family, on a uniform grid."""
     from .probability import _compare_grids
 
     grids = _compare_grids(families, n, grid_points, force)
     header = ["r"]
-    for fam in families:
+    for fam in grids:
         header.extend([f"Q_{fam.value}", f"P_{fam.value}"])
     rows = []
     for i in range(grid_points):
         row = [format_float(grids[families[0]][i][0])]
-        for fam in families:
-            _, q, p, _ = grids[fam][i]
+        for grid in grids.values():
+            _, q, p, _ = grid[i]
             row.extend([format_float(q), format_float(p)])
         rows.append(row)
-    meta = {"n": n, "grid": grid_points, "families": ",".join(f.value for f in families)}
+    meta = {"n": n, "grid": grid_points, "families": ",".join(f.value for f in grids)}
     return CsvDoc("compare", meta, header, rows)

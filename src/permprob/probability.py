@@ -37,11 +37,6 @@ from .termdist import TermDistribution, e_table
 EXACT_MAX_N = 16
 COMPARE_MAX_N = 12
 MAX_GRID = 20_001
-# Most families a compare may name, repeats included, unless forced.  Each
-# distinct family is computed once, so the count bounds the row width, not
-# the work; ``validate`` counts them from an artifact's header text before
-# any name is parsed.
-MAX_FAMILIES = 12
 DEFAULT_GRID = 101
 
 
@@ -261,10 +256,22 @@ def p_eval(counts: ExactCounts, r: float) -> float:
     The Bernstein-style sum sum_i N_i * r**i * (1-r)**(K-i) is evaluated in
     integers at the float's exact value r = a/d and rounded once, so the
     result is the correctly rounded double at every K, tiny values included.
+    When N_0 = 1, every 0 <= N_i <= C(K, i) and K*r <= 2**-54, then
+    1 - 2**-54 <= (1-r)**K <= P <= 1, and 1.0 is returned without the sum.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"r must be in [0, 1], got {r}")
-    return _p_at(counts, *r.as_integer_ratio())
+    a, d = r.as_integer_ratio()
+    k_total = counts.variable_count
+    if k_total * a << 54 <= d and counts.counts[0] == 1:
+        binom = 1  # C(K, i)
+        for i, c in enumerate(counts.counts):
+            if not 0 <= c <= binom:
+                break
+            binom = binom * (k_total - i) // (i + 1)
+        else:
+            return 1.0
+    return _p_at(counts, a, d)
 
 
 def compare_grid(
@@ -296,13 +303,8 @@ def compare_grid(
 
 def _compare_grids(families: list[Family], n: int, grid_points: int,
                    force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
-    """``compare_grid`` rows for each distinct family, each computed once.
-
-    More than ``MAX_FAMILIES`` families, repeats included, raise
-    :class:`GuardError` unless forced.  The CSV, JSON and SVG routes of
-    ``compare`` all come through here, so they share the limit.
-    """
-    check_guard(len(families), MAX_FAMILIES, "compare families", force)
+    """``compare_grid`` rows for each distinct family, in the order first named;
+    the CSV, JSON and SVG routes of ``compare`` all come through here."""
     return {
         fam: compare_grid(fam, n, grid_points=grid_points, force=force)
         for fam in dict.fromkeys(families)

@@ -4,8 +4,8 @@ The offline checks compare slices of the generated triangles (diagonals and
 columns) against the reference terms vendored in :data:`REFERENCES`, and
 ``report`` prints them as the ``seq`` command does.  The read-only OEIS
 client that looks the same prefixes up remotely is ``permprob.oeis``, which
-only ``--oeis`` loads; ``oeis_settings``, the one reader of the lookup
-settings, stays here because ``seq`` and ``validate`` check the settings of
+only ``seq --oeis`` loads; ``oeis_settings``, the one reader of the
+lookup settings, stays here because ``seq`` checks the settings of
 ``permprob.conf`` on every run.
 This module imports neither ``re`` nor ``typing``.
 """

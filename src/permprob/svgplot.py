@@ -107,11 +107,11 @@ def line_chart(series: list[tuple], title: str) -> str:
 
 def compare_svg(families: list[Family], n: int, grid_points: int,
                 force: bool = False) -> str:
-    """One figure of Q (solid) and P (dashed) against r for each family."""
+    """One figure of Q (solid) and P (dashed) against r for each distinct family."""
     grids = _compare_grids(families, n, grid_points, force)
     series = [(f"{name} ({fam.value})", [(row[0], row[col]) for row in grids[fam]],
                _FAMILY_COLORS[fam], dashed)
-              for fam in families for name, col, dashed in (("Q", 1, False), ("P", 2, True))]
+              for fam in grids for name, col, dashed in (("Q", 1, False), ("P", 2, True))]
     return line_chart(
         series, title=f"Probability that the permanent hits its target (n={n})"
     )

@@ -44,8 +44,8 @@ metadata of the leading ``#`` lines with ``output.read_metadata``, and
 ``regenerate`` rebuilds the document it describes with the builder that
 wrote it, unforced, so each size the metadata asks for is held to that
 builder's one limit (``output.DIST_MAX_N``, and ``probability.EXACT_MAX_N``,
-``COMPARE_MAX_N``, ``MAX_GRID`` and ``MAX_FAMILIES``), which no ``--force``
-lifts.  ``report`` prints the ``validate`` command's report.
+``COMPARE_MAX_N`` and ``MAX_GRID``), which no ``--force`` lifts.  ``report``
+prints the ``validate`` command's report.
 Nothing lifts any of ``validate``'s limits, the S_n walk's
 ``BRUTEFORCE_MAX_N`` included, so the command takes no ``--force``.  Only
 ``validate`` and the tests load this module.  All counting is exact
@@ -63,7 +63,7 @@ from itertools import accumulate, zip_longest
 from .families import Family
 from .guards import GuardError, Record, check_guard, parse_int
 from .output import CsvDoc, make_compare_doc, make_dist_doc, make_exact_doc, read_metadata
-from .probability import MAX_FAMILIES, compare_grid, exact_counts, p_eval, q_eval
+from .probability import compare_grid, exact_counts, p_eval, q_eval
 from .sequences import builtin_checks
 from .termdist import (
     TermDistribution,
@@ -105,11 +105,10 @@ REFERENCE_EXACT_COUNTS_N3: dict[Family, tuple[int, ...]] = {
 TABLE_N = 12
 # Longest artifact, in characters, that ``verify_artifact`` reads; a longer
 # file is a failed check, which no ``--force`` lifts.  Every artifact that the
-# builders' limits admit is far shorter: dist B at n=200 is 2,781,459
-# characters, exact A at n=16 30,028, and a compare at n=12 on 20,001 points
-# 1,517,757 for A,B,C and 5,624,226 for twelve families, whose cells bound it
-# by 20,001 x 25 x 19 = 9,500,475.
-MAX_ARTIFACT_CHARS = 16 * 1024 * 1024
+# builders' limits admit is shorter: dist C at n=200 is 2,789,271 characters,
+# exact A at n=16 30,028, and a compare of A,B,C at n=12 on 20,001 points
+# 1,517,915, whose cells bound it by 20,001 x 7 x 19 = 2,660,133.
+MAX_ARTIFACT_CHARS = 4 * 1024 * 1024
 
 # Most bytes the lane ints of ``exact_counts_direct`` may take.  It holds at
 # most about 3 * K ints of 2**K bits: 15.75 MiB for family B at n=5 (K = 21;
@@ -516,13 +515,11 @@ def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
             for name, reach, bad, form in rows]
 
 
-def report(bruteforce_n: int, paths: list[str],
-           oeis: tuple[str, float] | None = None) -> int:
+def report(bruteforce_n: int, paths: list[str]) -> int:
     """Print the ``validate`` report and return its exit code, 1 when a check fails.
 
     One line per check of :func:`run_offline_checks`, then one per artifact
-    in ``paths``, then the ``--oeis`` lines when ``oeis`` holds the lookup
-    URL and timeout, then a summary.
+    in ``paths``, then a summary.  The OEIS lookups are ``seq --oeis``'s.
     """
     results = run_offline_checks(bruteforce_n)
     results += map(verify_artifact, paths)
@@ -530,10 +527,6 @@ def report(bruteforce_n: int, paths: list[str],
         status = "PASS" if res.passed else "FAIL"
         detail = f"  ({res.detail})" if res.detail else ""
         print(f"{status}  {res.name}{detail}")
-    if oeis:
-        from .oeis import oeis_report
-
-        oeis_report(*oeis)
     failed = sum(1 for res in results if not res.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
@@ -548,7 +541,9 @@ def regenerate(meta: dict[str, str]) -> CsvDoc | None:
     forced command wrote within the limits re-verifies like any other.
     Metadata that names no artifact kind gives None; a missing key raises
     ``KeyError`` and a bad value ``ValueError``, an integer longer than
-    ``guards.MAX_INT_CHARS`` characters included.
+    ``guards.MAX_INT_CHARS`` characters and a compare that names more
+    families than there are included.  A compare that repeats a family
+    regenerates without the repeat, so its artifact fails as a mismatch.
     """
     kind = meta.get("kind")
     if kind == "dist":
@@ -556,7 +551,8 @@ def regenerate(meta: dict[str, str]) -> CsvDoc | None:
     if kind == "exact":
         return make_exact_doc(exact_counts(Family(meta["family"]), parse_int(meta["n"])))
     if kind == "compare":
-        check_guard(meta["families"].count(",") + 1, MAX_FAMILIES, "compare families")
+        if (named := meta["families"].count(",") + 1) > len(Family):  # before any split
+            raise ValueError(f"a compare names at most {len(Family)} families, got {named}")
         families = [Family(v) for v in meta["families"].split(",")]
         return make_compare_doc(families, parse_int(meta["n"]), parse_int(meta["grid"]))
     return None

@@ -19,6 +19,7 @@ from permprob import (
     p_eval,
     q_eval,
 )
+from permprob import probability
 from permprob.output import format_float
 from permprob.probability import _RECURRENCES, _taylor_shift
 from permprob.validation import _counts_transfer, exact_counts_direct
@@ -565,6 +566,27 @@ class TestPEval:
         exact = Fraction(d**1225 + (d - 2 * a) ** 1225, 2 * d**1225)
         assert p_eval(even, r) == float(exact)
 
+    def test_tiny_r_takes_no_sum(self, monkeypatch):
+        # the sum over C's K = 3540 entries in powers of 2**-1074 takes seconds
+        counts = exact_counts(Family.C, 60, force=True)
+
+        def refuse(*args):
+            raise AssertionError("the sum ran")
+
+        monkeypatch.setattr(probability, "_p_at", refuse)
+        assert p_eval(counts, 5e-324) == 1.0
+
+    @pytest.mark.parametrize("counts, r", [
+        ((1, 0, 0), 2.0**-55),  # K*r = 2**-54, the largest r taken: 1 - 2**-54 rounds up
+        ((1, 0, 0), 2.0**-40),  # K*r too large
+        ((0, 2, 1), 1e-300),  # N_0 = 0
+        ((1, 2**60, 0), 2.0**-58),  # N_1 > C(K, 1): P is about 5
+        ((1, -(2**60), 0), 2.0**-58),  # N_1 < 0: P is about -3
+    ], ids=["edge", "k-r", "n0", "above-binomial", "negative"])
+    def test_tiny_r_needs_every_premise(self, counts, r):
+        counts = ExactCounts(Family.C, 2, counts)
+        assert p_eval(counts, r) == float(bernstein_fraction(counts.counts, Fraction(r)))
+
 
 def bernstein_fraction(counts, r):
     """sum_j N_j r**j (1-r)**(K-j) at a Fraction r, exactly."""
@@ -578,6 +600,20 @@ class TestPEvalOracle:
     def test_p_eval_is_the_rounded_fraction_sum(self, r):
         counts = exact_counts(Family.B, 4)
         assert p_eval(counts, r) == float(bernstein_fraction(counts.counts, Fraction(r)))
+
+    def test_tiny_r_is_the_sum_rounded(self, monkeypatch):
+        # each (family, n, r) whose sum p_eval skips rounds to 1.0 in _p_at too
+        p_at = probability._p_at
+        monkeypatch.setattr(probability, "_p_at", lambda *args: None)
+        skipped = 0
+        for family in Family:
+            for n in range(1, 13):
+                counts = exact_counts(family, n)
+                for r in [10.0**-k for k in range(15, 324)] + [5e-324]:
+                    if p_eval(counts, r) is not None:
+                        skipped += 1
+                        assert p_at(counts, *r.as_integer_ratio()) == 1.0, (family, n, r)
+        assert skipped == 11_045  # of 3 * 12 * 310 pairs
 
     def test_tiny_values_keep_their_digits(self):
         # r**i * (1-r)**(K-i) alone underflows here; the sum does not

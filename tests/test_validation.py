@@ -365,9 +365,7 @@ class TestArtifactVerification:
          "compare n 13 exceeds its ceiling of 12"),
         ("# permprob compare n=2 grid=20002 families=A\nr,Q_A,P_A\n",
          "compare grid point count 20002 exceeds its ceiling of 20001"),
-        ("# permprob compare n=2 grid=5 families=" + ",".join(["A"] * 13) + "\nr\n",
-         "compare families 13 exceeds its ceiling of 12"),
-    ], ids=["exact-n", "compare-n", "compare-grid", "compare-families"])
+    ], ids=["exact-n", "compare-n", "compare-grid"])
     def test_forced_header_past_its_ceiling_fails_fast(self, tmp_path, header, refused):
         path = tmp_path / "big.csv"
         path.write_text(header)
@@ -390,19 +388,20 @@ class TestArtifactVerification:
         assert verify_artifact(str(path)).passed
 
     def test_artifacts_at_the_ceilings_fit_the_length_limit(self):
-        dist = make_dist_doc(Family.B, output.DIST_MAX_N).render()
+        dists = [make_dist_doc(family, output.DIST_MAX_N).render() for family in Family]
         exact = make_exact_doc(exact_counts(Family.A, probability.EXACT_MAX_N)).render()
-        assert max(len(dist), len(exact)) <= validation.MAX_ARTIFACT_CHARS
-        # a compare row is r, then Q and P for each family: each cell is at most
-        # 18 characters, as in 1.23456789012e-300, and one separator follows it
-        compare = probability.MAX_GRID * (1 + 2 * probability.MAX_FAMILIES) * 19
-        assert compare <= validation.MAX_ARTIFACT_CHARS
+        assert max(map(len, [*dists, exact])) <= validation.MAX_ARTIFACT_CHARS
+        # a compare row is r, then Q and P for each of at most three families:
+        # each cell is at most 18 characters, as in 1.23456789012e-300, and one
+        # separator follows it
+        compare = probability.MAX_GRID * (1 + 2 * len(Family)) * 19
+        assert compare == 2_660_133 <= validation.MAX_ARTIFACT_CHARS
 
     def test_repeated_family_computed_once(self, tmp_path, monkeypatch):
         path = tmp_path / "compare.csv"
         text = make_compare_doc([Family.A, Family.A, Family.A], 2, 5).render()
-        assert text.startswith("# permprob compare n=2 grid=5 families=A,A,A\n"
-                               "r,Q_A,P_A,Q_A,P_A,Q_A,P_A\n")
+        assert text == make_compare_doc([Family.A], 2, 5).render()
+        assert text.startswith("# permprob compare n=2 grid=5 families=A\nr,Q_A,P_A\n")
         path.write_text(text)
         calls = []
         compare_grid = probability.compare_grid
@@ -414,6 +413,22 @@ class TestArtifactVerification:
         monkeypatch.setattr(probability, "compare_grid", counted)
         assert verify_artifact(str(path)).passed
         assert calls == [Family.A]
+        # a header that repeats a family regenerates without the repeat
+        path.write_text(text.replace("families=A", "families=A,A"))
+        result = verify_artifact(str(path))
+        assert not result.passed
+        assert result.detail.startswith("1 line differs from regenerated values, first line 1: ")
+
+    @pytest.mark.parametrize("families", ["A,B,C,A", "A,B,C,Z", "C," * 100_000 + "C"])
+    def test_compare_naming_four_families_is_malformed(self, tmp_path, families):
+        # the names are counted before any is parsed, so Z is never read
+        path = tmp_path / "compare.csv"
+        path.write_text(f"# permprob compare n=2 grid=5 families={families}\nr\n")
+        result = verify_artifact(str(path))
+        assert not result.passed
+        named = families.count(",") + 1
+        assert result.detail == ("malformed artifact: a compare names at most 3 families, "
+                                 f"got {named}")
 
     @settings(max_examples=200, deadline=None)
     @given(header=_HEADERS)
@@ -445,16 +460,12 @@ _PAST_THE_LIMITS = [
     (f"compare n=2 grid={probability.MAX_GRID + 1} families=C",
      f"compare grid point count {probability.MAX_GRID + 1} exceeds its ceiling of "
      f"{probability.MAX_GRID}"),
-    ("compare n=2 grid=5 families=" + ",".join("C" * (probability.MAX_FAMILIES + 1)),
-     f"compare families {probability.MAX_FAMILIES + 1} exceeds its ceiling of "
-     f"{probability.MAX_FAMILIES}"),
 ]
 
 
 class TestOneLimitPerSize:
     @pytest.mark.parametrize("header, refused", _PAST_THE_LIMITS,
-                             ids=["dist-n", "exact-n", "compare-n", "compare-grid",
-                                  "compare-families"])
+                             ids=["dist-n", "exact-n", "compare-n", "compare-grid"])
     def test_header_past_a_limit_fails_fast(self, tmp_path, header, refused):
         path = tmp_path / "big.csv"
         path.write_text(f"# permprob {header}\nr\n")
@@ -496,8 +507,8 @@ class TestCsvDoc:
          {"family": "A", "n": 2, "variables": 4, "target": 0},
          {"kind": "exact", "family": "A", "n": 2, "variables": 4, "target": 0}),
         (lambda: make_compare_doc([Family.C, Family.A, Family.C], 3, 5),
-         {"n": 3, "grid": 5, "families": "C,A,C"},
-         {"kind": "compare", "n": 3, "grid_points": 5, "families": ["C", "A", "C"]}),
+         {"n": 3, "grid": 5, "families": "C,A"},
+         {"kind": "compare", "n": 3, "grid_points": 5, "families": ["C", "A"]}),
     ], ids=["dist", "exact", "compare-repeated-family"])
     def test_metadata_round_trips(self, build, meta, json_meta):
         doc = build()
