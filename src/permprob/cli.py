@@ -1,11 +1,9 @@
 """Command-line surface: tables, probability grids, exact counts, validation.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 guard
-violation.  Defaults work without any configuration; a ``permprob.conf``
-key=value file (or the path in ``PERMPROB_CONFIG``) supplies defaults that
-command-line flags override.  Each subcommand parses only the flags it reads
-and resolves only the matching config keys, so a shared config file may hold
-keys that some subcommands ignore.
+violation.  A command's output depends only on its command line: each
+option comes from its flag, else its default, and no configuration file is
+read.  Each subcommand parses only the flags it reads.
 
 One table drives the command line: ``_SUBCOMMANDS`` gives each subcommand's
 handler and options, and ``_FLAGS`` each flag's kind and help.  ``_parse``
@@ -13,10 +11,8 @@ reads a command line of whole flags with plain values itself, and hands
 any other to ``usage``, whose argparse parser is built from the same table
 and prints the help and the usage errors; only those command lines import
 argparse, which brings ``gettext`` and ``locale`` with it.  ``_resolve``
-then makes one pass over the table: each option the subcommand reads comes
-from its flag, else its ``permprob.conf`` key, else its default, and is
-checked.  The resulting namespace is the one options object a handler
-takes.
+then fills in the defaults of the options the subcommand reads and checks
+them.  The resulting namespace is the one options object a handler takes.
 
 At top level this module imports only ``guards`` and ``families``.  Each
 handler imports the probability, term-table, rendering, plotting,
@@ -29,51 +25,15 @@ which every command compiles when bytecode is not written, holds only the
 parsing, the resolving and the artifact handlers.
 """
 
-import os
 import sys
 from types import SimpleNamespace
 
-from .guards import MAX_INT_CHARS, GuardError, Record, parse_int
+from .guards import MAX_INT_CHARS, GuardError, Record
 from .families import Family
-
-# Longest permprob.conf, in characters, that is read.
-MAX_CONFIG_CHARS = 64 * 1024
 
 
 class UsageError(ValueError):
     pass
-
-
-def load_config_file() -> dict[str, str]:
-    """Read the key=value lines of ``PERMPROB_CONFIG``, else of ``permprob.conf``.
-
-    A missing file is an empty configuration.  A path that cannot be read,
-    a file that is not UTF-8 text, or one longer than ``MAX_CONFIG_CHARS``
-    is a :class:`UsageError`.
-    """
-    path = os.environ.get("PERMPROB_CONFIG", "permprob.conf")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read(MAX_CONFIG_CHARS + 1)
-    except FileNotFoundError:
-        return {}
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if len(text) > MAX_CONFIG_CHARS:
-        raise UsageError(
-            f"cannot read config {path}: longer than {MAX_CONFIG_CHARS} characters")
-    config = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
-
-
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -141,8 +101,8 @@ class _Subcommand(Record):
     """A subcommand's handler, which takes the options and returns the exit
     code, and the options it reads.
 
-    ``options`` names both the flags the subcommand parses and the
-    ``permprob.conf`` keys it resolves; it parses and resolves no others.
+    ``options`` names the flags the subcommand parses and resolves; it
+    parses no others.
     ``paths``, when set, is the help of the file paths it takes as
     positional arguments.
     """
@@ -178,11 +138,10 @@ _SUBCOMMANDS = {
                        ("oeis",)),
 }
 
-# Each flag's kind and help, in the order ``_resolve`` resolves them.  The
-# kind says how the flag's text is read: ``int`` and ``str`` convert it, a
-# tuple names the values allowed (empty: the subcommand's formats), and
-# ``bool`` marks a switch, which takes no text.  Only ``--family`` may be
-# given more than once.
+# Each flag's kind and help.  The kind says how the flag's text is read:
+# ``int`` and ``str`` convert it, a tuple names the values allowed (empty:
+# the subcommand's formats), and ``bool`` marks a switch, which takes no
+# text.  Only ``--family`` may be given more than once.
 _FLAGS = {
     "family": (("A", "B", "C"), "matrix family (repeatable where a subset makes sense)"),
     "format": ((), "output format"),
@@ -246,53 +205,41 @@ def _parse(argv: list[str]) -> tuple[_Subcommand, SimpleNamespace]:
     return parse(argv)
 
 
-def _resolve(spec: _Subcommand, args: SimpleNamespace, file_cfg: dict[str, str]) -> None:
-    """Fill in each option ``spec`` reads, in one pass over ``_FLAGS``, and check it.
+def _resolve(spec: _Subcommand, args: SimpleNamespace) -> None:
+    """Fill in each option ``spec`` reads that no flag gave, and check it.
 
-    An option no flag gave takes its ``permprob.conf`` key, or else its
-    default; a switch is on when its flag or its key says so.  An ``n`` or
-    ``grid`` key longer than ``guards.MAX_INT_CHARS`` characters is refused
-    before ``int()`` reads it.  The lookup settings of
+    Family names become :class:`Family` members and ``force`` a bool;
+    ``format``, ``n`` and ``grid`` take their defaults, and an ``n`` below 1
+    or a ``grid`` below 2 is a usage error.  The lookup settings of
     :func:`permprob.sequences.oeis_settings` are checked whenever the
     subcommand reads ``oeis``, and ``oeis`` becomes them when it is on, else
     None.
     """
-    for option, (kind, _) in _FLAGS.items():
-        if option not in spec.options:
-            continue
-        value, raw = getattr(args, option), file_cfg.get(option)
-        if kind is bool:
-            value = value or _parse_bool(raw or "")
-        elif value is None and raw is not None:
-            if option == "family" and raw not in kind:
-                raise UsageError(f"unknown family {raw!r}; expected A, B, or C")
-            try:  # a key names one family, where flags give a list
-                value = parse_int(raw) if kind is int else [raw] if option == "family" else raw
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {option}: {exc}") from exc
-        if option == "family":
-            value = [Family(name) for name in value or ()]
-        elif option == "format":
-            value = spec.formats[0] if value is None else value
-            if value not in spec.formats:
-                raise UsageError(f"format {value!r} is not supported here "
-                                 f"(choose from {', '.join(spec.formats)})")
-        elif kind is int:
-            if value is None and option == "grid":
-                from .probability import DEFAULT_GRID as value
-            value = spec.default_n if value is None else value
-            least = 2 if option == "grid" else 1
-            if value < least:
-                raise UsageError(f"{option} must be >= {least}, got {value}")
-        elif option == "oeis":
-            from .sequences import oeis_settings
+    options = spec.options
+    if "family" in options:
+        args.family = [Family(name) for name in args.family or ()]
+    if "force" in options:
+        args.force = bool(args.force)
+    if "format" in options and args.format is None:
+        args.format = spec.formats[0]
+    if "n" in options and args.n is None:
+        args.n = spec.default_n
+    if "grid" in options and args.grid is None:
+        from .probability import DEFAULT_GRID
 
-            try:
-                settings = oeis_settings(file_cfg)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            value = settings if value else None
-        setattr(args, option, value)
+        args.grid = DEFAULT_GRID
+    for option, least in (("n", 1), ("grid", 2)):
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            raise UsageError(f"{option} must be >= {least}, got {value}")
+    if "oeis" in options:
+        from .sequences import oeis_settings
+
+        try:
+            settings = oeis_settings()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        args.oeis = settings if args.oeis else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -301,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # -h, or a command line that does not parse
         return exc.code
     try:
-        _resolve(spec, args, load_config_file())
+        _resolve(spec, args)
         return spec.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

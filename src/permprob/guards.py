@@ -29,7 +29,7 @@ MAX_INT_CHARS = 20
 
 
 def parse_int(text: str) -> int:
-    """``int(text)`` for text from outside: an artifact header or ``permprob.conf``.
+    """``int(text)`` for text from outside: an artifact header.
 
     Text longer than ``MAX_INT_CHARS`` raises ``ValueError`` before
     ``int()`` sees it; other text is parsed, or refused, as ``int()`` does.

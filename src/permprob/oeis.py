@@ -4,8 +4,7 @@ Only ``--oeis`` loads this module, and with it ``re``; the HTTP stack loads
 only when a lookup is fetched.  Every network failure degrades to a
 "skipped" result, so offline runs keep working.  The lookup URL and timeout
 are read and checked by :func:`permprob.sequences.oeis_settings`, which
-``seq`` and ``validate`` also use on their configuration without loading
-this module.
+``seq`` also calls on every run without loading this module.
 """
 
 import re
@@ -115,7 +114,7 @@ def oeis_lookup(
     prefix = list(prefix)
     if len(prefix) < 4:
         raise ValueError(f"prefix must have at least 4 terms, got {len(prefix)}")
-    base, timeout = oeis_settings({}, base_url, timeout)
+    base, timeout = oeis_settings(base_url, timeout)
     query = ",".join(str(t) for t in prefix)
     url = f"{base.rstrip('/')}/search?q={query}&fmt=text"
     fetch = fetch or _http_fetch

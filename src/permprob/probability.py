@@ -304,7 +304,10 @@ def compare_grid(
 def _compare_grids(families: list[Family], n: int, grid_points: int,
                    force: bool) -> dict[Family, list[tuple[float, float, float, float]]]:
     """``compare_grid`` rows for each distinct family, in the order first named;
-    the CSV, JSON and SVG routes of ``compare`` all come through here."""
+    the CSV, JSON and SVG routes of ``compare`` all come through here.  No
+    family at all is a ``ValueError``."""
+    if not families:
+        raise ValueError("compare needs at least one family")
     return {
         fam: compare_grid(fam, n, grid_points=grid_points, force=force)
         for fam in dict.fromkeys(families)

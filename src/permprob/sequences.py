@@ -5,8 +5,8 @@ columns) against the reference terms vendored in :data:`REFERENCES`, and
 ``report`` prints them as the ``seq`` command does.  The read-only OEIS
 client that looks the same prefixes up remotely is ``permprob.oeis``, which
 only ``seq --oeis`` loads; ``oeis_settings``, the one reader of the
-lookup settings, stays here because ``seq`` checks the settings of
-``permprob.conf`` on every run.
+lookup settings, stays here because ``seq`` checks the
+``PERMPROB_OEIS_*`` variables on every run.
 This module imports neither ``re`` nor ``typing``.
 """
 
@@ -117,23 +117,20 @@ def report(oeis: tuple[str, float] | None = None) -> int:
     return 1 if failed else 0
 
 
-def oeis_settings(config: dict[str, str], url: str | None = None,
+def oeis_settings(url: str | None = None,
                   timeout: float | None = None) -> tuple[str, float]:
     """The lookup URL and timeout, each from its argument, else its
-    ``permprob.conf`` key in ``config``, else its environment variable,
-    else its default.
+    environment variable, else its default.
 
-    An empty key or variable counts as unset.  Anything but a positive,
-    finite number of seconds, or its text, raises ``ValueError`` naming
-    where the timeout came from.
+    An empty variable counts as unset.  Anything but a positive, finite
+    number of seconds, or its text, raises ``ValueError`` naming where the
+    timeout came from.
     """
-    url = url or config.get("oeis_url") or os.environ.get(OEIS_URL_ENV) or DEFAULT_OEIS_URL
+    url = url or os.environ.get(OEIS_URL_ENV) or DEFAULT_OEIS_URL
     source, raw = "timeout", timeout
     if raw is None:
-        source, raw = "oeis_timeout", config.get("oeis_timeout")
-        if not raw:
-            source = OEIS_TIMEOUT_ENV
-            raw = os.environ.get(source) or DEFAULT_OEIS_TIMEOUT
+        source = OEIS_TIMEOUT_ENV
+        raw = os.environ.get(source) or DEFAULT_OEIS_TIMEOUT
     try:
         seconds = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:

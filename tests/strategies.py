@@ -1,5 +1,5 @@
 """Hypothesis strategies for the integers the package reads as text from outside:
-artifact headers and ``permprob.conf`` values."""
+the values of artifact headers."""
 
 from hypothesis import strategies as st
 

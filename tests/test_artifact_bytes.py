@@ -50,13 +50,6 @@ DIGESTS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def isolated_cwd(tmp_path, monkeypatch):
-    """No ``permprob.conf`` may change the defaults."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PERMPROB_CONFIG", raising=False)
-
-
 @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
 def test_artifact_bytes_are_pinned(capsys, command, digest):
     assert main(command.split()) == 0

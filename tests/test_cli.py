@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import permprob
@@ -25,14 +25,12 @@ from permprob.cli import main
 from permprob.usage import build_parser
 
 from oracles import parse_artifact
-from strategies import HUGE, number_text
 
 
 @pytest.fixture(autouse=True)
 def isolated_cwd(tmp_path, monkeypatch):
-    """Keep config lookup and output files inside a scratch directory."""
+    """Keep output files inside a scratch directory."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PERMPROB_CONFIG", raising=False)
     return tmp_path
 
 
@@ -361,10 +359,9 @@ class TestValidate:
         assert f"FAIL  artifact:{path}  (cannot read: " in out
         assert "Traceback" not in err
 
-    def test_oeis_settings_are_not_read(self, capsys, isolated_cwd, monkeypatch):
-        # the lookups are seq's: validate reads no oeis key or variable
+    def test_oeis_settings_are_not_read(self, capsys, monkeypatch):
+        # the lookups are seq's: validate reads no oeis variable
         monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "abc")
-        (isolated_cwd / "permprob.conf").write_text("oeis=yes\noeis_timeout=-1\n")
         code, out, err = run(capsys, "validate", "--n", "3")
         assert (code, err) == (0, "")
         assert "OEIS" not in out
@@ -386,121 +383,9 @@ class TestSeq:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("family=C\nn=2\n")
-        code, out, _ = run(capsys, "dist")
-        assert code == 0
-        rows = parse_artifact(out).rows
-        assert rows[-1] == ["2", "2", "1"]
-
-    def test_flags_override_config(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("family=C\nn=6\n")
-        code, out, _ = run(capsys, "dist", "--n", "1")
-        assert code == 0
-        assert parse_artifact(out).rows == [["1", "0", "1"], ["1", "1", "0"]]
-
-    def test_env_selects_config_path(self, capsys, isolated_cwd, monkeypatch):
-        other = isolated_cwd / "alt.conf"
-        other.write_text("family=B\nn=1\n")
-        monkeypatch.setenv("PERMPROB_CONFIG", str(other))
-        code, out, _ = run(capsys, "dist")
-        assert code == 0
-        assert parse_artifact(out).meta["family"] == "B"
-
-    @pytest.mark.parametrize("argv", [("validate", "--n", "2"), ("seq",)])
-    def test_format_key_ignored_where_not_read(self, capsys, isolated_cwd, argv):
-        # a shared config may name a format that only dist/exact/compare read
-        (isolated_cwd / "permprob.conf").write_text("format=json\n")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert "checks passed" in out
-
-    def test_grid_key_ignored_where_not_read(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("grid=1\n")
-        code, out, _ = run(capsys, "dist", "--family", "C", "--n", "2")
-        assert code == 0
-        assert parse_artifact(out).rows[-1] == ["2", "2", "1"]
-        assert run(capsys, "compare", "--n", "2")[0] == 2
-
     def test_defaults_need_no_config(self, capsys):
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "3")
         assert code == 0
-
-    @pytest.mark.parametrize("argv", [("seq",), ("exact", "--family", "C", "--n", "2")])
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_undecodable_config_is_usage_error(self, capsys, isolated_cwd, monkeypatch,
-                                              argv, via_env):
-        shown = str(isolated_cwd / "alt.conf") if via_env else "permprob.conf"
-        (isolated_cwd / shown).write_bytes(b"\xff\xfefamily=C\n")
-        if via_env:
-            monkeypatch.setenv("PERMPROB_CONFIG", shown)
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot read config {shown}: ")
-        assert "Traceback" not in err
-
-    def test_endless_config_is_usage_error(self, capsys, monkeypatch):
-        # shrink the limit first, so /dev/zero is never read without a bound
-        monkeypatch.setattr(cli, "MAX_CONFIG_CHARS", 1024)
-        monkeypatch.setenv("PERMPROB_CONFIG", "/dev/zero")
-        assert run(capsys, "seq") == (
-            2, "", "error: cannot read config /dev/zero: longer than 1024 characters\n")
-
-    def test_empty_device_is_an_empty_config(self, capsys, monkeypatch):
-        monkeypatch.setenv("PERMPROB_CONFIG", "/dev/null")
-        code, out, _ = run(capsys, "seq")
-        assert code == 0
-        assert out.endswith("7/7 sequence checks passed\n")
-
-    def test_config_path_that_is_a_directory(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").mkdir()
-        code, out, err = run(capsys, "dist", "--family", "C", "--n", "2")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: cannot read config permprob.conf: ")
-
-
-# No ``force``, ``out`` or ``oeis`` key, so every run stays small and offline;
-# a grid inside the guard is small too.
-_CONFIG_VALUES = {
-    "family": st.sampled_from(["A", "B", "C", "", "a", "D", "A,B", "Ｃ"]),
-    "n": number_text(st.one_of(st.integers(-3, 6), HUGE)),
-    "grid": number_text(st.one_of(st.integers(-3, 50), HUGE)),
-    "format": st.sampled_from(["csv", "json", "svg", "", "CSV", "xml", "é"]),
-    "oeis_timeout": st.one_of(
-        number_text(st.integers(-3, 30)),
-        st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    ),
-}
-# key=value lines, so a key may repeat (the last one wins) or be missing,
-# with now and then a line that is a comment, blank or not key=value at all
-_CONFIG_LINES = st.lists(
-    st.one_of(
-        st.sampled_from(list(_CONFIG_VALUES)).flatmap(
-            lambda key: _CONFIG_VALUES[key].map(lambda value: f"{key}={value}")),
-        st.sampled_from(["", "# n=4", "n", "=", " n = 2 "]),
-    ),
-    max_size=8,
-)
-
-
-class TestFuzzedConfig:
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=st.sampled_from([
-        ("dist",), ("exact",), ("compare",), ("seq",), ("validate", "--n", "3"),
-    ]), lines=_CONFIG_LINES)
-    def test_every_config_exits_with_a_documented_code(self, capsys, isolated_cwd,
-                                                        monkeypatch, argv, lines):
-        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
-        monkeypatch.delenv("PERMPROB_OEIS_TIMEOUT", raising=False)
-        (isolated_cwd / "permprob.conf").write_text("\n".join(lines) + "\n",
-                                                    encoding="utf-8")
-        # an exception that escapes main fails the example with its traceback
-        code, _, err = run(capsys, *argv)
-        assert code in (0, 2, 3), err
-        assert err.startswith({0: "", 2: "error: ", 3: "guard violation: "}[code])
-        event(f"exit {code}")
 
 
 class TestUsage:
@@ -509,18 +394,6 @@ class TestUsage:
 
     def test_unknown_family_value(self, capsys):
         assert run(capsys, "dist", "--family", "D")[0] == 2
-
-    def test_bad_config_family(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("family=Z\n")
-        assert run(capsys, "dist")[0] == 2
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
-    def test_bad_config_oeis_timeout(self, capsys, isolated_cwd, value):
-        (isolated_cwd / "permprob.conf").write_text(f"oeis_timeout={value}\n")
-        code, out, err = run(capsys, "seq")
-        assert code == 2
-        assert out == ""
-        assert "oeis_timeout" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [("seq",), ("seq", "--oeis")])
@@ -531,15 +404,6 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "PERMPROB_OEIS_TIMEOUT" in err
-
-    def test_config_oeis_timeout_wins_over_env(self, capsys, isolated_cwd, monkeypatch):
-        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "abc")
-        (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
-        assert run(capsys, "seq")[0] == 0
-
-    def test_config_oeis_timeout_accepted(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
-        assert run(capsys, "seq")[0] == 0
 
     @pytest.mark.parametrize("argv", [
         ("seq", "--n", "5"),
@@ -838,62 +702,42 @@ class TestParserMatchesArgparse:
 class TestPinnedOptions:
     """Exit code, stdout and the full stderr line of each option error path."""
 
-    @pytest.mark.parametrize("conf, env, argv, message", [
-        (None, None, ("dist", "--n", "3"),
-         "dist needs exactly one --family (A, B, or C)"),
-        (None, None, ("compare", "--n", "0"), "n must be >= 1, got 0"),
-        ("family=Z", None, ("dist",), "unknown family 'Z'; expected A, B, or C"),
-        ("n=abc", None, ("exact", "--family", "C"),
-         "bad config value for n: invalid literal for int() with base 10: 'abc'"),
-        ("grid=1", None, ("compare",), "grid must be >= 2, got 1"),
-        ("format=svg", None, ("dist", "--family", "C"),
-         "format 'svg' is not supported here (choose from csv, json)"),
-        ("format=", None, ("exact", "--family", "C"),
-         "format '' is not supported here (choose from csv, json)"),
-        ("oeis_timeout=abc", None, ("seq",),
-         "bad config value for oeis_timeout: could not convert string to float: 'abc'"),
-        ("oeis_timeout=-1", None, ("seq",),
-         "oeis_timeout must be a positive number of seconds, got -1.0"),
-        (None, "inf", ("seq", "--oeis"),
+    @pytest.mark.parametrize("env, argv, message", [
+        (None, ("dist", "--n", "3"), "dist needs exactly one --family (A, B, or C)"),
+        (None, ("compare", "--n", "0"), "n must be >= 1, got 0"),
+        (None, ("compare", "--grid", "1"), "grid must be >= 2, got 1"),
+        ("inf", ("seq", "--oeis"),
          "PERMPROB_OEIS_TIMEOUT must be a positive number of seconds, got inf"),
-        ("n=" + "9" * 5000, None, ("validate",),
-         "bad config value for n: an integer may have at most 20 characters, got 5000"),
-        ("grid=+" + "0" * 20, None, ("compare",),
-         "bad config value for grid: an integer may have at most 20 characters, got 21"),
-    ], ids=["dist-no-family", "compare-n0", "conf-family", "conf-n", "conf-grid",
-            "conf-format", "conf-format-empty", "conf-timeout-abc", "conf-timeout-neg", "env-timeout-inf",
-            "conf-n-5000-digits", "conf-grid-21-chars"])
-    def test_error_line(self, capsys, isolated_cwd, monkeypatch, conf, env, argv,
-                        message):
-        if conf is not None:
-            (isolated_cwd / "permprob.conf").write_text(conf + "\n")
+    ], ids=["dist-no-family", "compare-n0", "compare-grid1", "env-timeout-inf"])
+    def test_error_line(self, capsys, monkeypatch, env, argv, message):
         if env is not None:
             monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
             monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", env)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-
-    def test_config_integer_of_max_length_is_read(self, capsys, isolated_cwd):
-        (isolated_cwd / "permprob.conf").write_text("n=" + "0" * 19 + "2\n")
-        expected = run(capsys, "exact", "--family", "C", "--n", "2")
-        assert expected[0] == 0
-        assert run(capsys, "exact", "--family", "C") == expected
 
     @pytest.mark.parametrize("command, digest", [
         ("dist", "ba35d229beb309882799a8775ae10d1bd15acc9ff739068bf575f86c93f6d296"),
         ("exact", "1672622fbaa37aa1e75996c9ef9701676c1b4522c4f3d70bc9941f64edd45266"),
         ("compare", "fa91688434b53c7e939b754b6b87d9c76e5d4f222567d447e46d3846df852b6f"),
     ])
-    def test_config_defaults_output(self, capsys, isolated_cwd, command, digest):
-        (isolated_cwd / "permprob.conf").write_text(
-            "family=C\nn=2\nformat=json\ngrid=7\nforce=yes\n")
-        code, out, err = run(capsys, command)
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-        (isolated_cwd / "permprob.conf").unlink()
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_config_file_leaves_output_unchanged(self, capsys, isolated_cwd, monkeypatch,
+                                                 command, digest, via_env):
+        # No permprob.conf is read, in the working directory or from
+        # PERMPROB_CONFIG: each of its keys would change the bare command's
+        # output, which is a usage error for dist and exact.
+        bare = run(capsys, command)
+        conf = isolated_cwd / ("alt.conf" if via_env else "permprob.conf")
+        conf.write_text("family=A\nn=4\nformat=svg\ngrid=3\nforce=yes\n")
+        if via_env:
+            monkeypatch.setenv("PERMPROB_CONFIG", str(conf))
+        assert run(capsys, command) == bare
         flags = ["--family", "C", "--n", "2", "--format", "json", "--force"]
         if command == "compare":
             flags += ["--grid", "7"]
-        assert run(capsys, command, *flags) == (0, out, "")
+        code, out, err = run(capsys, command, *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _SEQ_LINES = [
@@ -960,7 +804,6 @@ def run_fresh(script, *options, timeout=120, cwd=None, env=None):
     """
     src = os.path.dirname(os.path.dirname(permprob.__file__))
     env = dict(os.environ, PYTHONPATH=src, **(env or {}))
-    env.pop("PERMPROB_CONFIG", None)
     return subprocess.run([sys.executable, *options, "-c", script], capture_output=True,
                           text=True, env=env, timeout=timeout, cwd=cwd)
 
@@ -981,26 +824,26 @@ _EXACT = "output probability termdist"
 # per syntax-tree node on two cores.  The help, the usage errors and a flag
 # prefix are read by argparse in usage.
 _LOADS = [
-    pytest.param(("dist", "--family", "C", "--n", "5"), 0, _DIST, 3749, "", id="dist"),
-    pytest.param(("dist", "--family", "C", "--n", "5", "--format", "json"), 0, _DIST, 3749,
+    pytest.param(("dist", "--family", "C", "--n", "5"), 0, _DIST, 3404, "", id="dist"),
+    pytest.param(("dist", "--family", "C", "--n", "5", "--format", "json"), 0, _DIST, 3404,
                  _JSON, id="dist-json"),
-    pytest.param(("exact", "--family", "A", "--n", "3"), 0, _EXACT, 5561, "", id="exact"),
+    pytest.param(("exact", "--family", "A", "--n", "3"), 0, _EXACT, 5226, "", id="exact"),
     pytest.param(("exact", "--family", "A", "--n", "3", "--format", "json"), 0, _EXACT,
-                 5561, _JSON, id="exact-json"),
-    pytest.param(("compare", "--n", "3"), 0, _EXACT, 5561, "", id="compare"),
-    pytest.param(("compare", "--n", "3", "--format", "json"), 0, _EXACT, 5561, _JSON,
+                 5226, _JSON, id="exact-json"),
+    pytest.param(("compare", "--n", "3"), 0, _EXACT, 5226, "", id="compare"),
+    pytest.param(("compare", "--n", "3", "--format", "json"), 0, _EXACT, 5226, _JSON,
                  id="compare-json"),
     pytest.param(("compare", "--n", "3", "--format", "svg"), 0,
-                 "probability svgplot termdist", 5465, "", id="compare-svg"),
-    pytest.param(("seq",), 0, "sequences termdist", 3607, "", id="seq"),
-    pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4433,
+                 "probability svgplot termdist", 5130, "", id="compare-svg"),
+    pytest.param(("seq",), 0, "sequences termdist", 3224, "", id="seq"),
+    pytest.param(("seq", "--oeis"), 0, "oeis sequences termdist", 4049,
                  "re locale urllib.request http.client ssl", id="seq-oeis"),
     pytest.param(("validate", "--n", "3"), 0,
-                 "output probability sequences termdist validation", 10574, "", id="validate"),
-    pytest.param(("-h",), 0, "usage", 2704, _ARGPARSE, id="help"),
-    pytest.param(("exact", "-h"), 0, "usage", 2704, _ARGPARSE, id="exact-help"),
-    pytest.param(("bogus",), 2, "usage", 2704, _ARGPARSE, id="bogus"),
-    pytest.param(("exact", "--fam", "C", "--n", "3"), 0, _EXACT + " usage", 5964, _ARGPARSE,
+                 "output probability sequences termdist validation", 10201, "", id="validate"),
+    pytest.param(("-h",), 0, "usage", 2359, _ARGPARSE, id="help"),
+    pytest.param(("exact", "-h"), 0, "usage", 2359, _ARGPARSE, id="exact-help"),
+    pytest.param(("bogus",), 2, "usage", 2359, _ARGPARSE, id="bogus"),
+    pytest.param(("exact", "--fam", "C", "--n", "3"), 0, _EXACT + " usage", 5629, _ARGPARSE,
                  id="exact-prefix"),
 ]
 
@@ -1108,4 +951,4 @@ class TestImportDiet:
         # Every command compiles cli.py from source when bytecode is not
         # written, at about 0.23 ms per 100 syntax-tree nodes on two cores.
         tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
-        assert sum(1 for _ in ast.walk(tree)) <= 1674
+        assert sum(1 for _ in ast.walk(tree)) <= 1329

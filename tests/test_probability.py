@@ -682,6 +682,16 @@ class TestCompareGrid:
             compare_grid(Family.C, 2, grid_points=MAX_GRID + 1)
         assert len(compare_grid(Family.C, 2, grid_points=MAX_GRID + 1, force=True)) == MAX_GRID + 1
 
+    def test_no_family_is_refused_by_every_route(self):
+        # the CSV and JSON route and the SVG route both take their grids from
+        # _compare_grids, so neither renders a table or a figure of no curves
+        from permprob.output import make_compare_doc
+        from permprob.svgplot import compare_svg
+
+        for route in (make_compare_doc, compare_svg):
+            with pytest.raises(ValueError, match="^compare needs at least one family$"):
+                route([], 3, 11)
+
 
 class TestBernsteinString:
     def test_c3_rendering(self):

@@ -316,12 +316,6 @@ class TestOEISReport:
     one OEIS line for each slice and one for the V_n(4) column.
     """
 
-    @pytest.fixture(autouse=True)
-    def isolated_cwd(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("PERMPROB_CONFIG", raising=False)
-        return tmp_path
-
     @staticmethod
     def oeis_lines(capsys):
         assert main(["seq"]) == 0
@@ -352,13 +346,4 @@ class TestOEISReport:
         assert self.oeis_lines(capsys) == _report(
             f"lookup skipped (fetch failed: fetching '{base}{path}' failed: HELLO)"
             for path in paths)
-        assert len(paths) == 8
-
-    def test_config_url_wins_over_env(self, oeis_stub, capsys, monkeypatch, isolated_cwd):
-        # the variable names a closed port, where every lookup would be skipped
-        base, paths = oeis_stub
-        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
-        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "0.5")
-        (isolated_cwd / "permprob.conf").write_text(f"oeis_url={base}/ok\n")
-        assert self.oeis_lines(capsys) == _report(_LISTED)
         assert len(paths) == 8
