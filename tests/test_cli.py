@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import permprob
@@ -382,10 +382,102 @@ class TestSeq:
         assert "skipped" in out
 
 
+# Each line set here once changed a run's output or made it a usage error,
+# when cli still read a permprob.conf; now none is read, so none may.
+_IGNORED_CONFIGS = [
+    pytest.param("family=C\nn=2\n", ("dist",), id="family-and-n"),
+    pytest.param("family=C\nn=6\n", ("dist", "--family", "C", "--n", "1"),
+                 id="flags-beside-keys"),
+    pytest.param("family=Z\n", ("dist",), id="bad-family"),
+    pytest.param("format=json\n", ("validate", "--n", "2"), id="format-validate"),
+    pytest.param("format=json\n", ("seq",), id="format-seq"),
+    pytest.param("format=svg\n", ("dist", "--family", "C", "--n", "2"), id="format-svg"),
+    pytest.param("format=\n", ("exact", "--family", "C", "--n", "2"), id="format-empty"),
+    pytest.param("grid=1\n", ("dist", "--family", "C", "--n", "2"), id="grid1-dist"),
+    pytest.param("grid=1\n", ("compare", "--n", "2"), id="grid1-compare"),
+    pytest.param("grid=+" + "0" * 20 + "\n", ("compare", "--n", "2"), id="grid-21-chars"),
+    pytest.param("n=abc\n", ("exact", "--family", "C"), id="n-abc"),
+    pytest.param("n=" + "9" * 5000 + "\n", ("exact", "--family", "C"), id="n-5000-digits"),
+    pytest.param("n=" + "0" * 19 + "2\n", ("exact", "--family", "C"), id="n-max-length"),
+    pytest.param("force=yes\nout=x.csv\n", ("dist", "--family", "C", "--n", "2"),
+                 id="force-and-out"),
+    pytest.param("oeis=yes\n", ("seq",), id="oeis"),
+    *(pytest.param(f"oeis_timeout={value}\n", ("seq",), id=f"oeis-timeout-{value}")
+      for value in ["abc", "0", "-1", "nan", "inf", "2.5"]),
+    pytest.param(b"\xff\xfefamily=C\n", ("seq",), id="not-utf8-seq"),
+    pytest.param(b"\xff\xfefamily=C\n", ("exact", "--family", "C", "--n", "2"),
+                 id="not-utf8-exact"),
+    pytest.param(None, ("dist", "--family", "C", "--n", "2"), id="directory"),
+]
+
+
+def _write_config(path, content):
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+
+
 class TestConfigFile:
+    """A ``permprob.conf`` in the working directory, or the path that
+    ``PERMPROB_CONFIG`` names, leaves every run as its argv alone makes it."""
+
+    @pytest.fixture(autouse=True)
+    def offline(self, monkeypatch):
+        # a key that switched the lookups on would reach no host
+        monkeypatch.setenv("PERMPROB_OEIS_URL", "http://127.0.0.1:9")
+        monkeypatch.delenv("PERMPROB_OEIS_TIMEOUT", raising=False)
+
     def test_defaults_need_no_config(self, capsys):
         code, _, _ = run(capsys, "compare", "--n", "2", "--grid", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("content, argv", _IGNORED_CONFIGS)
+    def test_config_file_is_not_read(self, capsys, isolated_cwd, content, argv):
+        bare = run(capsys, *argv)
+        _write_config(isolated_cwd / "permprob.conf", content)
+        assert run(capsys, *argv) == bare
+        assert not (isolated_cwd / "x.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        "family=B\nn=1\n", b"\xff\xfefamily=C\n", None, "/dev/null", "missing",
+    ], ids=["keys", "not-utf8", "directory", "empty-device", "missing-file"])
+    def test_config_variable_is_not_read(self, capsys, isolated_cwd, monkeypatch, content):
+        if content in ("/dev/null", "missing"):
+            path = content if content == "/dev/null" else isolated_cwd / content
+        else:
+            path = isolated_cwd / "alt.conf"
+            _write_config(path, content)
+        argv = ("exact", "--family", "C", "--n", "2")
+        bare = run(capsys, *argv)
+        assert bare[0] == 0
+        monkeypatch.setenv("PERMPROB_CONFIG", str(path))
+        assert run(capsys, *argv) == bare
+        assert run(capsys, "dist")[0] == 2
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.sampled_from([
+        ("dist", "--family", "B", "--n", "3"), ("exact", "--family", "A", "--n", "2"),
+        ("compare", "--n", "2", "--grid", "3"), ("seq",), ("validate", "--n", "2"),
+    ]), content=st.one_of(
+        st.binary(max_size=64),
+        st.lists(st.tuples(
+            st.sampled_from(["family", "n", "grid", "format", "force", "out", "oeis",
+                             "oeis_url", "oeis_timeout", ""]),
+            st.text(max_size=12),
+        ).map("=".join), max_size=6).map("\n".join),
+    ))
+    def test_any_config_text_leaves_output_unchanged(self, capsys, isolated_cwd, argv,
+                                                     content):
+        conf = isolated_cwd / "permprob.conf"
+        conf.unlink(missing_ok=True)
+        bare = run(capsys, *argv)
+        _write_config(conf, content)
+        assert run(capsys, *argv) == bare
+        event(f"exit {bare[0]}")
 
 
 class TestUsage:
@@ -403,6 +495,14 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
+        assert err.startswith("error: ") and "PERMPROB_OEIS_TIMEOUT" in err
+
+    def test_config_oeis_timeout_does_not_mask_env(self, capsys, isolated_cwd,
+                                                   monkeypatch):
+        monkeypatch.setenv("PERMPROB_OEIS_TIMEOUT", "abc")
+        (isolated_cwd / "permprob.conf").write_text("oeis_timeout=2.5\n")
+        code, out, err = run(capsys, "seq")
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and "PERMPROB_OEIS_TIMEOUT" in err
 
     @pytest.mark.parametrize("argv", [

@@ -347,3 +347,13 @@ class TestOEISReport:
             f"lookup skipped (fetch failed: fetching '{base}{path}' failed: HELLO)"
             for path in paths)
         assert len(paths) == 8
+
+    def test_config_url_is_not_read(self, oeis_stub, capsys, monkeypatch, tmp_path):
+        # a permprob.conf that names the listing route changes no lookup
+        base, paths = oeis_stub
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PERMPROB_OEIS_URL", f"{base}/none")
+        (tmp_path / "permprob.conf").write_text(f"oeis_url={base}/ok\noeis_timeout=-1\n")
+        assert self.oeis_lines(capsys) == _report(
+            ["not among 0 candidates"] * 7 + ["no listed sequence matches"])
+        assert len(paths) == 8 and all(path.startswith("/none/") for path in paths)
