@@ -9,9 +9,12 @@ recurrence per family, polynomial in n; ``validate`` checks them against a
 row-by-row transfer and against enumeration of every assignment of the
 random entries.
 
-Every public name is imported from its submodule on first access (PEP 562),
-so ``import permprob`` loads no submodule and a command loads only the
-modules it runs.
+The root exports that question's API only: the families, the guard error,
+the term tables, the counts and the two probabilities, and the sequence
+checks with their OEIS client.  The oracle routes stay in ``validation``
+and the size limits in the modules they guard.  Every public name is
+imported from its submodule on first access (PEP 562), so ``import
+permprob`` loads no submodule and a command loads only the modules it runs.
 """
 
 import importlib
@@ -21,18 +24,14 @@ _SOURCES = {
     "families": ("Family",),
     "guards": ("GuardError",),
     "probability": (
-        "EXACT_MAX_N", "MAX_GRID", "ExactCounts", "bernstein_string",
-        "compare_grid", "exact_counts", "p_eval", "q_eval",
+        "ExactCounts", "bernstein_string", "compare_grid", "exact_counts",
+        "p_eval", "q_eval",
     ),
     "oeis": ("LookupResult", "OEISFormatError", "oeis_lookup"),
     "sequences": ("SequenceCheck", "builtin_checks"),
     "termdist": (
         "TermDistribution", "derangement", "e_table", "v_closed_form",
         "w_closed_form",
-    ),
-    "validation": (
-        "BRUTEFORCE_MAX_N", "e_tables_bruteforce", "partitions", "v_via_w",
-        "variable_positions", "w_recurrence_table", "w_row_via_cycles",
     ),
 }
 _SUBMODULE = {name: module for module, names in _SOURCES.items() for name in names}

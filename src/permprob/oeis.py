@@ -125,7 +125,7 @@ def oeis_lookup(
     return LookupResult(status="ok", ids=_parse_search_text(body))
 
 
-def oeis_report(base_url: str | None = None, timeout: float | None = None) -> None:
+def oeis_report(base_url: str, timeout: float) -> None:
     """Print the lines of the ``--oeis`` report, each as soon as its lookup is done.
 
     One line for each slice of :data:`permprob.sequences.REFERENCES`, saying
@@ -144,7 +144,7 @@ def oeis_report(base_url: str | None = None, timeout: float | None = None) -> No
     print(f"OEIS  V_n(4) column {_lookup_line(column, base_url, timeout, None)} at {stamp}")
 
 
-def _lookup_line(prefix: list[int], base_url: str | None, timeout: float | None,
+def _lookup_line(prefix: list[int], base_url: str, timeout: float,
                  expected_id: str | None) -> str:
     try:
         result = oeis_lookup(prefix, base_url=base_url, timeout=timeout)

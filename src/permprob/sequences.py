@@ -97,7 +97,7 @@ def builtin_checks() -> list[SequenceCheck]:
     return checks
 
 
-def report(oeis: tuple[str, float] | None = None) -> int:
+def report(oeis: tuple[str, float] | None) -> int:
     """Print the ``seq`` report and return its exit code, 1 when a check fails.
 
     One line per check of :func:`builtin_checks`, then the ``--oeis`` lines

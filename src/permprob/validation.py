@@ -57,7 +57,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, zip_longest
 
 from .families import Family
@@ -130,7 +130,6 @@ BRUTEFORCE_MAX_N = 12
 WALK_BLOCK = 6
 
 
-@lru_cache(maxsize=None)
 def variable_positions(family: Family, n: int) -> tuple[tuple[int, int], ...]:
     """Variable (row, col) pairs in row-major order.
 
@@ -429,7 +428,7 @@ class CheckResult(Record):
         self.detail = detail
 
 
-def run_offline_checks(bruteforce_n: int = 8) -> list[CheckResult]:
+def run_offline_checks(bruteforce_n: int) -> list[CheckResult]:
     """Run every offline cross-route check; failures come back as results.
 
     The enumeration check walks S_n for n <= ``bruteforce_n``, and

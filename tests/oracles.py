@@ -33,8 +33,9 @@ import math
 
 import numpy as np
 
-from permprob import Family, variable_positions
+from permprob import Family
 from permprob.output import CsvDoc, read_metadata
+from permprob.validation import variable_positions
 
 # Largest dimension ``permanent_naive`` takes: 10! terms already take seconds.
 NAIVE_MAX_N = 10

@@ -12,15 +12,18 @@ from permprob import (
     builtin_checks,
     compare_grid,
     e_table,
-    e_tables_bruteforce,
     exact_counts,
     v_closed_form,
-    v_via_w,
     w_closed_form,
+)
+from permprob.validation import (
+    _counts_transfer,
+    e_tables_bruteforce,
+    exact_counts_direct,
+    v_via_w,
     w_recurrence_table,
     w_row_via_cycles,
 )
-from permprob.validation import _counts_transfer, exact_counts_direct
 
 from oracles import (
     EXACT_N3,

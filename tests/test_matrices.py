@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import Family, GuardError, exact_counts, validation, variable_positions
-from permprob.validation import _entry_lanes
+from permprob import Family, GuardError, exact_counts, validation
+from permprob.validation import _entry_lanes, variable_positions
 
 from oracles import counts_by_matrices, family_rows, permanent_naive, permanent_ryser
 

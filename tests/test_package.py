@@ -63,6 +63,51 @@ class TestLazyRoot:
         assert proc.stdout.splitlines() == [f"{len(permprob.__all__)} [] []"]
 
 
+# Names that the root does not export, by the module that defines them: the
+# oracle routes with their walk limit, and two command limits.
+_NOT_AT_ROOT = {
+    "BRUTEFORCE_MAX_N": "validation",
+    "e_tables_bruteforce": "validation",
+    "partitions": "validation",
+    "v_via_w": "validation",
+    "variable_positions": "validation",
+    "w_recurrence_table": "validation",
+    "w_row_via_cycles": "validation",
+    "EXACT_MAX_N": "probability",
+    "MAX_GRID": "probability",
+}
+
+
+class TestRootApi:
+    def test_root_exports_the_production_api(self):
+        assert sorted(permprob.__all__) == [
+            "ExactCounts", "Family", "GuardError", "LookupResult", "OEISFormatError",
+            "SequenceCheck", "TermDistribution", "bernstein_string", "builtin_checks",
+            "compare_grid", "derangement", "e_table", "exact_counts", "oeis_lookup",
+            "p_eval", "q_eval", "v_closed_form", "w_closed_form",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(_NOT_AT_ROOT))
+    def test_name_is_not_at_the_root(self, name):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(permprob, name)
+        with pytest.raises(ImportError):
+            exec(f"from permprob import {name}", {})
+        assert name not in dir(permprob)
+
+    @pytest.mark.parametrize("name", sorted(_NOT_AT_ROOT))
+    def test_name_stays_in_its_module(self, name):
+        module = importlib.import_module(f"permprob.{_NOT_AT_ROOT[name]}")
+        assert name in vars(module)
+
+    def test_no_oracle_usage_or_limit_at_the_root(self):
+        # each name is its submodule's object (TestLazyRoot), and every size
+        # limit is an int
+        for name in permprob.__all__:
+            assert permprob._SUBMODULE[name] not in {"validation", "usage"}, name
+            assert not isinstance(getattr(permprob, name), int), name
+
+
 def _frozen_records():
     return [
         ExactCounts(Family.C, 2, (1, 2, 0)),

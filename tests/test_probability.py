@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permprob import (
-    EXACT_MAX_N,
-    MAX_GRID,
     ExactCounts,
     Family,
     GuardError,
@@ -21,7 +19,7 @@ from permprob import (
 )
 from permprob import probability
 from permprob.output import format_float
-from permprob.probability import _RECURRENCES, _taylor_shift
+from permprob.probability import _RECURRENCES, EXACT_MAX_N, MAX_GRID, _taylor_shift
 from permprob.validation import _counts_transfer, exact_counts_direct
 
 from oracles import (

@@ -16,11 +16,13 @@ from permprob import (
     TermDistribution,
     derangement,
     e_table,
+    v_closed_form,
+    w_closed_form,
+)
+from permprob.validation import (
     e_tables_bruteforce,
     partitions,
-    v_closed_form,
     v_via_w,
-    w_closed_form,
     w_recurrence_table,
     w_row_via_cycles,
 )
