@@ -3,9 +3,9 @@
 Every permutation sigma contributes one term to the permanent of an n x n
 matrix, and the term touches a variable entry exactly where a position
 (sigma(j), j) falls on the family's variable mask.  For each m this module
-counts the terms with exactly m variable entries by closed forms built on
-derangement numbers; ``e_table`` collects them into one distribution per
-family and size.
+counts the terms with exactly m variable entries by closed forms in the
+derangement numbers D(m); ``e_table`` builds each row in one pass of
+D(m+1) = m * (D(m) + D(m-1)), O(n) big-integer steps.
 
 The independent routes that check these counts, the recurrence table, the
 cycle-type sums, the family-B identity and the walk of every S_n, live in
@@ -54,19 +54,13 @@ def w_closed_form(n: int, m: int) -> int:
 def v_closed_form(n: int, m: int) -> int:
     """Terms with m variable entries when one diagonal entry stays variable (family B).
 
-    The braced part of the closed form telescopes to derangement(m + 1) / m!,
-    so the value is (n-1)! * derangement(m+1) / ((n-m)! * m!), an exact
-    integer division.  The m=0 column is 0 by convention.
+    The braced part of the closed form telescopes to D(m+1) / m!, with D the
+    derangement numbers, and D(m+1) = m * (D(m) + D(m-1)) cancels the
+    factorials, which leaves C(n-1, m-1) * (D(m) + D(m-1)) with no division.
+    The m=0 column is 0 by convention.
     """
     _check_index(n, m)
-    if m == 0:
-        return 0
-    num = math.factorial(n - 1) * derangement(m + 1)
-    den = math.factorial(n - m) * math.factorial(m)
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"V_{n}({m}): {num} is not divisible by {den}")
-    return q
+    return math.comb(n - 1, m - 1) * (derangement(m) + derangement(m - 1)) if m else 0
 
 
 class TermDistribution(Record):
@@ -92,15 +86,18 @@ class TermDistribution(Record):
 def e_table(family: Family, n: int) -> TermDistribution:
     """Term-count distribution for (family, n) from the closed forms.
 
-    Family A puts all n! terms at m = n; family B uses the one-variable-
-    diagonal row; family C uses the pinned-diagonal row.
+    Family A puts all n! terms at m = n; B and C carry D(m-1) and D(m) from
+    D(-1) = 0, which no entry reads, and D(0) = 1.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if family is Family.A:
-        counts = [0] * n + [math.factorial(n)]
-    elif family is Family.B:
-        counts = [0] + [v_closed_form(n, m) for m in range(1, n + 1)]
-    else:
-        counts = [w_closed_form(n, m) for m in range(n + 1)]
+        return TermDistribution(family, n, (0,) * n + (math.factorial(n),))
+    counts, prev, d = [], 0, 1
+    for m in range(n + 1):
+        if family is Family.C:
+            counts.append(math.comb(n, m) * d)
+        else:
+            counts.append(math.comb(n - 1, m - 1) * (prev + d) if m else 0)
+        prev, d = d, m * (prev + d)
     return TermDistribution(family, n, tuple(counts))

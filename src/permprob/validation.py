@@ -338,8 +338,7 @@ def w_row_via_cycles(n: int) -> list[int]:
 
 
 def _w_or_zero(n: int, m: int) -> int:
-    if n < 0 or m < 0 or m > n:
-        return 0
+    # n, m >= 0 here, and math.comb is 0 for m > n
     return math.comb(n, m) * derangement(m)
 
 

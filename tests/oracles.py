@@ -15,7 +15,10 @@ over column subsets, the kernel that checks ``leading_permanents``, and
 ``permanent_naive`` sums all n! permutation terms, the oracle that checks
 ``permanent_ryser``.  ``term_counts_literal`` counts each permutation
 term's variable entries one term at a time, the reference for the walk
-of ``e_tables_bruteforce``.  ``counts_by_matrices`` enumerates the
+of ``e_tables_bruteforce``.  ``v_factorial_ratio`` is family B's closed
+form as a ratio of factorials, with its own alternating-sum derangement
+number: a reference for ``v_closed_form``, which divides by nothing.
+``counts_by_matrices`` enumerates the
 2**K assignments as ``validation.exact_counts_direct`` does, but builds each
 assignment's matrix and takes its ``permanent_ryser``, where the library
 evaluates every assignment at once, one bit per assignment.
@@ -126,6 +129,21 @@ def term_counts_literal(n):
         for family, row in rows.items():
             row[sum(family.is_variable(i, j) for j, i in enumerate(sigma))] += 1
     return {family: tuple(row) for family, row in rows.items()}
+
+
+def v_factorial_ratio(n, m):
+    """V_n(m) = (n-1)! * D(m+1) / ((n-m)! * m!) for 1 <= m <= n.
+
+    D(k) = sum over l of (-1)^l * k!/l!, summed from l = k down, where the
+    term k!/l! grows by one factor l at each step; the division must be exact.
+    """
+    k, term, d = m + 1, 1, 0
+    for l in range(k, -1, -1):
+        d += (-1) ** l * term
+        term *= l
+    q, rem = divmod(math.factorial(n - 1) * d, math.factorial(n - m) * math.factorial(m))
+    assert rem == 0, (n, m)
+    return q
 
 
 def counts_by_matrices(family, n):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permprob import termdist, validation
+from permprob import validation
 from permprob import (
     Family,
     GuardError,
@@ -161,11 +161,15 @@ class TestVClosedForm:
         with pytest.raises(ValueError):
             v_closed_form(0, 0)
 
-    def test_inexact_division_raises(self, monkeypatch):
-        # the check is a raise, not an assert, so it also holds under python -O
-        monkeypatch.setattr(termdist, "derangement", lambda k: derangement(k) + 1)
-        with pytest.raises(ArithmeticError):
-            v_closed_form(3, 3)
+    def test_matches_factorial_ratio_to_n200(self):
+        assert all(v_closed_form(n, m) == oracles.v_factorial_ratio(n, m)
+                   for n in range(1, 201) for m in range(1, n + 1))
+
+    def test_closed_values_at_a_million(self):
+        # V_n(1) = 1, V_n(2) = n - 1 and V_n(3) = 3 * C(n-1, 2) (A045943) need no
+        # derangement number; through (n-1)! they take about 20 s
+        n = 10**6
+        assert [v_closed_form(n, m) for m in (1, 2, 3)] == [1, n - 1, 3 * math.comb(n - 1, 2)]
 
 
 class TestVViaW:
@@ -207,6 +211,15 @@ class TestETable:
             assert e_table(Family.C, n).counts[1] == 0
             assert e_table(Family.B, n).counts[0] == 0
             assert e_table(Family.B, n).counts[1] == 1
+
+    @pytest.mark.parametrize("n", [30, 100, 200])
+    def test_large_rows_match_every_route(self, n):
+        # the other routes stop at validation.TABLE_N = 12; these reach DIST_MAX_N
+        b, c = e_table(Family.B, n).counts, e_table(Family.C, n).counts
+        assert c == tuple(w_closed_form(n, m) for m in range(n + 1))
+        assert b == tuple(v_closed_form(n, m) for m in range(n + 1))
+        assert b[1:] == tuple(v_via_w(n, m) for m in range(1, n + 1))
+        assert sum(b) == sum(c) == math.factorial(n)
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
